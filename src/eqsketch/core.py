@@ -540,9 +540,14 @@ def _all_term_bijections(s1: Specification, s2: Specification, tmap):
             return
         groups1[k].sort()
         groups2[k].sort()
-    perms = [itertools.permutations(groups2[k]) for k in keys]
-    for chosen in itertools.product(*perms):
-        mmap: Dict[str, str] = {}
-        for k, perm in zip(keys, chosen):
-            mmap.update(zip(groups1[k], perm))
-        yield mmap
+    # one group at a time, the last one varying fastest: the order of
+    # itertools.product, without building every permutation up front
+    def extend(i: int, mmap: Dict[str, str]):
+        if i == len(keys):
+            yield dict(mmap)
+            return
+        for perm in itertools.permutations(groups2[keys[i]]):
+            mmap.update(zip(groups1[keys[i]], perm))
+            yield from extend(i + 1, mmap)
+
+    yield from extend(0, {})

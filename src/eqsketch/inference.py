@@ -412,8 +412,8 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
 
 
 def _carrier_choices(s: Specification, max_carrier: int):
-    from .models import _base_types
-    base = _base_types(s)
+    from .models import base_types
+    base = base_types(s)
     for sizes in itertools.product(range(1, max_carrier + 1), repeat=len(base)):
         yield {x: tuple(range(k)) for x, k in zip(base, sizes)}
 
@@ -581,7 +581,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     """Fallback: look for a small model of the source without a unique
     extension along tau; finding one refutes the entailment."""
     from .errors import SearchSpaceTooLarge
-    from .models import FiniteModel, _base_types, enumerate_models
+    from .models import FiniteModel, base_types, enumerate_models
     s1, s = tau.source, tau.target
     for carriers in _carrier_choices(s1, max_carrier):
         try:
@@ -593,7 +593,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
             fixed = FiniteModel(
                 {tau.type_map[x]: m.carriers[x] for x in s1.types},
                 {tau.term_map[t]: m.functions[t] for t in s1.terms})
-            base = _base_types(s)
+            base = base_types(s)
             missing = [x for x in base if x not in fixed.carriers]
             choices = [c for c in _carrier_choices_for(missing, max_carrier)]
             count = 0

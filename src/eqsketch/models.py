@@ -1,6 +1,6 @@
-"""Finite set-valued models: checking, brute-force enumeration,
-homomorphism search, parameter passing, terminal models and the
-exact-parameterization report.
+"""Finite set-valued models: checking, enumeration and homomorphism
+search on one propagating backtracking core, parameter passing,
+terminal models and the exact-parameterization report.
 
 Chosen structure is cartesian: a marked product type carries the set of
 ordered pairs of the factor carriers and the terminal type carries the
@@ -8,7 +8,6 @@ canonical one-element set ``((),)``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,61 +119,231 @@ def derived_carriers(s: Specification, base_carriers: Dict[TypeName, Sequence]) 
     return carriers
 
 
-def _forced_terms(s: Specification) -> Dict[TermName, Tuple[str, tuple]]:
-    """Terms whose tables are determined by marks, with their recipe."""
-    forced: Dict[TermName, Tuple[str, tuple]] = {}
-    for x, i in s.identities.items():
-        forced[i] = ("identity", (x,))
-    for (y1, y2), (p, p1, p2) in s.products.items():
-        forced[p1] = ("proj1", (p,))
-        forced[p2] = ("proj2", (p,))
-    for x, c in s.collapsings.items():
-        forced[c] = ("collapse", (x,))
-    for (f, g), c in s.compositions.items():
-        if c not in forced:
-            forced[c] = ("compose", (f, g))
-    for (f, g), t in s.tuples.items():
-        if t not in forced:
-            forced[t] = ("tuple", (f, g))
-    return forced
+def _mark_results(s: Specification) -> set:
+    """Terms whose tables a mark determines from other tables."""
+    out = set(s.identities.values()) | set(s.collapsings.values())
+    out |= s.projection_names()
+    out |= set(s.compositions.values()) | set(s.tuples.values())
+    return out
 
 
-def _propagate_forced(s: Specification, carriers, functions, forced) -> bool:
-    """Fill in forced tables from their ingredients; False on conflict."""
-    pending = {t: r for t, r in forced.items()}
-    progress = True
-    while pending and progress:
-        progress = False
-        for t, (kind, args) in sorted(pending.items()):
-            tab = None
-            if kind == "identity":
-                tab = {v: v for v in carriers[args[0]]}
-            elif kind == "proj1":
-                tab = {v: v[0] for v in carriers[args[0]]}
-            elif kind == "proj2":
-                tab = {v: v[1] for v in carriers[args[0]]}
-            elif kind == "collapse":
-                tab = {v: UNIT_ELEMENT for v in carriers[args[0]]}
-            elif kind == "compose":
-                f, g = args
-                if f in functions and g in functions:
-                    tab = {v: functions[g][functions[f][v]]
-                           for v in carriers[s.terms[f].dom]}
-            elif kind == "tuple":
-                f, g = args
-                if f in functions and g in functions:
-                    tab = {v: (functions[f][v], functions[g][v])
-                           for v in carriers[s.terms[f].dom]}
-            if tab is None:
-                continue
-            if t in functions and functions[t] != tab:
+_COMP, _COMP_G, _PAIR, _EQ, _IMG = range(5)
+
+
+class _Cells:
+    """Table cells filled by propagation and undone through a trail.
+
+    A cell holds the index of its value in a carrier, or -1 while unknown.
+    A constraint instance is fired whenever a cell it watches is set, and
+    firing sets every cell that its known cells determine, so an instance
+    is checked as soon as its last cell is known.  This is the one
+    backtracking core of ``enumerate_models``, ``complete_tables`` and
+    ``hom_search``.
+    """
+
+    def __init__(self):
+        self.val: List[int] = []
+        self.size: List[int] = []
+        self.watch: Dict[int, list] = {}
+        self.trail: List[int] = []
+
+    def block(self, n: int, size: int) -> int:
+        """n new unknown cells of ``size`` values each; their first index."""
+        off = len(self.val)
+        self.val += [-1] * n
+        self.size += [size] * n
+        return off
+
+    def _on(self, cells, inst) -> None:
+        for c in cells:
+            self.watch.setdefault(c, []).append(inst)
+
+    def compose(self, f: int, g: int, g_len: int, c: int, n: int) -> None:
+        """c[v] = g[f[v]] for v < n, with f, g, c the first cells of
+        three tables and g_len the length of g."""
+        for v in range(n):
+            self._on((f + v, c + v), (_COMP, f + v, g, c + v))
+        # a cell g[w] fills c[v] wherever f[v] = w: one scan for all v
+        self._on(range(g, g + g_len), (_COMP_G, f, g, c, n))
+
+    def pair(self, triples, pairing) -> None:
+        """Cell t = (a, b) for each (a, b, t) in ``triples``; ``pairing``
+        is (index of pair (i, j) at i * n2 + j, n2, first, second)."""
+        for a, b, t in triples:
+            self._on({a, b, t}, (_PAIR, a, b, t) + pairing)
+
+    def equal(self, a: int, b: int, n: int) -> None:
+        """a[v] = b[v] for v < n."""
+        for v in range(n):
+            self._on((a + v, b + v), (_EQ, a + v, b + v))
+
+    def image(self, src: int, dom: Sequence, table: Dict, cod: Dict, dst: int) -> None:
+        """dst = cod[table[dom[src]]]: the image of src's value under a
+        fixed table, with ``cod`` mapping values to indices."""
+        self._on((src,), (_IMG, src, dom, table, cod, dst))
+
+    def assign(self, todo: List[Tuple[int, int]]) -> bool:
+        """Give each (cell, value) in ``todo`` its value and propagate;
+        False on a conflict.  Every cell set on the way is on the trail,
+        also after a conflict.  ``todo`` is used up."""
+        val, trail, watch = self.val, self.trail, self.watch
+        while todo:
+            cell, x = todo.pop()
+            cur = val[cell]
+            if cur >= 0:
+                if cur != x:
+                    return False
+            elif x < 0:
                 return False
-            functions[t] = tab
-            del pending[t]
-            progress = True
-            break
-    # leftover recipes waiting on terms that never arrive indicate a bug
-    return not pending
+            else:
+                val[cell] = x
+                trail.append(cell)
+                for inst in watch.get(cell, ()):
+                    kind = inst[0]
+                    if kind == _COMP:
+                        a = val[inst[1]]
+                        if a >= 0:
+                            gc = inst[2] + a
+                            b = val[gc]
+                            if b >= 0:
+                                todo.append((inst[3], b))
+                            elif val[inst[3]] >= 0:
+                                todo.append((gc, val[inst[3]]))
+                    elif kind == _COMP_G:
+                        _k, f, g, c, n = inst
+                        w = cell - g
+                        for v in range(n):
+                            if val[f + v] == w:
+                                todo.append((c + v, x))
+                    elif kind == _PAIR:
+                        _k, ac, bc, tc, pairs, n2, first, second = inst
+                        t = val[tc]
+                        if t >= 0:
+                            todo.append((ac, first[t]))
+                            todo.append((bc, second[t]))
+                        elif val[ac] >= 0 and val[bc] >= 0:
+                            todo.append((tc, pairs[val[ac] * n2 + val[bc]]))
+                    elif kind == _EQ:
+                        a = val[inst[1]]
+                        todo.append((inst[2], a) if a >= 0 else (inst[1], val[inst[2]]))
+                    else:
+                        _k, sc, dom, table, cod, dc = inst
+                        todo.append((dc, cod.get(table[dom[val[sc]]], -1)))
+        return True
+
+    def solve(self, order: Sequence[int], emit) -> None:
+        """Call ``emit`` once for every way of giving the cells in ``order``
+        values that no constraint rejects, trying values in index order."""
+        val, size, trail, watch = self.val, self.size, self.trail, self.watch
+        n = len(order)
+        stack: List[list] = []   # [position in order, next value, trail mark]
+        k = 0
+        while True:
+            while k < n and val[order[k]] >= 0:
+                k += 1
+            if k == n:
+                emit()
+            else:
+                stack.append([k, 0, len(trail)])
+            while stack:
+                top = stack[-1]
+                k, x, mark = top
+                while len(trail) > mark:
+                    val[trail.pop()] = -1
+                cell = order[k]
+                if x == size[cell]:
+                    stack.pop()
+                    continue
+                top[1] = x + 1
+                if cell not in watch:     # nothing to propagate
+                    val[cell] = x
+                    trail.append(cell)
+                elif not self.assign([(cell, x)]):
+                    continue
+                k += 1
+                break
+            else:
+                return
+
+
+def _indices(carriers: Dict[TypeName, Sequence]) -> Dict[TypeName, Dict]:
+    return {x: {v: i for i, v in enumerate(c)} for x, c in carriers.items()}
+
+
+def _pairing(carriers, index, y1: TypeName, y2: TypeName, p: TypeName):
+    """The ``pairing`` argument of ``_Cells.pair`` for p = y1 x y2, or None
+    when the carrier of p is not the set of pairs."""
+    c1, c2, cp, ip = carriers[y1], carriers[y2], carriers[p], index[p]
+    if len(ip) != len(c1) * len(c2):
+        return None
+    try:
+        pairs = [ip[(a, b)] for a in c1 for b in c2]
+    except KeyError:
+        return None
+    i1, i2 = index[y1], index[y2]
+    return pairs, len(c2), [i1[e[0]] for e in cp], [i2[e[1]] for e in cp]
+
+
+def _spec_cells(s: Specification, carriers, functions):
+    """One cell per table entry of every term of s, the marks and equations
+    as constraints, the marked structure and the given tables set; None on
+    a conflict."""
+    index = _indices(carriers)
+    cells = _Cells()
+    off = {name: cells.block(len(carriers[t.dom]), len(carriers[t.cod]))
+           for name, t in s.terms.items()}
+
+    def n(t: TermName) -> int:
+        return len(carriers[s.terms[t].dom])
+
+    for (f, g), c in s.compositions.items():
+        cells.compose(off[f], off[g], n(g), off[c], n(f))
+    pairings = {}
+    for (y1, y2), (p, _1, _2) in s.products.items():
+        pairings[p] = _pairing(carriers, index, y1, y2, p)
+        if pairings[p] is None:
+            return None
+    for (f, g), t in s.tuples.items():
+        p = s.products[(s.terms[f].cod, s.terms[g].cod)][0]
+        cells.pair([(off[f] + v, off[g] + v, off[t] + v) for v in range(n(f))],
+                   pairings[p])
+    for (a, b) in s.equations:
+        cells.equal(off[a], off[b], n(a))
+
+    seeds = []
+    for x, i in s.identities.items():
+        seeds += [(off[i] + v, v) for v in range(len(carriers[x]))]
+    for (y1, y2), (p, p1, p2) in s.products.items():
+        _pairs, _n2, first, second = pairings[p]
+        seeds += [(off[p1] + v, a) for v, a in enumerate(first)]
+        seeds += [(off[p2] + v, b) for v, b in enumerate(second)]
+    for x, c in s.collapsings.items():
+        unit = index[s.terminal][UNIT_ELEMENT]
+        seeds += [(off[c] + v, unit) for v in range(len(carriers[x]))]
+    for t, tab in functions.items():
+        if t in off:
+            cod = index[s.terms[t].cod]
+            seeds += [(off[t] + v, cod.get(tab[x], -1))
+                      for v, x in enumerate(carriers[s.terms[t].dom]) if x in tab]
+    if not cells.assign(seeds):
+        return None
+    return cells, off
+
+
+def complete_tables(s: Specification, carriers: Dict[TypeName, Tuple],
+                    functions: Dict[TermName, Dict]) -> bool:
+    """Add to ``functions`` every missing table of s that the marks and
+    equations determine from the given ones; False on a conflict."""
+    built = _spec_cells(s, carriers, functions)
+    if built is None:
+        return False
+    cells, off = built
+    for t in sorted(set(s.terms) - set(functions)):
+        dom, cod = carriers[s.terms[t].dom], carriers[s.terms[t].cod]
+        vals = cells.val[off[t]:off[t] + len(dom)]
+        if min(vals, default=0) >= 0:
+            functions[t] = dict(zip(dom, map(cod.__getitem__, vals)))
+    return True
 
 
 def enumerate_models(s: Specification,
@@ -183,39 +352,51 @@ def enumerate_models(s: Specification,
                      cap: int = DEFAULT_CANDIDATE_CAP) -> List[FiniteModel]:
     """All models of s over the given base carriers extending ``fixed``.
 
-    Product/terminal carriers and mark-determined tables are forced; the
-    remaining term tables are enumerated exhaustively and filtered by
-    ``check_model``.  Deterministic order.
+    Product/terminal carriers are forced.  The search assigns one table
+    cell at a time and lets every mark and equation fill or check the
+    cells whose inputs are known, backtracking on a conflict.  ``cap``
+    bounds, before the search starts, the product of |cod|^|dom| over
+    the terms that no mark and no fixed table determine.  Sorted by
+    ``canonical()``.
     """
     merged_base = dict(base_carriers)
     if fixed is not None:
         for x, v in fixed.carriers.items():
             merged_base.setdefault(x, tuple(v))
     carriers = derived_carriers(s, merged_base)
-    forced = _forced_terms(s)
+    marked = _mark_results(s)
     fixed_funcs = dict(fixed.functions) if fixed is not None else {}
-    free = sorted(t for t in s.terms if t not in forced and t not in fixed_funcs)
-    spaces = []
+    terms = sorted(s.terms)
+    dom = {t: carriers[s.terms[t].dom] for t in terms}
     total = 1
-    for t in free:
-        dom = carriers[s.terms[t].dom]
-        cod = carriers[s.terms[t].cod]
-        total *= len(cod) ** len(dom)
-        if total > cap:
-            raise SearchSpaceTooLarge(f"{total} candidates exceed cap {cap}")
-        spaces.append((t, dom, cod))
+    for t in terms:
+        if t not in marked and t not in fixed_funcs:
+            total *= len(carriers[s.terms[t].cod]) ** len(dom[t])
+            if total > cap:
+                raise SearchSpaceTooLarge(f"{total} candidates exceed cap {cap}")
+    built = _spec_cells(s, carriers, fixed_funcs)
+    if built is None:
+        return []
+    cells, off = built
+    val = cells.val
+    # unmarked terms first, small tables first: the marks then fill the rest
+    order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
+             for v in range(len(dom[t]))]
+    tables = [(t, off[t], dom[t], carriers[s.terms[t].cod].__getitem__)
+              for t in terms if t not in fixed_funcs]
     out: List[FiniteModel] = []
-    for combo in itertools.product(*[itertools.product(cod, repeat=len(dom))
-                                     for (_t, dom, cod) in spaces]):
-        functions: Dict[TermName, Dict] = {k: dict(v) for k, v in fixed_funcs.items()}
-        for (t, dom, _cod), values in zip(spaces, combo):
-            functions[t] = dict(zip(dom, values))
-        if not _propagate_forced(s, carriers, functions, forced):
-            continue
+
+    def emit() -> None:
+        functions = {t: dict(tab) for t, tab in fixed_funcs.items()}
+        for t, start, xs, cod in tables:
+            functions[t] = dict(zip(xs, map(cod, val[start:start + len(xs)])))
         m = FiniteModel(dict(carriers), functions)
         if not check_model(s, m):
             out.append(m)
-    out.sort(key=lambda m: m.canonical())
+
+    cells.solve(order, emit)
+    if len(out) > 1:
+        out.sort(key=lambda m: m.canonical())
     return out
 
 
@@ -227,7 +408,8 @@ class ModelHom:
         return self.components[x][v]
 
 
-def _base_types(s: Specification) -> List[TypeName]:
+def base_types(s: Specification) -> List[TypeName]:
+    """The types whose carriers are chosen: all but products and the terminal."""
     derived = {p for (_k, (p, _1, _2)) in s.products.items()}
     if s.terminal is not None:
         derived.add(s.terminal)
@@ -238,48 +420,51 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
                fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
     """All homomorphisms m -> n; components on product/terminal types are
     forced, components listed in ``fix_types`` are required to be the
-    identity."""
-    base = _base_types(s)
-    choice_types = [x for x in base if x not in set(fix_types)]
-    spaces = []
-    for x in choice_types:
-        spaces.append([dict(zip(m.carriers[x], values))
-                       for values in itertools.product(n.carriers[x],
-                                                       repeat=len(m.carriers[x]))])
-    out: List[ModelHom] = []
-    for combo in itertools.product(*spaces):
-        comp: Dict[TypeName, Dict] = {x: {v: v for v in m.carriers[x]}
-                                      for x in fix_types}
-        comp.update(dict(zip(choice_types, combo)))
-        if _complete_hom(s, m, n, comp) and _hom_commutes(s, m, n, comp):
-            out.append(ModelHom(comp))
-    out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
-                                        for x, tab in h.components.items())))
-    return out
+    identity.
 
-
-def _complete_hom(s, m, n, comp) -> bool:
-    if s.terminal is not None:
-        comp[s.terminal] = {UNIT_ELEMENT: UNIT_ELEMENT}
-    changed = True
-    while changed:
-        changed = False
-        for (y1, y2), (p, _1, _2) in s.products.items():
-            if p not in comp and y1 in comp and y2 in comp:
-                comp[p] = {(a, b): (comp[y1][a], comp[y2][b])
-                           for (a, b) in m.carriers[p]}
-                changed = True
-    return all(x in comp for x in s.types)
-
-
-def _hom_commutes(s, m, n, comp) -> bool:
+    The cells are the component entries.  Those on the choice types are
+    searched; a product entry follows from its factors, and each entry
+    fills the entry the commutation square of every term sends it to."""
+    fix = set(fix_types) & s.types
+    im, ino = _indices(m.carriers), _indices(n.carriers)
+    cells = _Cells()
+    types = sorted(s.types)
+    off = {x: cells.block(len(m.carriers[x]), len(n.carriers[x])) for x in types}
+    for (y1, y2), (p, _1, _2) in s.products.items():
+        if p in fix:
+            continue
+        pairing = _pairing(n.carriers, ino, y1, y2, p)
+        if pairing is None:
+            return []
+        cells.pair([(off[y1] + im[y1][a], off[y2] + im[y2][b], off[p] + v)
+                    for v, (a, b) in enumerate(m.carriers[p])], pairing)
     for t in s.terms.values():
-        hx = comp[t.dom]
-        hy = comp[t.cod]
-        for v in m.carriers[t.dom]:
-            if hy[m.apply(t.name, v)] != n.apply(t.name, hx[v]):
-                return False
-    return True
+        mt, nt = m.table(t.name), n.table(t.name)
+        for v, x in enumerate(m.carriers[t.dom]):
+            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
+                        off[t.cod] + im[t.cod][mt[x]])
+    seeds = [(off[x] + v, ino[x].get(x_v, -1))
+             for x in sorted(fix) for v, x_v in enumerate(m.carriers[x])]
+    if s.terminal is not None and s.terminal not in fix:
+        seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
+    if not cells.assign(seeds):
+        return []
+    choice = [x for x in base_types(s) if x not in fix]
+    # the other cells are set by propagation once the choice cells are
+    order = [off[x] + v for x in choice + types for v in range(len(m.carriers[x]))]
+    val = cells.val
+    out: List[ModelHom] = []
+
+    def emit() -> None:
+        out.append(ModelHom({x: dict(zip(m.carriers[x], map(
+            n.carriers[x].__getitem__, val[off[x]:off[x] + len(m.carriers[x])])))
+            for x in types}))
+
+    cells.solve(order, emit)
+    if len(out) > 1:
+        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
+                                            for x, tab in h.components.items())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +525,9 @@ def terminal_model(d: DecoratedSpecification,
         functions[primed] = {(i, x): extensions[i].apply(f, x)
                              for i in range(len(extensions))
                              for x in carriers[dom]}
-    forced = _forced_terms(p)
-    ok = _propagate_forced(p, carriers, functions, forced)
-    if not ok:
-        raise AssertionError("terminal model construction hit a mark conflict")
+    if not complete_tables(p, carriers, functions) or len(functions) != len(p.terms):
+        raise AssertionError("terminal model construction hit a mark conflict "
+                             "or left a table unfilled")
     return FiniteModel(carriers, functions), extensions
 
 
@@ -358,7 +542,7 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
         par = parameterize(d)
     p = par.spec.base
     a_type = par.spec.parameter_type
-    fix = sorted(x for x in p.types if x != a_type and x in _base_types(p))
+    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
     for size in range(bound + 1):
         carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
                     a_type: tuple(range(size))}

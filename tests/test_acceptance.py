@@ -17,11 +17,10 @@ from eqsketch.decorate import DecoratedSpecification, purify, undecorate
 from eqsketch.errors import SearchSpaceTooLarge
 from eqsketch.inference import (STRUCTURAL_RULES, TriState, is_entailment,
                                 rule, apply_rule, terms_equal)
-from eqsketch.models import (UNIT_ELEMENT, FiniteModel, _base_types,
-                             _forced_terms, _propagate_forced, check_model,
-                             derived_carriers, enumerate_models,
-                             exactness_check, is_terminal, pass_parameter,
-                             terminal_model)
+from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
+                             check_model, complete_tables, derived_carriers,
+                             enumerate_models, exactness_check, is_terminal,
+                             pass_parameter, terminal_model)
 from eqsketch.parameterize import (check_ell_natural,
                                    check_param_restricts_to_embed, ell,
                                    parameterize)
@@ -193,10 +192,10 @@ def test_criterion_6_passing_matches_pointwise_evaluation():
         # independent evaluation: interpret the substituted composite in
         # the extension, seeding only the parameterized tables and alpha
         carriers = derived_carriers(ext, {x: m_a.carriers[x]
-                                          for x in _base_types(ext)})
+                                          for x in base_types(ext)})
         fns = {t: dict(tab) for t, tab in m_a.functions.items()}
         fns[res.constant] = {UNIT_ELEMENT: alpha}
-        ok = _propagate_forced(ext, carriers, fns, _forced_terms(ext))
+        ok = complete_tables(ext, carriers, fns)
         assert ok
         img = res.morphism.term_map["s"]
         for x in (0, 1):
@@ -240,7 +239,7 @@ def test_criterion_8_soundness_bridge():
                        if v.state is TriState.EQUAL]
         if not pairs:
             continue
-        base = _base_types(s)
+        base = base_types(s)
         for sizes in itertools.product((1, 2, 3), repeat=len(base)):
             carriers = {x: tuple(range(k)) for x, k in zip(base, sizes)}
             try:

@@ -1,8 +1,14 @@
 import io
+import os
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import eqsketch
 from eqsketch import dsl
 from eqsketch.cli import main
 
@@ -58,6 +64,32 @@ def test_meta_check(files):
     rc, out = run("meta-check", files["endo"])
     assert rc == 0
     assert "sketch valid: yes" in out
+
+
+def test_meta_check_spec_with_equation(tmp_path):
+    # the sketch does not encode equations; the round trip is compared
+    # with the spec without them
+    p = tmp_path / "idem.spec"
+    p.write_text("type X\nterm s : X -> X\ncompose ss = s . s\neq ss = s\n")
+    rc, out = run("meta-check", str(p))
+    assert rc == 0
+    assert f"realization {p}: ok" in out
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_meta_check_many_parallel_terms_in_bounded_memory(tmp_path):
+    p = tmp_path / "parallel.spec"
+    p.write_text("type X\n" + "".join(f"term f{i} : X -> X\n" for i in range(11)))
+    env = dict(os.environ, PYTHONPATH=str(Path(eqsketch.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-m", "eqsketch.cli", "meta-check", str(p)],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert res.returncode == 0, res.stderr
+    assert f"realization {p}: ok" in res.stdout
 
 
 def test_entail_positive(files):

@@ -1,8 +1,13 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eqsketch.core import Specification, validate
 from eqsketch.errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
-from eqsketch.models import (UNIT_ELEMENT, FiniteModel, check_model,
-                             derived_carriers, enumerate_models,
+from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
+                             check_model, derived_carriers, enumerate_models,
                              exactness_check, hom_search, is_terminal,
                              pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
@@ -99,3 +104,202 @@ def test_exactness_bijection_listed():
     rep = exactness_check(DECORATED["endo"](), _m0(), {"X": (0, 1)})
     assert rep.exact
     assert sorted(i for _a, i in rep.bijection) == list(range(rep.model_count))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles: every table, filtered by check_model
+# ---------------------------------------------------------------------------
+
+ORACLE_CAP = 50_000
+
+
+def _structural_tables(s, carriers):
+    tabs = {}
+    for x, i in s.identities.items():
+        tabs[i] = {v: v for v in carriers[x]}
+    for (_y1, _y2), (p, p1, p2) in s.products.items():
+        tabs[p1] = {v: v[0] for v in carriers[p]}
+        tabs[p2] = {v: v[1] for v in carriers[p]}
+    for x, c in s.collapsings.items():
+        tabs[c] = {v: UNIT_ELEMENT for v in carriers[x]}
+    return tabs
+
+
+def _oracle_space(s, carriers):
+    fixed = _structural_tables(s, carriers)
+    total = 1
+    for t in s.terms.values():
+        if t.name not in fixed:
+            total *= len(carriers[t.cod]) ** len(carriers[t.dom])
+    return total
+
+
+def brute_force_models(s, base_carriers):
+    """Try every table of every term but the identities, projections and
+    collapsings; keep what check_model accepts."""
+    carriers = derived_carriers(s, base_carriers)
+    fixed = _structural_tables(s, carriers)
+    free = sorted(t for t in s.terms if t not in fixed)
+    doms = [carriers[s.terms[t].dom] for t in free]
+    spaces = [itertools.product(carriers[s.terms[t].cod], repeat=len(dom))
+              for t, dom in zip(free, doms)]
+    out = []
+    for combo in itertools.product(*spaces):
+        functions = {t: dict(tab) for t, tab in fixed.items()}
+        for t, dom, values in zip(free, doms, combo):
+            functions[t] = dict(zip(dom, values))
+        m = FiniteModel(dict(carriers), functions)
+        if not check_model(s, m):
+            out.append(m.canonical())
+    return sorted(out)
+
+
+def _hom_key(components):
+    return tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
+                        for x, tab in components.items()))
+
+
+def brute_force_homs(s, m, n, fix_types=()):
+    """Try every component map on the unfixed base types, derive the
+    product and terminal components, keep those whose squares commute."""
+    choice = [x for x in base_types(s) if x not in fix_types]
+    spaces = [itertools.product(n.carriers[x], repeat=len(m.carriers[x]))
+              for x in choice]
+    out = []
+    for combo in itertools.product(*spaces):
+        comp = {x: {v: v for v in m.carriers[x]} for x in fix_types}
+        comp.update({x: dict(zip(m.carriers[x], values))
+                     for x, values in zip(choice, combo)})
+        if s.terminal is not None:
+            comp[s.terminal] = {UNIT_ELEMENT: UNIT_ELEMENT}
+        while any(p not in comp for (p, _1, _2) in s.products.values()):
+            for (y1, y2), (p, _1, _2) in s.products.items():
+                if p not in comp and y1 in comp and y2 in comp:
+                    comp[p] = {(a, b): (comp[y1][a], comp[y2][b])
+                               for (a, b) in m.carriers[p]}
+        if all(comp[t.cod][m.apply(t.name, v)] == n.apply(t.name, comp[t.dom][v])
+               for t in s.terms.values() for v in m.carriers[t.dom]):
+            out.append(_hom_key(comp))
+    return sorted(out)
+
+
+def _assert_matches_oracle(s, carriers):
+    got = [m.canonical() for m in enumerate_models(s, carriers)]
+    assert got == brute_force_models(s, carriers)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_enumerate_models_matches_brute_force_on_corpus(name):
+    s = CORPUS[name]()
+    base = base_types(s)
+    tried = 0
+    for sizes in itertools.product((1, 2, 3), repeat=len(base)):
+        carriers = {x: tuple(range(k)) for x, k in zip(base, sizes)}
+        if _oracle_space(s, derived_carriers(s, carriers)) <= ORACLE_CAP:
+            _assert_matches_oracle(s, carriers)
+            tried += 1
+    assert tried > 0
+
+
+@st.composite
+def small_specs(draw):
+    """Small valid specs with compose marks (self-referential ones too),
+    tuple marks and equations."""
+    s = Specification()
+    types = ["X", "Y"][:draw(st.integers(1, 2))]
+    for x in types:
+        s.add_type(x)
+    if draw(st.booleans()):
+        y1, y2 = draw(st.sampled_from(types)), draw(st.sampled_from(types))
+        s.add_type("P")
+        s.add_term("p1", "P", y1)
+        s.add_term("p2", "P", y2)
+        s.products[(y1, y2)] = ("P", "p1", "p2")
+    if draw(st.booleans()):
+        s.add_term("id", "X", "X")
+        s.identities["X"] = "id"
+    every = sorted(s.types)
+    for i in range(draw(st.integers(1, 3))):
+        s.add_term(f"t{i}", draw(st.sampled_from(every)), draw(st.sampled_from(every)))
+
+    def result(dom, cod, stem):
+        """An existing term dom -> cod (possibly an argument) or a new one."""
+        same = sorted(t for t, tm in s.terms.items() if (tm.dom, tm.cod) == (dom, cod))
+        if same and draw(st.booleans()):
+            return draw(st.sampled_from(same))
+        name = f"{stem}{len(s.terms)}"
+        s.add_term(name, dom, cod)
+        return name
+
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(sorted(s.terms)))
+        gs = sorted(g for g, tm in s.terms.items() if tm.dom == s.terms[f].cod)
+        if not gs:
+            continue
+        g = draw(st.sampled_from(gs))
+        if (f, g) not in s.compositions:
+            s.compositions[(f, g)] = result(s.terms[f].dom, s.terms[g].cod, "c")
+    if s.products and draw(st.booleans()):
+        ((y1, y2), _p), = s.products.items()
+        dom = draw(st.sampled_from(every))
+        f = result(dom, y1, "f")
+        g = result(dom, y2, "g")
+        if (f, g) not in s.tuples:
+            s.tuples[(f, g)] = result(dom, "P", "u")
+    parallel = sorted((a, b) for a, b in itertools.combinations(sorted(s.terms), 2)
+                      if s.parallel(a, b))
+    for a, b in draw(st.lists(st.sampled_from(parallel), max_size=2) if parallel
+                     else st.just([])):
+        s.add_equation(a, b)
+    assert validate(s) == []
+    sizes = {x: draw(st.integers(1, 2)) for x in types}
+    return s, {x: tuple(range(k)) for x, k in sizes.items()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_enumerate_models_matches_brute_force_on_generated_specs(case):
+    s, carriers = case
+    if _oracle_space(s, derived_carriers(s, carriers)) <= ORACLE_CAP:
+        _assert_matches_oracle(s, carriers)
+
+
+def _self_referential():
+    s = Specification()
+    s.add_type("X")
+    s.add_term("g", "X", "X")
+    s.add_term("c", "X", "X")
+    s.compositions[("c", "g")] = "c"
+    return s
+
+
+def test_self_referential_mark_gets_true_counts():
+    # compose c = g . c: g must fix every point in the image of c
+    s = _self_referential()
+    counts = [len(enumerate_models(s, {"X": tuple(range(k))})) for k in (1, 2, 3)]
+    assert counts == [1, 6, 87]
+    _assert_matches_oracle(s, {"X": (0, 1)})
+
+
+CRITERION_7 = [
+    ("endo", lambda: _m0()),
+    ("idempotent", lambda: _m0()),
+    ("two_ops", lambda: FiniteModel({"X": (0, 1)}, {})),
+]
+
+
+@pytest.mark.parametrize("kind,mk_m0", CRITERION_7, ids=[c[0] for c in CRITERION_7])
+def test_hom_search_matches_brute_force(kind, mk_m0):
+    d, m0, base = DECORATED[kind](), mk_m0(), {"X": (0, 1)}
+    par = parameterize(d)
+    p, a_type = par.spec.base, par.spec.parameter_type
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    for size in (0, 1, 2):
+        for n in enumerate_models(p, {**base, a_type: tuple(range(size))}, fixed=m0):
+            got = sorted(_hom_key(h.components) for h in hom_search(p, n, m_a, fix_types=fix))
+            assert got == brute_force_homs(p, n, m_a, fix)
+    small = enumerate_models(p, {**base, a_type: (0,)}, fixed=m0)[:6]
+    for n1, n2 in itertools.product(small, small):
+        got = sorted(_hom_key(h.components) for h in hom_search(p, n1, n2))
+        assert got == brute_force_homs(p, n1, n2)
