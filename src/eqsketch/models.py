@@ -338,10 +338,10 @@ def complete_tables(s: Specification, carriers: Dict[TypeName, Tuple],
     if built is None:
         return False
     cells, off = built
-    for t in sorted(set(s.terms) - set(functions)):
-        dom, cod = carriers[s.terms[t].dom], carriers[s.terms[t].cod]
+    for t, term in s.terms.items():
+        dom, cod = carriers[term.dom], carriers[term.cod]
         vals = cells.val[off[t]:off[t] + len(dom)]
-        if min(vals, default=0) >= 0:
+        if t not in functions and min(vals, default=0) >= 0:
             functions[t] = dict(zip(dom, map(cod.__getitem__, vals)))
     return True
 
@@ -425,14 +425,12 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
     The cells are the component entries.  Those on the choice types are
     searched; a product entry follows from its factors, and each entry
     fills the entry the commutation square of every term sends it to."""
-    fix = set(fix_types) & s.types
+    fix = set(fix_types)
     im, ino = _indices(m.carriers), _indices(n.carriers)
     cells = _Cells()
     types = sorted(s.types)
     off = {x: cells.block(len(m.carriers[x]), len(n.carriers[x])) for x in types}
     for (y1, y2), (p, _1, _2) in s.products.items():
-        if p in fix:
-            continue
         pairing = _pairing(n.carriers, ino, y1, y2, p)
         if pairing is None:
             return []
@@ -445,7 +443,7 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
                         off[t.cod] + im[t.cod][mt[x]])
     seeds = [(off[x] + v, ino[x].get(x_v, -1))
              for x in sorted(fix) for v, x_v in enumerate(m.carriers[x])]
-    if s.terminal is not None and s.terminal not in fix:
+    if s.terminal is not None:
         seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
     if not cells.assign(seeds):
         return []
