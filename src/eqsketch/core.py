@@ -540,14 +540,21 @@ def _all_term_bijections(s1: Specification, s2: Specification, tmap):
             return
         groups1[k].sort()
         groups2[k].sort()
-    # one group at a time, the last one varying fastest: the order of
-    # itertools.product, without building every permutation up front
-    def extend(i: int, mmap: Dict[str, str]):
-        if i == len(keys):
+    if not keys:
+        yield {}
+        return
+    # an odometer over the groups, the last one turning fastest: the order
+    # of itertools.product, without building every permutation up front
+    perms = [itertools.permutations(groups2[keys[0]])]
+    mmap: Dict[str, str] = {}
+    while perms:
+        perm = next(perms[-1], None)
+        if perm is None:
+            perms.pop()
+            continue
+        k = keys[len(perms) - 1]
+        mmap.update(zip(groups1[k], perm))
+        if len(perms) == len(keys):
             yield dict(mmap)
-            return
-        for perm in itertools.permutations(groups2[keys[i]]):
-            mmap.update(zip(groups1[keys[i]], perm))
-            yield from extend(i + 1, mmap)
-
-    yield from extend(0, {})
+        else:
+            perms.append(itertools.permutations(groups2[keys[len(perms)]]))
