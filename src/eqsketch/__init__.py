@@ -1,5 +1,5 @@
 """Equational specifications as finite-product sketches, with a
-diagrammatic inference engine, a parameterization pass, and brute-force
+diagrammatic inference engine, a parameterization pass, and propagating
 finite-model checking."""
 
 from .core import (IsoResult, Specification, SpecMorphism, Term, compose,
@@ -21,8 +21,7 @@ from .parameterize import (EllResult, Parameterization,
                            check_ell_natural, check_param_restricts_to_embed,
                            ell, embed_A, embed_a, parameterize,
                            parameterize_morphism)
-from .sketch import (FiniteRealization, LimitSketch, SketchMorphism,
-                     check_realization, equational_sketch,
-                     realization_to_spec, spec_to_realization,
-                     validate_sketch, validate_sketch_morphism)
-from .yoneda import ElementaryPoint, decorated_elementary, elementary
+from .sketch import (FiniteRealization, LimitSketch, check_realization,
+                     equational_sketch, realization_to_spec,
+                     spec_to_realization, validate_sketch)
+from .yoneda import ElementaryPoint, elementary

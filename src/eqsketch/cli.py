@@ -61,18 +61,14 @@ class _Out:
             print(ln)
 
 
-def _render_value(v) -> str:
-    return repr(v)
-
-
 def _print_model(out: _Out, s: Specification, m: FiniteModel, label: str) -> None:
     out.line("model", label)
     for x in sorted(m.carriers):
-        vals = " ".join(_render_value(v) for v in m.carriers[x])
+        vals = " ".join(repr(v) for v in m.carriers[x])
         out.line(f"carrier {x}", vals)
     for t in sorted(m.functions):
         tab = m.functions[t]
-        cells = ", ".join(f"{_render_value(k)} |-> {_render_value(v)}"
+        cells = ", ".join(f"{k!r} |-> {v!r}"
                           for k, v in sorted(tab.items(), key=lambda kv: repr(kv[0])))
         out.line(f"table {t}", cells)
 

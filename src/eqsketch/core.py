@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from .errors import SourceTargetMismatch
 
@@ -96,8 +96,7 @@ class Specification:
         return a.dom == b.dom and a.cod == b.cod
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_name(base: str, taken: Container[str]) -> str:
     if base not in taken:
         return base
     i = 1

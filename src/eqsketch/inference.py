@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import (Specification, SpecMorphism, Term, TermName, eqpair,
-                   fresh_name, identity_morphism, pushout, spec_equal,
+from .core import (Specification, SpecMorphism, Term, TermName, _UnionFind,
+                   eqpair, fresh_name, identity_morphism, pushout, spec_equal,
                    validate, validate_morphism)
 from .errors import BudgetExceeded, NoMatch, NotParallel
 from .yoneda import ElementaryPoint, elementary
@@ -177,6 +177,11 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     New products are only formed for pairs that already carry a product
     mark; free product formation would generate types without bound and
     adds nothing to term equality over the declared signature.
+
+    Each round visits the pairs of its sorted snapshot of terms in
+    lexicographic order, which fixes the names and the trace.  Whether a
+    pair yields a term depends only on its two terms and the marks, so a
+    pair whose terms were both in an earlier round's snapshot is skipped.
     """
     errs = validate(s)
     if errs:
@@ -184,9 +189,21 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     out = s.copy()
     trace: List[TraceStep] = []
     depth_of: Dict[TermName, int] = {t: 0 for t in out.terms}
+    taken = out.all_names()
 
     def fresh(base: str) -> str:
-        return fresh_name(base, out.all_names())
+        n = fresh_name(base, taken)
+        taken.add(n)
+        return n
+
+    def add(tag: RuleTag, marks: dict, f: str, g: str, base: str, cod: str) -> None:
+        n = fresh(base)
+        out.add_term(n, out.terms[f].dom, cod)
+        marks[(f, g)] = n
+        depth_of[n] = max(depth_of[f], depth_of[g]) + 1
+        trace.append(TraceStep(tag, {"f": f, "g": g}, (n,)))
+        if len(out.terms) > cap:
+            raise BudgetExceeded(f"term universe exceeded {cap}")
 
     # terminal type
     if out.terminal is None:
@@ -194,6 +211,7 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
         out.add_type(u)
         out.terminal = u
         trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (u,)))
+    scanned: Set[TermName] = set()
     changed = True
     while changed:
         changed = False
@@ -214,40 +232,30 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
                 depth_of[n] = 0
                 trace.append(TraceStep(RuleTag.COLLAPSING, {"X": x}, (n,)))
                 changed = True
-        snapshot = sorted(out.terms)
-        for f, g in ((f, g) for f in snapshot for g in snapshot):
-            if out.terms[f].cod != out.terms[g].dom:
-                continue
-            if (f, g) in out.compositions:
-                continue
-            dnew = max(depth_of.get(f, 0), depth_of.get(g, 0)) + 1
-            if dnew > depth:
-                continue
-            n = fresh(f"{g}_o_{f}")
-            out.add_term(n, out.terms[f].dom, out.terms[g].cod)
-            out.compositions[(f, g)] = n
-            depth_of[n] = dnew
-            trace.append(TraceStep(RuleTag.COMPOSITION, {"f": f, "g": g}, (n,)))
-            changed = True
-            if len(out.terms) > cap:
-                raise BudgetExceeded(f"term universe exceeded {cap}")
-        for f, g in ((f, g) for f in snapshot for g in snapshot):
-            if out.terms[f].dom != out.terms[g].dom:
-                continue
-            key = (out.terms[f].cod, out.terms[g].cod)
-            if key not in out.products or (f, g) in out.tuples:
-                continue
-            dnew = max(depth_of.get(f, 0), depth_of.get(g, 0)) + 1
-            if dnew > depth:
-                continue
-            n = fresh(f"pair_{f}_{g}")
-            out.add_term(n, out.terms[f].dom, out.products[key][0])
-            out.tuples[(f, g)] = n
-            depth_of[n] = dnew
-            trace.append(TraceStep(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, (n,)))
-            changed = True
-            if len(out.terms) > cap:
-                raise BudgetExceeded(f"term universe exceeded {cap}")
+        # only terms below the depth bound take part in a pair
+        snapshot = sorted(t for t in out.terms if depth_of[t] < depth)
+        by_dom: Dict[str, List[TermName]] = {}
+        new_by_dom: Dict[str, List[TermName]] = {}
+        for t in snapshot:
+            by_dom.setdefault(out.terms[t].dom, []).append(t)
+            if t not in scanned:
+                new_by_dom.setdefault(out.terms[t].dom, []).append(t)
+        partners = [(f, by_dom if f not in scanned else new_by_dom) for f in snapshot]
+        scanned.update(snapshot)
+        for f, index in partners:
+            for g in index.get(out.terms[f].cod, ()):
+                if (f, g) not in out.compositions:
+                    add(RuleTag.COMPOSITION, out.compositions, f, g, f"{g}_o_{f}",
+                        out.terms[g].cod)
+                    changed = True
+        for f, index in partners:
+            cod_f = out.terms[f].cod
+            for g in index.get(out.terms[f].dom, ()):
+                key = (cod_f, out.terms[g].cod)
+                if key in out.products and (f, g) not in out.tuples:
+                    add(RuleTag.BINARY_TUPLE, out.tuples, f, g, f"pair_{f}_{g}",
+                        out.products[key][0])
+                    changed = True
     m = SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms})
     return Saturation(out, m, trace, depth_of)
 
@@ -256,130 +264,91 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
 # Congruence closure
 # ---------------------------------------------------------------------------
 
-class _UF:
-    def __init__(self):
-        self.parent: Dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:  # canonical representative: lexicographically least
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
-def congruence_classes(s: Specification) -> _UF:
+def congruence_classes(s: Specification) -> _UnionFind:
     """Union-find closing the spec's equations under the laws of a
-    category with chosen finite products, over the declared universe."""
-    uf = _UF()
+    category with chosen finite products, over the declared universe.
+
+    Each root is the lexicographically least member of its class.  Every
+    round reads the roots once and builds class-level tables of the
+    composition and tuple marks; two marks under one key are the
+    congruence rule, and the other laws are lookups in those tables.
+    Unions made during a round are seen by the next one, and a round
+    without a union ends the closure.
+    """
+    uf = _UnionFind()
     for t in s.terms:
         uf.find(t)
     for (t1, t2) in s.equations:
         uf.union(t1, t2)
-    id_class = {x: uf.find(i) for x, i in s.identities.items()}
+    # all parallel maps into the terminal type agree; types never change
+    if s.terminal is not None:
+        into_unit: Dict[str, str] = {}
+        for t in s.terms.values():
+            if t.cod == s.terminal:
+                uf.union(into_unit.setdefault(t.dom, t.name), t.name)
+    prod_of = {p: key for key, (p, _1, _2) in s.products.items()}
     changed = True
     while changed:
         changed = False
+        root = {t: uf.find(t) for t in s.terms}
 
         def unify(a: str, b: str) -> None:
             nonlocal changed
             if uf.union(a, b):
                 changed = True
 
-        comp_by_key: Dict[Tuple[str, str], List[str]] = {}
-        for (f, g), c in s.compositions.items():
-            comp_by_key.setdefault((uf.find(f), uf.find(g)), []).append(c)
-        # congruence of composition
-        for results in comp_by_key.values():
-            for other in results[1:]:
-                unify(results[0], other)
-        # identity laws
-        id_classes = {uf.find(i) for i in s.identities.values()}
-        for (f, g), c in s.compositions.items():
-            if uf.find(g) in id_classes:
+        def table(marks: Dict[Tuple[str, str], str]) -> Dict[Tuple[str, str], str]:
+            """(class of f, class of g) -> class of the mark; a second mark
+            under the same key is congruent to the first."""
+            out: Dict[Tuple[str, str], str] = {}
+            for (f, g), c in marks.items():
+                key = (root[f], root[g])
+                if key in out:
+                    unify(out[key], c)
+                else:
+                    out[key] = root[c]
+            return out
+
+        comp = table(s.compositions)
+        tup = table(s.tuples)
+        id_classes = {root[i] for i in s.identities.values()}
+        by_first: Dict[str, List[Tuple[str, str]]] = {}
+        for (f, g), c in comp.items():
+            by_first.setdefault(f, []).append((g, c))
+            # identity laws
+            if g in id_classes:
                 unify(c, f)
-            if uf.find(f) in id_classes:
+            if f in id_classes:
                 unify(c, g)
         # associativity: (h.g).f = h.(g.f)
-        comp_pairs = list(s.compositions.items())
-        by_first: Dict[str, List[Tuple[str, str]]] = {}
-        comp_class: Dict[Tuple[str, str], str] = {}
-        for (f, g), c in comp_pairs:
-            by_first.setdefault(uf.find(f), []).append((g, c))
-            comp_class[(uf.find(f), uf.find(g))] = uf.find(c)
-        for (f, g), gf in comp_pairs:
-            # composites (gf, h) -> r1; need (g, h) -> hg and (f, hg) -> r2
-            for (h, r1) in by_first.get(uf.find(gf), []):
-                hg = comp_class.get((uf.find(g), uf.find(h)))
-                if hg is None:
-                    continue
-                r2 = comp_class.get((uf.find(f), uf.find(hg)))
+        for (f, g), gf in comp.items():
+            for h, r1 in by_first.get(gf, ()):
+                r2 = comp.get((f, comp.get((g, h))))
                 if r2 is not None:
                     unify(r1, r2)
-        # congruence of tupling
-        tup_by_key: Dict[Tuple[str, str], List[str]] = {}
+        proj = {key: (root[p1], root[p2]) for key, (_p, p1, p2) in s.products.items()}
+        # projections of a tuple recover the components, both of them even
+        # when the two projections share a class
         for (f, g), t in s.tuples.items():
-            tup_by_key.setdefault((uf.find(f), uf.find(g)), []).append(t)
-        for results in tup_by_key.values():
-            for other in results[1:]:
-                unify(results[0], other)
-        # projections of a tuple recover the components
-        proj_class: Dict[Tuple[str, str], Tuple[str, str]] = {
-            key: (uf.find(p1), uf.find(p2)) for key, (_p, p1, p2) in s.products.items()}
-        for (f, g), t in s.tuples.items():
-            key = (s.terms[f].cod, s.terms[g].cod)
-            pc = proj_class.get(key)
+            pc = proj.get((s.terms[f].cod, s.terms[g].cod))
             if pc is None:
                 continue
-            for (u, v), c in s.compositions.items():
-                if uf.find(u) != uf.find(t):
-                    continue
-                if uf.find(v) == pc[0]:
-                    unify(c, f)
-                elif uf.find(v) == pc[1]:
-                    unify(c, g)
+            c = comp.get((root[t], pc[0]))
+            if c is not None:
+                unify(c, f)
+            c = comp.get((root[t], pc[1]))
+            if c is not None:
+                unify(c, g)
         # a map into a product is the tuple of its projections
-        prod_types = {p: key for key, (p, _1, _2) in s.products.items()}
         for h in s.terms.values():
-            key = prod_types.get(h.cod)
+            key = prod_of.get(h.cod)
             if key is None:
                 continue
-            pc = proj_class[key]
-            a = b = None
-            for (u, v), c in s.compositions.items():
-                if uf.find(u) != uf.find(h.name):
-                    continue
-                if uf.find(v) == pc[0]:
-                    a = c
-                elif uf.find(v) == pc[1]:
-                    b = c
-            if a is None or b is None:
-                continue
-            for (u, v), t in s.tuples.items():
-                if uf.find(u) == uf.find(a) and uf.find(v) == uf.find(b):
-                    unify(t, h.name)
-        # all parallel maps into the terminal type agree
-        if s.terminal is not None:
-            into_unit: Dict[str, str] = {}
-            for t in s.terms.values():
-                if t.cod != s.terminal:
-                    continue
-                if t.dom in into_unit:
-                    unify(into_unit[t.dom], t.name)
-                else:
-                    into_unit[t.dom] = t.name
+            a = comp.get((root[h.name], proj[key][0]))
+            b = comp.get((root[h.name], proj[key][1]))
+            t = tup.get((a, b))
+            if t is not None:
+                unify(t, h.name)
     return uf
 
 
@@ -395,8 +364,8 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
     if t1 == t2:
         return Verdict(TriState.EQUAL)
     # widen the universe one level at a time: most proofs close early, and
-    # a dense level-k universe makes the closure quadratic-to-cubic, so a
-    # blown budget falls through to the semantic check instead
+    # the universe grows exponentially with the level, so a blown budget
+    # falls through to the semantic check instead
     for level in range(depth + 1):
         try:
             sat = saturate(s, level, cap=sat_cap)

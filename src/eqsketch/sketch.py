@@ -298,46 +298,6 @@ def _check_tuple(sk: LimitSketch, r: FiniteRealization, pt: PotentialTuple) -> L
     return out
 
 
-@dataclass
-class SketchMorphism:
-    source: LimitSketch
-    target: LimitSketch
-    point_map: Dict[Point, Point]
-    arrow_map: Dict[ArrowName, ArrowName]
-
-
-def validate_sketch_morphism(m: SketchMorphism) -> List[str]:
-    out: List[str] = []
-    sk, tk = m.source, m.target
-    for p in sk.points:
-        if m.point_map.get(p) not in tk.points:
-            out.append(f"point {p} not mapped")
-    for a in sk.arrows.values():
-        img = tk.arrows.get(m.arrow_map.get(a.name, ""))
-        if img is None:
-            out.append(f"arrow {a.name} not mapped")
-        elif img.src != m.point_map.get(a.src) or img.tgt != m.point_map.get(a.tgt):
-            out.append(f"arrow {a.name}: image endpoints mismatch")
-    if out:
-        return out
-    for p, a in sk.potential_identities.items():
-        if tk.potential_identities.get(m.point_map[p]) != m.arrow_map[a]:
-            out.append(f"potential identity at {p} not preserved")
-    for (a1, a2), a3 in sk.potential_compositions.items():
-        if tk.potential_compositions.get((m.arrow_map[a1], m.arrow_map[a2])) != m.arrow_map[a3]:
-            out.append(f"potential composition ({a1},{a2}) not preserved")
-    for a in sk.mono_marks:
-        if m.arrow_map[a] not in tk.mono_marks:
-            out.append(f"mono mark on {a} not preserved")
-    # cones must map onto cones with matching shape
-    tcones = {c.vertex: c for c in tk.potential_cones.values()}
-    for c in sk.potential_cones.values():
-        tc = tcones.get(m.point_map[c.vertex])
-        if tc is None:
-            out.append(f"cone {c.name}: vertex image has no potential cone")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The fixed sketch for equational specifications
 # ---------------------------------------------------------------------------

@@ -94,42 +94,3 @@ def elementary(p: ElementaryPoint) -> Specification:
     else:  # pragma: no cover
         raise ValueError(f"unknown elementary point {p}")
     return s
-
-
-# Decorated variants that make sense: (point, all-pure?) pairs.  The general
-# variants of identity, projection and collapsing shapes do not exist since
-# those marks are forced pure.
-DECORATED_VARIANTS = (
-    (ElementaryPoint.TYPE, True),
-    (ElementaryPoint.TERM, True),
-    (ElementaryPoint.TERM, False),
-    (ElementaryPoint.COMP, True),
-    (ElementaryPoint.COMP, False),
-    (ElementaryPoint.SELID, True),
-    (ElementaryPoint.PROD2, True),
-    (ElementaryPoint.TUPLE2, True),
-    (ElementaryPoint.TUPLE2, False),
-    (ElementaryPoint.PROD0, True),
-    (ElementaryPoint.TUPLE0, True),
-)
-
-
-def decorated_elementary(p: ElementaryPoint, pure: bool):
-    """Elementary decorated specification: fully pure, or general where allowed.
-
-    Returns a :class:`~eqsketch.decorate.DecoratedSpecification`.
-    """
-    from .decorate import DecoratedSpecification, decoration_closure
-
-    base = elementary(p)
-    if pure:
-        return DecoratedSpecification(base, set(base.terms))
-    if (p, False) not in DECORATED_VARIANTS:
-        raise ValueError(f"{p} has no general decorated variant")
-    if p is ElementaryPoint.TUPLE2:
-        pure_terms = {"p1", "p2"}
-    else:
-        pure_terms = set()
-    d = DecoratedSpecification(base, pure_terms)
-    d, _added = decoration_closure(d)
-    return d

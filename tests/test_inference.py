@@ -1,16 +1,21 @@
-import pytest
+import itertools
+import time
 
-from eqsketch.core import (Specification, SpecMorphism, identity_morphism,
-                           iso_search, spec_equal, validate_morphism)
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eqsketch.core import (Specification, SpecMorphism, _UnionFind, fresh_name,
+                           iso_search, spec_equal, validate, validate_morphism)
 from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel
-from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, TriState,
-                                apply_rule, compose_fractions,
-                                congruence_classes, identity_fraction,
-                                is_entailment, match_morphism, rule, saturate,
-                                terms_equal)
+from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
+                                TraceStep, TriState, apply_rule,
+                                compose_fractions, congruence_classes,
+                                identity_fraction, is_entailment,
+                                match_morphism, rule, saturate, terms_equal)
 from eqsketch.models import check_model
 
-from conftest import CORPUS
+from conftest import CORPUS, DECORATED, small_specs
 
 
 @pytest.mark.parametrize("tag", STRUCTURAL_RULES)
@@ -164,3 +169,258 @@ def test_rule_fraction_shape():
         assert spec_equal(fr.numerator.target, r.extension)
         assert validate_morphism(fr.numerator) == []
         assert validate_morphism(fr.denominator) == []
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the all-pairs saturation and the scan-based
+# congruence closure, kept as differential oracles
+# ---------------------------------------------------------------------------
+
+def reference_saturate(s, depth, cap=4000):
+    """Rescan every pair of the sorted universe in every round."""
+    errs = validate(s)
+    if errs:
+        raise ValueError("saturate requires a valid specification: " + errs[0])
+    out = s.copy()
+    trace = []
+    depth_of = {t: 0 for t in out.terms}
+
+    def fresh(base):
+        return fresh_name(base, out.all_names())
+
+    if out.terminal is None:
+        u = fresh("One")
+        out.add_type(u)
+        out.terminal = u
+        trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (u,)))
+    changed = True
+    while changed:
+        changed = False
+        if len(out.terms) > cap:
+            raise BudgetExceeded(f"term universe exceeded {cap}")
+        for x in sorted(out.types):
+            if x not in out.identities:
+                n = fresh(f"id_{x}")
+                out.add_term(n, x, x)
+                out.identities[x] = n
+                depth_of[n] = 0
+                trace.append(TraceStep(RuleTag.IDENTITY, {"X": x}, (n,)))
+                changed = True
+            if x not in out.collapsings:
+                n = fresh(f"tu_{x}")
+                out.add_term(n, x, out.terminal)
+                out.collapsings[x] = n
+                depth_of[n] = 0
+                trace.append(TraceStep(RuleTag.COLLAPSING, {"X": x}, (n,)))
+                changed = True
+        snapshot = sorted(out.terms)
+        for f, g in ((f, g) for f in snapshot for g in snapshot):
+            if out.terms[f].cod != out.terms[g].dom:
+                continue
+            if (f, g) in out.compositions:
+                continue
+            dnew = max(depth_of.get(f, 0), depth_of.get(g, 0)) + 1
+            if dnew > depth:
+                continue
+            n = fresh(f"{g}_o_{f}")
+            out.add_term(n, out.terms[f].dom, out.terms[g].cod)
+            out.compositions[(f, g)] = n
+            depth_of[n] = dnew
+            trace.append(TraceStep(RuleTag.COMPOSITION, {"f": f, "g": g}, (n,)))
+            changed = True
+            if len(out.terms) > cap:
+                raise BudgetExceeded(f"term universe exceeded {cap}")
+        for f, g in ((f, g) for f in snapshot for g in snapshot):
+            if out.terms[f].dom != out.terms[g].dom:
+                continue
+            key = (out.terms[f].cod, out.terms[g].cod)
+            if key not in out.products or (f, g) in out.tuples:
+                continue
+            dnew = max(depth_of.get(f, 0), depth_of.get(g, 0)) + 1
+            if dnew > depth:
+                continue
+            n = fresh(f"pair_{f}_{g}")
+            out.add_term(n, out.terms[f].dom, out.products[key][0])
+            out.tuples[(f, g)] = n
+            depth_of[n] = dnew
+            trace.append(TraceStep(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, (n,)))
+            changed = True
+            if len(out.terms) > cap:
+                raise BudgetExceeded(f"term universe exceeded {cap}")
+    m = SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms})
+    return Saturation(out, m, trace, depth_of)
+
+
+def reference_congruence_classes(s):
+    """Rerun every law over every mark with live finds until no union.
+
+    Both projection laws apply when a product's projections share a
+    class; with an `elif` in their place the result depended on the order
+    of the unions."""
+    uf = _UnionFind()
+    for t in s.terms:
+        uf.find(t)
+    for (t1, t2) in s.equations:
+        uf.union(t1, t2)
+    changed = True
+    while changed:
+        changed = False
+
+        def unify(a, b):
+            nonlocal changed
+            if uf.union(a, b):
+                changed = True
+
+        comp_by_key = {}
+        for (f, g), c in s.compositions.items():
+            comp_by_key.setdefault((uf.find(f), uf.find(g)), []).append(c)
+        for results in comp_by_key.values():
+            for other in results[1:]:
+                unify(results[0], other)
+        id_classes = {uf.find(i) for i in s.identities.values()}
+        for (f, g), c in s.compositions.items():
+            if uf.find(g) in id_classes:
+                unify(c, f)
+            if uf.find(f) in id_classes:
+                unify(c, g)
+        comp_pairs = list(s.compositions.items())
+        by_first = {}
+        comp_class = {}
+        for (f, g), c in comp_pairs:
+            by_first.setdefault(uf.find(f), []).append((g, c))
+            comp_class[(uf.find(f), uf.find(g))] = uf.find(c)
+        for (f, g), gf in comp_pairs:
+            for (h, r1) in by_first.get(uf.find(gf), []):
+                hg = comp_class.get((uf.find(g), uf.find(h)))
+                if hg is None:
+                    continue
+                r2 = comp_class.get((uf.find(f), uf.find(hg)))
+                if r2 is not None:
+                    unify(r1, r2)
+        tup_by_key = {}
+        for (f, g), t in s.tuples.items():
+            tup_by_key.setdefault((uf.find(f), uf.find(g)), []).append(t)
+        for results in tup_by_key.values():
+            for other in results[1:]:
+                unify(results[0], other)
+        proj_class = {key: (uf.find(p1), uf.find(p2))
+                      for key, (_p, p1, p2) in s.products.items()}
+        for (f, g), t in s.tuples.items():
+            pc = proj_class.get((s.terms[f].cod, s.terms[g].cod))
+            if pc is None:
+                continue
+            for (u, v), c in s.compositions.items():
+                if uf.find(u) != uf.find(t):
+                    continue
+                if uf.find(v) == pc[0]:
+                    unify(c, f)
+                if uf.find(v) == pc[1]:
+                    unify(c, g)
+        prod_types = {p: key for key, (p, _1, _2) in s.products.items()}
+        for h in s.terms.values():
+            key = prod_types.get(h.cod)
+            if key is None:
+                continue
+            pc = proj_class[key]
+            a = b = None
+            for (u, v), c in s.compositions.items():
+                if uf.find(u) != uf.find(h.name):
+                    continue
+                if uf.find(v) == pc[0]:
+                    a = c
+                if uf.find(v) == pc[1]:
+                    b = c
+            if a is None or b is None:
+                continue
+            for (u, v), t in s.tuples.items():
+                if uf.find(u) == uf.find(a) and uf.find(v) == uf.find(b):
+                    unify(t, h.name)
+        if s.terminal is not None:
+            into_unit = {}
+            for t in s.terms.values():
+                if t.cod != s.terminal:
+                    continue
+                if t.dom in into_unit:
+                    unify(into_unit[t.dom], t.name)
+                else:
+                    into_unit[t.dom] = t.name
+    return uf
+
+
+def _saturate_or_message(fn, s, depth, cap):
+    try:
+        return fn(s, depth, cap=cap), None
+    except BudgetExceeded as e:
+        return None, str(e)
+
+
+def _classes(uf, s):
+    return {t: uf.find(t) for t in s.terms}
+
+
+def _assert_matches_reference(s, depth, cap):
+    got, got_msg = _saturate_or_message(saturate, s, depth, cap)
+    want, want_msg = _saturate_or_message(reference_saturate, s, depth, cap)
+    assert got_msg == want_msg
+    if got is not None:
+        assert spec_equal(got.spec, want.spec)
+        assert list(got.spec.terms) == list(want.spec.terms)
+        assert [step.line() for step in got.trace] == [step.line() for step in want.trace]
+        assert got.depth_of == want.depth_of
+        assert (got.embedding.type_map, got.embedding.term_map) == \
+            (want.embedding.type_map, want.embedding.term_map)
+    closed = got.spec if got is not None else s
+    assert _classes(congruence_classes(closed), closed) == \
+        _classes(reference_congruence_classes(closed), closed)
+
+
+CAPS = (50, 300, 800, 1300)
+REFERENCE_INPUTS = {**{name: mk for name, mk in CORPUS.items()},
+                    **{f"decorated:{name}": (lambda mk=mk: mk().base)
+                       for name, mk in DECORATED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_saturate_and_closure_match_reference(name):
+    s = REFERENCE_INPUTS[name]()
+    for depth, cap in itertools.product(range(4), CAPS):
+        _assert_matches_reference(s, depth, cap)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs(), st.integers(0, 3), st.sampled_from(CAPS))
+def test_saturate_and_closure_match_reference_on_generated_specs(case, depth, cap):
+    _assert_matches_reference(case[0], depth, cap)
+
+
+def test_equal_projections_identify_tuple_components():
+    # p1 = p2 gives f = p1.<f,g> = p2.<f,g> = g
+    s = Specification()
+    s.add_type("X")
+    s.add_type("P")
+    s.add_term("p1", "P", "X")
+    s.add_term("p2", "P", "X")
+    s.products[("X", "X")] = ("P", "p1", "p2")
+    for t in ("f", "g"):
+        s.add_term(t, "X", "X")
+    s.add_term("t", "X", "P")
+    s.tuples[("f", "g")] = "t"
+    for c, p in (("c1", "p1"), ("c2", "p2")):
+        s.add_term(c, "X", "X")
+        s.compositions[("t", p)] = c
+    s.add_equation("p1", "p2")
+    uf = congruence_classes(s)
+    assert uf.find("f") == uf.find("g") == uf.find("c1") == uf.find("c2")
+
+
+def test_saturate_and_closure_scale_to_depth_three():
+    s = Specification()
+    s.add_type("X")
+    s.add_term("s", "X", "X")
+    t0 = time.time()
+    sat = saturate(s, 3, cap=10000)
+    uf = congruence_classes(sat.spec)
+    dt = time.time() - t0
+    assert len(sat.spec.terms) == 7529
+    assert len(set(_classes(uf, sat.spec).values())) == 11
+    assert dt < 5, f"took {dt:.1f}s, limit 5s"

@@ -2,9 +2,8 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from eqsketch.core import Specification, validate
+from eqsketch.core import Specification
 from eqsketch.errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
 from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
                              check_model, derived_carriers, enumerate_models,
@@ -12,7 +11,7 @@ from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
                              pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
 
-from conftest import CORPUS, DECORATED
+from conftest import CORPUS, DECORATED, small_specs
 
 
 def _m0():
@@ -199,61 +198,6 @@ def test_enumerate_models_matches_brute_force_on_corpus(name):
             _assert_matches_oracle(s, carriers)
             tried += 1
     assert tried > 0
-
-
-@st.composite
-def small_specs(draw):
-    """Small valid specs with compose marks (self-referential ones too),
-    tuple marks and equations."""
-    s = Specification()
-    types = ["X", "Y"][:draw(st.integers(1, 2))]
-    for x in types:
-        s.add_type(x)
-    if draw(st.booleans()):
-        y1, y2 = draw(st.sampled_from(types)), draw(st.sampled_from(types))
-        s.add_type("P")
-        s.add_term("p1", "P", y1)
-        s.add_term("p2", "P", y2)
-        s.products[(y1, y2)] = ("P", "p1", "p2")
-    if draw(st.booleans()):
-        s.add_term("id", "X", "X")
-        s.identities["X"] = "id"
-    every = sorted(s.types)
-    for i in range(draw(st.integers(1, 3))):
-        s.add_term(f"t{i}", draw(st.sampled_from(every)), draw(st.sampled_from(every)))
-
-    def result(dom, cod, stem):
-        """An existing term dom -> cod (possibly an argument) or a new one."""
-        same = sorted(t for t, tm in s.terms.items() if (tm.dom, tm.cod) == (dom, cod))
-        if same and draw(st.booleans()):
-            return draw(st.sampled_from(same))
-        name = f"{stem}{len(s.terms)}"
-        s.add_term(name, dom, cod)
-        return name
-
-    for _ in range(draw(st.integers(0, 2))):
-        f = draw(st.sampled_from(sorted(s.terms)))
-        gs = sorted(g for g, tm in s.terms.items() if tm.dom == s.terms[f].cod)
-        if not gs:
-            continue
-        g = draw(st.sampled_from(gs))
-        if (f, g) not in s.compositions:
-            s.compositions[(f, g)] = result(s.terms[f].dom, s.terms[g].cod, "c")
-    if s.products and draw(st.booleans()):
-        ((y1, y2), _p), = s.products.items()
-        dom = draw(st.sampled_from(every))
-        f = result(dom, y1, "f")
-        g = result(dom, y2, "g")
-        if (f, g) not in s.tuples:
-            s.tuples[(f, g)] = result(dom, "P", "u")
-    parallel = sorted((a, b) for a, b in itertools.combinations(sorted(s.terms), 2)
-                      if s.parallel(a, b))
-    for a, b in draw(st.lists(st.sampled_from(parallel), max_size=2) if parallel
-                     else st.just([])):
-        s.add_equation(a, b)
-    assert validate(s) == []
-    sizes = {x: draw(st.integers(1, 2)) for x in types}
-    return s, {x: tuple(range(k)) for x, k in sizes.items()}
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
