@@ -25,6 +25,9 @@ from .sketch import (check_realization, equational_sketch,
 
 _CARRIER_FLAG = re.compile(r"--([A-Za-z0-9_'~*]+)=(\d+)$")
 _KNOWN = {"depth", "bound", "cap", "m0", "alpha", "format"}
+# default --cap: terms for saturate, free-table combinations for the rest
+SATURATE_CAP = 100_000
+MODEL_CAP = 1_000_000
 
 
 def _split_carrier_flags(argv: Sequence[str]) -> Tuple[List[str], Dict[str, int]]:
@@ -114,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("files", nargs="*")
     ap.add_argument("--depth", type=int, default=3)
     ap.add_argument("--bound", type=int, default=None)
-    ap.add_argument("--cap", type=int, default=1_000_000)
+    ap.add_argument("--cap", type=int, default=None)
     ap.add_argument("--m0", type=int, default=0)
     ap.add_argument("--alpha", type=int, default=None)
     ap.add_argument("--trace", action="store_true")
@@ -123,6 +126,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit:
         return 2
+    if args.cap is None:
+        args.cap = SATURATE_CAP if args.command == "saturate" else MODEL_CAP
     out = _Out(args.format)
     try:
         return _dispatch(args, carriers, out)

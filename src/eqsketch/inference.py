@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import (Specification, SpecMorphism, Term, TermName, _UnionFind,
-                   eqpair, fresh_name, identity_morphism, pushout, spec_equal,
-                   validate, validate_morphism)
-from .errors import BudgetExceeded, NoMatch, NotParallel
+from .core import (Specification, SpecMorphism, Term, TermName, TypeName,
+                   _UnionFind, eqpair, fresh_name, identity_morphism, pushout,
+                   spec_equal, validate, validate_morphism)
+from .errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from .yoneda import ElementaryPoint, elementary
 
 
@@ -356,7 +356,13 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
                 max_carrier: int = 2, countermodel_cap: int = 200000,
                 sat_cap: int = 800) -> Verdict:
     """Decide equality of two parallel terms in the presented theory, up
-    to the saturation depth; inequality is witnessed by a finite model."""
+    to the saturation depth; inequality is witnessed by a finite model.
+
+    The countermodel is the ``canonical()``-least model separating the
+    terms on the least carrier choice (sizes 1..max_carrier per base
+    type, in ``itertools.product`` order) that has one; the search stops
+    at that model instead of listing all of them.  A choice whose free
+    tables exceed ``countermodel_cap`` is skipped."""
     if t1 not in s.terms or t2 not in s.terms:
         raise NotParallel(f"unknown term {t1 if t1 not in s.terms else t2}")
     if not s.parallel(t1, t2):
@@ -380,26 +386,31 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
     return Verdict(TriState.UNKNOWN)
 
 
-def _carrier_choices(s: Specification, max_carrier: int):
-    from .models import base_types
-    base = base_types(s)
-    for sizes in itertools.product(range(1, max_carrier + 1), repeat=len(base)):
-        yield {x: tuple(range(k)) for x, k in zip(base, sizes)}
+def _carrier_choices(names: List[TypeName], max_carrier: int, least: int = 1):
+    """Each map of ``names`` to carriers ``range(k)``, least <= k <= max_carrier,
+    in the order of ``itertools.product``; one empty map when there are no
+    names."""
+    for sizes in itertools.product(range(least, max_carrier + 1), repeat=len(names)):
+        yield {x: tuple(range(k)) for x, k in zip(names, sizes)}
 
 
 def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
                        max_carrier: int, cap: int):
-    from .models import enumerate_models
-    from .errors import SearchSpaceTooLarge
-    for carriers in _carrier_choices(s, max_carrier):
+    """The ``canonical()``-least model separating t1 and t2 on the first
+    carrier choice that has one, or None; a choice over ``cap`` is skipped."""
+    from .models import _least_model, base_types
+    dom = s.terms[t1].dom
+
+    def separates(m) -> bool:
+        return any(m.apply(t1, v) != m.apply(t2, v) for v in m.carriers[dom])
+
+    for carriers in _carrier_choices(base_types(s), max_carrier):
         try:
-            candidates = enumerate_models(s, carriers, cap=cap)
+            m = _least_model(s, carriers, separates, cap)
         except SearchSpaceTooLarge:
             continue
-        for m in candidates:
-            dom = m.carriers[s.terms[t1].dom]
-            if any(m.apply(t1, v) != m.apply(t2, v) for v in dom):
-                return m
+        if m is not None:
+            return m
     return None
 
 
@@ -412,7 +423,12 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
     """Is the extra content of the target derivable from the source?
 
     EQUAL means yes (tau is an entailment at this bound).  A separating
-    model yields DISTINCT_AT_BOUND; everything else is UNKNOWN.
+    model yields DISTINCT_AT_BOUND; everything else is UNKNOWN.  The
+    countermodel is the ``canonical()``-least separating model on the
+    least carrier choice that has one, and the search stops at it: a
+    model of the target's universe that separates the first unproven
+    obligation that has one, or, when the new content has no recipe, a
+    model of the source without exactly one extension along tau.
     """
     errs = validate_morphism(tau)
     if errs:
@@ -548,44 +564,37 @@ def _find_countermodel_in(big: Specification, a: str, b: str, max_carrier: int):
 
 def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     """Fallback: look for a small model of the source without a unique
-    extension along tau; finding one refutes the entailment."""
-    from .errors import SearchSpaceTooLarge
-    from .models import FiniteModel, base_types, enumerate_models
+    extension along tau; the ``canonical()``-least one on the least
+    carrier choice refutes the entailment."""
+    from .models import FiniteModel, _least_model, _models, base_types
     s1, s = tau.source, tau.target
-    for carriers in _carrier_choices(s1, max_carrier):
+    image = {tau.type_map[x] for x in s1.types}
+    choices = list(_carrier_choices([x for x in base_types(s) if x not in image],
+                                    max_carrier, least=0))
+
+    def not_unique(m) -> bool:
+        # transport carriers/functions along tau and count extensions up to 2
+        fixed = FiniteModel(
+            {tau.type_map[x]: m.carriers[x] for x in s1.types},
+            {tau.term_map[t]: m.functions[t] for t in s1.terms})
+        count = 0
+        for extra in choices:
+            try:
+                count += len(_models(s, extra, fixed, 200000, 2 - count))
+            except SearchSpaceTooLarge:
+                return False  # cannot conclude from this source model
+            if count > 1:
+                break
+        return count != 1
+
+    for carriers in _carrier_choices(base_types(s1), max_carrier):
         try:
-            sources = enumerate_models(s1, carriers, cap=200000)
+            m = _least_model(s1, carriers, not_unique, 200000)
         except SearchSpaceTooLarge:
             continue
-        for m in sources:
-            # transport carriers/functions along tau and count extensions
-            fixed = FiniteModel(
-                {tau.type_map[x]: m.carriers[x] for x in s1.types},
-                {tau.term_map[t]: m.functions[t] for t in s1.terms})
-            base = base_types(s)
-            missing = [x for x in base if x not in fixed.carriers]
-            choices = [c for c in _carrier_choices_for(missing, max_carrier)]
-            count = 0
-            for extra in choices:
-                try:
-                    count += len(enumerate_models(s, {**extra}, fixed=fixed,
-                                                  cap=200000))
-                except SearchSpaceTooLarge:
-                    count = 1  # cannot conclude from this source model
-                    break
-                if count > 1:
-                    break
-            if count != 1:
-                return Verdict(TriState.DISTINCT_AT_BOUND, m)
+        if m is not None:
+            return Verdict(TriState.DISTINCT_AT_BOUND, m)
     return Verdict(TriState.UNKNOWN)
-
-
-def _carrier_choices_for(names: List[str], max_carrier: int):
-    if not names:
-        yield {}
-        return
-    for sizes in itertools.product(range(0, max_carrier + 1), repeat=len(names)):
-        yield {x: tuple(range(k)) for x, k in zip(names, sizes)}
 
 
 # ---------------------------------------------------------------------------

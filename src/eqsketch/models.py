@@ -231,9 +231,17 @@ class _Cells:
                         todo.append((dc, cod.get(table[dom[val[sc]]], -1)))
         return True
 
-    def solve(self, order: Sequence[int], emit) -> None:
+    def undo(self, mark: int) -> None:
+        """Unset the cells set since the trail had length ``mark``."""
+        val, trail = self.val, self.trail
+        while len(trail) > mark:
+            val[trail.pop()] = -1
+
+    def solve(self, order: Sequence[int], emit) -> bool:
         """Call ``emit`` once for every way of giving the cells in ``order``
-        values that no constraint rejects, trying values in index order."""
+        values that no constraint rejects, trying values in index order,
+        so the ways come in the lexicographic order of ``order``.  Stops,
+        and returns True, as soon as ``emit`` returns true."""
         val, size, trail, watch = self.val, self.size, self.trail, self.watch
         n = len(order)
         stack: List[list] = []   # [position in order, next value, trail mark]
@@ -242,7 +250,8 @@ class _Cells:
             while k < n and val[order[k]] >= 0:
                 k += 1
             if k == n:
-                emit()
+                if emit():
+                    return True
             else:
                 stack.append([k, 0, len(trail)])
             while stack:
@@ -263,7 +272,7 @@ class _Cells:
                 k += 1
                 break
             else:
-                return
+                return False
 
 
 def _indices(carriers: Dict[TypeName, Sequence]) -> Dict[TypeName, Dict]:
@@ -346,19 +355,14 @@ def complete_tables(s: Specification, carriers: Dict[TypeName, Tuple],
     return True
 
 
-def enumerate_models(s: Specification,
-                     base_carriers: Dict[TypeName, Sequence],
-                     fixed: Optional[FiniteModel] = None,
-                     cap: int = DEFAULT_CANDIDATE_CAP) -> List[FiniteModel]:
-    """All models of s over the given base carriers extending ``fixed``.
-
-    Product/terminal carriers are forced.  The search assigns one table
-    cell at a time and lets every mark and equation fill or check the
-    cells whose inputs are known, backtracking on a conflict.  ``cap``
-    bounds, before the search starts, the product of |cod|^|dom| over
-    the terms that no mark and no fixed table determine.  Sorted by
-    ``canonical()``.
-    """
+def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
+                 fixed: Optional[FiniteModel], cap: int):
+    """The cells of the models of s over the base carriers extending
+    ``fixed``, with the marked structure and the fixed tables set (None
+    when they conflict); the order the search assigns them in; the tables
+    not fixed, by name, as (term, first cell, domain, value of an index);
+    and a function that reads the model off the cells once all are set.
+    ``cap`` is checked as ``enumerate_models`` says."""
     merged_base = dict(base_carriers)
     if fixed is not None:
         for x, v in fixed.carriers.items():
@@ -376,7 +380,7 @@ def enumerate_models(s: Specification,
                 raise SearchSpaceTooLarge(f"{total} candidates exceed cap {cap}")
     built = _spec_cells(s, carriers, fixed_funcs)
     if built is None:
-        return []
+        return None
     cells, off = built
     val = cells.val
     # unmarked terms first, small tables first: the marks then fill the rest
@@ -384,20 +388,108 @@ def enumerate_models(s: Specification,
              for v in range(len(dom[t]))]
     tables = [(t, off[t], dom[t], carriers[s.terms[t].cod].__getitem__)
               for t in terms if t not in fixed_funcs]
-    out: List[FiniteModel] = []
 
-    def emit() -> None:
+    def model() -> FiniteModel:
         functions = {t: dict(tab) for t, tab in fixed_funcs.items()}
         for t, start, xs, cod in tables:
             functions[t] = dict(zip(xs, map(cod, val[start:start + len(xs)])))
-        m = FiniteModel(dict(carriers), functions)
+        return FiniteModel(dict(carriers), functions)
+
+    return cells, order, tables, model
+
+
+def _models(s: Specification, base_carriers: Dict[TypeName, Sequence],
+            fixed: Optional[FiniteModel], cap: int, limit: int = 0) -> List[FiniteModel]:
+    """The models of ``enumerate_models`` in search order, stopping at
+    ``limit`` of them when it is positive."""
+    built = _model_cells(s, base_carriers, fixed, cap)
+    if built is None:
+        return []
+    cells, order, _tables, model = built
+    out: List[FiniteModel] = []
+
+    def emit() -> bool:
+        m = model()
         if not check_model(s, m):
             out.append(m)
+        return len(out) == limit
 
     cells.solve(order, emit)
+    return out
+
+
+def enumerate_models(s: Specification,
+                     base_carriers: Dict[TypeName, Sequence],
+                     fixed: Optional[FiniteModel] = None,
+                     cap: int = DEFAULT_CANDIDATE_CAP) -> List[FiniteModel]:
+    """All models of s over the given base carriers extending ``fixed``.
+
+    Product/terminal carriers are forced.  The search assigns one table
+    cell at a time and lets every mark and equation fill or check the
+    cells whose inputs are known, backtracking on a conflict.  ``cap``
+    bounds, before the search starts, the product of |cod|^|dom| over
+    the terms that no mark and no fixed table determine.  Sorted by
+    ``canonical()``.
+    """
+    out = _models(s, base_carriers, fixed, cap)
     if len(out) > 1:
         out.sort(key=lambda m: m.canonical())
     return out
+
+
+def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
+                 accept, cap: int = DEFAULT_CANDIDATE_CAP) -> Optional[FiniteModel]:
+    """The ``canonical()``-least model of s over the base carriers that
+    ``accept`` takes, or None; on carriers in ascending order, such as
+    ``tuple(range(k))``, the first such model of ``enumerate_models``'s
+    list.  The cap is the same.
+
+    A first-hit search finds a witness.  Then each cell, in the order of
+    ``canonical()``, gets the least value that a first-hit search from the
+    cells set so far can still complete to a model that ``accept`` takes;
+    values from the witness's up need no search.  ``check_model`` gates
+    the one model found.
+    """
+    built = _model_cells(s, base_carriers, None, cap)
+    if built is None:
+        return None
+    cells, order, tables, model = built
+    val = cells.val
+    # terms by name, then entries by the repr of their key
+    least_order = [start + v for _t, start, xs, _cod in tables
+                   for v in sorted(range(len(xs)), key=lambda v, xs=xs: repr(xs[v]))]
+
+    def witness() -> Optional[List[int]]:
+        """The cells of the first model in search order that ``accept``
+        takes, or None; the cells are left as they were."""
+        mark = len(cells.trail)
+        hit = cells.solve(order, lambda: accept(model()))
+        found = list(val) if hit else None
+        cells.undo(mark)
+        return found
+
+    w = witness()
+    if w is None:
+        return None
+    for cell in least_order:
+        if val[cell] >= 0:
+            continue
+        for x in range(w[cell]):
+            mark = len(cells.trail)
+            if cells.assign([(cell, x)]):
+                found = witness()
+                if found is not None:
+                    w = found
+                    break
+            cells.undo(mark)
+        else:
+            if not cells.assign([(cell, w[cell])]):
+                raise AssertionError("a witness cell conflicts with the cells set before it")
+    m = model()
+    errs = check_model(s, m)
+    if errs:
+        raise AssertionError(f"least model search produced a non-model: {errs[0]}")
+    return m
 
 
 @dataclass
@@ -420,7 +512,18 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
                fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
     """All homomorphisms m -> n; components on product/terminal types are
     forced, components listed in ``fix_types`` are required to be the
-    identity.
+    identity."""
+    out = _homs(s, m, n, fix_types)
+    if len(out) > 1:
+        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
+                                            for x, tab in h.components.items())))
+    return out
+
+
+def _homs(s: Specification, m: FiniteModel, n: FiniteModel,
+          fix_types: Sequence[TypeName] = (), limit: int = 0) -> List[ModelHom]:
+    """The homomorphisms of ``hom_search`` in search order, stopping at
+    ``limit`` of them when it is positive.
 
     The cells are the component entries.  Those on the choice types are
     searched; a product entry follows from its factors, and each entry
@@ -453,15 +556,13 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
     val = cells.val
     out: List[ModelHom] = []
 
-    def emit() -> None:
+    def emit() -> bool:
         out.append(ModelHom({x: dict(zip(m.carriers[x], map(
             n.carriers[x].__getitem__, val[off[x]:off[x] + len(m.carriers[x])])))
             for x in types}))
+        return len(out) == limit
 
     cells.solve(order, emit)
-    if len(out) > 1:
-        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
-                                            for x, tab in h.components.items())))
     return out
 
 
@@ -546,8 +647,8 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                     a_type: tuple(range(size))}
         others = enumerate_models(p, carriers, fixed=m_0, cap=cap)
         for n in others:
-            homs = hom_search(p, n, candidate, fix_types=fix)
-            if len(homs) != 1:
+            # a second homomorphism settles it
+            if len(_homs(p, n, candidate, fix, limit=2)) != 1:
                 return False
     return True
 

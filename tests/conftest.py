@@ -1,10 +1,16 @@
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from eqsketch.core import Specification, validate
 from eqsketch.decorate import DecoratedSpecification
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def empty_spec():

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -10,7 +12,9 @@ import pytest
 
 import eqsketch
 from eqsketch import dsl
-from eqsketch.cli import main
+from eqsketch.cli import SATURATE_CAP, main
+from eqsketch.core import Specification
+from eqsketch.inference import saturate
 
 from conftest import CORPUS, DECORATED
 
@@ -104,11 +108,70 @@ def test_entail_negative_prints_countermodel(files):
     assert "countermodel" in out
 
 
+IDEM = SMALL + "compose uu = u . u\neq uu = u\n"
+TWO = SMALL + "term v : X -> X\n"
+COMM = TWO + "compose uv = v . u\ncompose vu = u . v\neq uv = vu\n"
+# what enumerating, sorting and scanning every model printed: the text, or
+# its length and SHA-256; the first-hit search must print the same bytes
+ENTAIL_NEGATIVE = {
+    "free-text": (SMALL, FREE, "text",
+                  "entailment: distinct-at-bound\nmodel: countermodel\n"
+                  "carrier X: 0 1\ntable u: 0 |-> 0, 1 |-> 0\n"),
+    "free-machine": (SMALL, FREE, "machine",
+                     "entailment:distinct-at-bound\nmodel:countermodel\n"
+                     "carrier X:0 1\ntable u:0 |-> 0, 1 |-> 0\n"),
+    "idempotent-text": (SMALL, IDEM, "text", (
+        12534, "63ad56fecee61a488304d0a210fcc50523c5f9ee0935416e19193279b05ea933")),
+    "idempotent-machine": (SMALL, IDEM, "machine", (
+        12266, "e4b953ae51fe2026005cc98c0d421328d9af84b3c373eb4319854d68136510f2")),
+    "commuting-text": (TWO, COMM, "text", (
+        51527, "5612c017ed34c8c2263f088dadc3684260da103179d856ccdf3781091f287aea")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTAIL_NEGATIVE))
+def test_entail_negative_output_is_pinned(tmp_path, case):
+    source, target, fmt, want = ENTAIL_NEGATIVE[case]
+    (tmp_path / "source.spec").write_text(source)
+    (tmp_path / "target.spec").write_text(target)
+    rc, out = run("entail", str(tmp_path / "source.spec"), str(tmp_path / "target.spec"),
+                  "--depth", "2", "--format", fmt)
+    assert rc == 1
+    if isinstance(want, str):
+        assert out == want
+    else:
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == want
+
+
 def test_saturate_dump_parses(files):
     rc, out = run("saturate", files["small"], "--depth", "1")
     assert rc == 0
     doc = dsl.parse(out)
     assert "u" in doc.spec.terms and doc.spec.terminal is not None
+
+
+def test_saturate_default_cap_stops_early_in_bounded_memory(tmp_path):
+    # monoid_core passes a million terms at depth 3; the model commands'
+    # cap of 1,000,000 let it run ~9 s and ~760 MB before exit 3
+    p = tmp_path / "monoid_core.spec"
+    p.write_text(dsl.dump(dsl.SpecDocument(CORPUS["monoid_core"]())))
+    env = dict(os.environ, PYTHONPATH=str(Path(eqsketch.__file__).resolve().parents[1]))
+    t0 = time.time()
+    res = subprocess.run([sys.executable, "-m", "eqsketch.cli", "saturate", str(p)],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert res.returncode == 3, res.stderr
+    assert f"term universe exceeded {SATURATE_CAP}" in res.stderr
+    assert time.time() - t0 < 30
+
+
+def test_saturate_default_cap_fits_two_endomorphisms_at_depth_three():
+    s = Specification()
+    s.add_type("X")
+    s.add_term("f", "X", "X")
+    s.add_term("g", "X", "X")
+    assert len(saturate(s, 3, cap=SATURATE_CAP).spec.terms) == 43224
 
 
 def test_param_emits_lift_table(files):

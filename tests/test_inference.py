@@ -5,15 +5,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eqsketch.models
 from eqsketch.core import (Specification, SpecMorphism, _UnionFind, fresh_name,
                            iso_search, spec_equal, validate, validate_morphism)
-from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel
+from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
                                 TraceStep, TriState, apply_rule,
                                 compose_fractions, congruence_classes,
                                 identity_fraction, is_entailment,
-                                match_morphism, rule, saturate, terms_equal)
-from eqsketch.models import check_model
+                                match_morphism, rule, saturate, terms_equal,
+                                _find_countermodel, _semantic_entailment_check)
+from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
 
 from conftest import CORPUS, DECORATED, small_specs
 
@@ -424,3 +426,173 @@ def test_saturate_and_closure_scale_to_depth_three():
     assert len(sat.spec.terms) == 7529
     assert len(set(_classes(uf, sat.spec).values())) == 11
     assert dt < 5, f"took {dt:.1f}s, limit 5s"
+
+
+# ---------------------------------------------------------------------------
+# Reference countermodel search: enumerate every model of a carrier choice,
+# sort by canonical() and scan, kept as a differential oracle
+# ---------------------------------------------------------------------------
+
+def reference_find_countermodel(s, t1, t2, max_carrier, cap,
+                                enumerate_models=enumerate_models):
+    """The first model that separates t1 and t2 in the canonical() order of
+    the full model list of the first carrier choice that has one."""
+    base = base_types(s)
+    for sizes in itertools.product(range(1, max_carrier + 1), repeat=len(base)):
+        carriers = {x: tuple(range(k)) for x, k in zip(base, sizes)}
+        try:
+            candidates = enumerate_models(s, carriers, cap=cap)
+        except SearchSpaceTooLarge:
+            continue
+        for m in candidates:
+            dom = m.carriers[s.terms[t1].dom]
+            if any(m.apply(t1, v) != m.apply(t2, v) for v in dom):
+                return m
+    return None
+
+
+def _parallel_pairs(s):
+    return [(a, b) for a, b in itertools.combinations(sorted(s.terms), 2)
+            if s.parallel(a, b)]
+
+
+def _assert_countermodel_matches_reference(s, max_carriers=(1, 2, 3),
+                                           caps=(50, 200000)):
+    lists = {}
+
+    def enumerate_once(s, carriers, cap):
+        """The model lists do not depend on the pair: enumerate each once."""
+        key = (tuple(sorted(carriers.items())), cap)
+        if key not in lists:
+            try:
+                lists[key] = enumerate_models(s, carriers, cap=cap)
+            except SearchSpaceTooLarge as e:
+                lists[key] = e
+        if isinstance(lists[key], SearchSpaceTooLarge):
+            raise lists[key]
+        return lists[key]
+
+    for (a, b), k, cap in itertools.product(_parallel_pairs(s), max_carriers, caps):
+        got = _find_countermodel(s, a, b, k, cap)
+        want = reference_find_countermodel(s, a, b, k, cap, enumerate_once)
+        assert (got is None) == (want is None), (a, b, k, cap)
+        if got is not None:
+            assert got.canonical() == want.canonical(), (a, b, k, cap)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_countermodel_matches_reference(name):
+    _assert_countermodel_matches_reference(REFERENCE_INPUTS[name]())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_countermodel_matches_reference_on_generated_specs(case):
+    _assert_countermodel_matches_reference(case[0])
+
+
+def test_countermodel_search_stops_at_the_first_hit(monkeypatch):
+    # a pair of words in four free maps X -> X; the full list at X = 2
+    # has 256 models, and the search checks only the one it returns
+    s = Specification()
+    s.add_type("X")
+    for t in ("s1", "s2", "s3", "s4"):
+        s.add_term(t, "X", "X")
+    for c, (f, g) in {"wa": ("s1", "s2"), "wb": ("wa", "s3"),
+                      "wc": ("s2", "s4"), "wd": ("wc", "s1")}.items():
+        s.add_term(c, "X", "X")
+        s.compositions[(f, g)] = c
+    calls = []
+
+    def counting(spec, m):
+        calls.append(m)
+        return check_model(spec, m)
+
+    monkeypatch.setattr(eqsketch.models, "check_model", counting)
+    v = terms_equal(s, "wb", "wd", depth=2)
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    assert len(calls) == 1
+    assert v.countermodel.canonical() == \
+        reference_find_countermodel(s, "wb", "wd", 2, 200000).canonical()
+
+
+def reference_semantic_entailment_check(tau, max_carrier):
+    """Enumerate every model of the source, sorted, and count the
+    extensions of each along tau; the first without exactly one refutes."""
+
+    def carrier_choices_for(names, max_carrier):
+        if not names:
+            yield {}
+            return
+        for sizes in itertools.product(range(0, max_carrier + 1), repeat=len(names)):
+            yield {x: tuple(range(k)) for x, k in zip(names, sizes)}
+
+    s1, s = tau.source, tau.target
+    base1 = base_types(s1)
+    for sizes in itertools.product(range(1, max_carrier + 1), repeat=len(base1)):
+        carriers = {x: tuple(range(k)) for x, k in zip(base1, sizes)}
+        try:
+            sources = enumerate_models(s1, carriers, cap=200000)
+        except SearchSpaceTooLarge:
+            continue
+        for m in sources:
+            fixed = FiniteModel(
+                {tau.type_map[x]: m.carriers[x] for x in s1.types},
+                {tau.term_map[t]: m.functions[t] for t in s1.terms})
+            base = base_types(s)
+            missing = [x for x in base if x not in fixed.carriers]
+            choices = [c for c in carrier_choices_for(missing, max_carrier)]
+            count = 0
+            for extra in choices:
+                try:
+                    count += len(enumerate_models(s, {**extra}, fixed=fixed,
+                                                  cap=200000))
+                except SearchSpaceTooLarge:
+                    count = 1
+                    break
+                if count > 1:
+                    break
+            if count != 1:
+                return TriState.DISTINCT_AT_BOUND, m
+    return TriState.UNKNOWN, None
+
+
+def _extensions(s1):
+    """Inclusions of s1 into specs with a free endomorphism, a new base
+    type with a map into s1, or an equation between two of its terms."""
+    out = []
+    if s1.types:
+        x = sorted(s1.types)[0]
+        s = s1.copy()
+        s.add_term("k_new", x, x)
+        out.append(s)
+        s = s1.copy()
+        s.add_type("Z_new")
+        s.add_term("z_new", "Z_new", x)
+        out.append(s)
+    for a, b in _parallel_pairs(s1)[:2]:
+        s = s1.copy()
+        s.add_equation(a, b)
+        out.append(s)
+    return [SpecMorphism(s1, s, {x: x for x in s1.types}, {t: t for t in s1.terms})
+            for s in out]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_semantic_entailment_check_matches_reference(name):
+    for tau in _extensions(REFERENCE_INPUTS[name]()):
+        for k in (1, 2):
+            got = _semantic_entailment_check(tau, k)
+            state, m = reference_semantic_entailment_check(tau, k)
+            assert got.state is state
+            assert (got.countermodel is None) == (m is None)
+            if m is not None:
+                assert got.countermodel.canonical() == m.canonical()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_countermodel_matches_reference_on_saturated_specs(name):
+    # saturation adds marked composites whose names sort before the free
+    # terms, so the least model is not the first one the search meets
+    s = saturate(REFERENCE_INPUTS[name](), 1, cap=300).spec
+    _assert_countermodel_matches_reference(s, max_carriers=(2,), caps=(200000,))
