@@ -512,18 +512,7 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
                fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
     """All homomorphisms m -> n; components on product/terminal types are
     forced, components listed in ``fix_types`` are required to be the
-    identity."""
-    out = _homs(s, m, n, fix_types)
-    if len(out) > 1:
-        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
-                                            for x, tab in h.components.items())))
-    return out
-
-
-def _homs(s: Specification, m: FiniteModel, n: FiniteModel,
-          fix_types: Sequence[TypeName] = (), limit: int = 0) -> List[ModelHom]:
-    """The homomorphisms of ``hom_search`` in search order, stopping at
-    ``limit`` of them when it is positive.
+    identity.
 
     The cells are the component entries.  Those on the choice types are
     searched; a product entry follows from its factors, and each entry
@@ -556,13 +545,15 @@ def _homs(s: Specification, m: FiniteModel, n: FiniteModel,
     val = cells.val
     out: List[ModelHom] = []
 
-    def emit() -> bool:
+    def emit() -> None:
         out.append(ModelHom({x: dict(zip(m.carriers[x], map(
             n.carriers[x].__getitem__, val[off[x]:off[x] + len(m.carriers[x])])))
             for x in types}))
-        return len(out) == limit
 
     cells.solve(order, emit)
+    if len(out) > 1:
+        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
+                                            for x, tab in h.components.items())))
     return out
 
 
@@ -647,8 +638,8 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                     a_type: tuple(range(size))}
         others = enumerate_models(p, carriers, fixed=m_0, cap=cap)
         for n in others:
-            # a second homomorphism settles it
-            if len(_homs(p, n, candidate, fix, limit=2)) != 1:
+            homs = hom_search(p, n, candidate, fix_types=fix)
+            if len(homs) != 1:
                 return False
     return True
 

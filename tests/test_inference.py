@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eqsketch.inference
 import eqsketch.models
+from eqsketch import dsl
 from eqsketch.core import (Specification, SpecMorphism, _UnionFind, fresh_name,
                            iso_search, spec_equal, validate, validate_morphism)
 from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
@@ -596,3 +598,37 @@ def test_countermodel_matches_reference_on_saturated_specs(name):
     # terms, so the least model is not the first one the search meets
     s = saturate(REFERENCE_INPUTS[name](), 1, cap=300).spec
     _assert_countermodel_matches_reference(s, max_carriers=(2,), caps=(200000,))
+
+
+ENTAIL_SATURATED = {
+    # the saturated-target cases whose `entail` output tests/test_cli.py pins
+    "idempotent": ("type X\nterm u : X -> X\n",
+                   "type X\nterm u : X -> X\ncompose uu = u . u\neq uu = u\n"),
+    "commuting": ("type X\nterm u : X -> X\nterm v : X -> X\n",
+                  "type X\nterm u : X -> X\nterm v : X -> X\n"
+                  "compose uv = v . u\ncompose vu = u . v\neq uv = vu\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTAIL_SATURATED))
+def test_entailment_countermodel_matches_reference_on_saturated_targets(name, monkeypatch):
+    # the countermodel itself, apart from how `entail` prints it
+    source, target = (dsl.parse(text).spec for text in ENTAIL_SATURATED[name])
+    tau = SpecMorphism(source, target, {x: x for x in source.types},
+                       {t: t for t in source.terms})
+    queries = []
+
+    def recording(s, t1, t2, max_carrier, cap):
+        m = _find_countermodel(s, t1, t2, max_carrier, cap)
+        queries.append((s, t1, t2, max_carrier, cap, m))
+        return m
+
+    monkeypatch.setattr(eqsketch.inference, "_find_countermodel", recording)
+    v = is_entailment(tau, depth=2)
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    assert queries and queries[-1][-1] is v.countermodel
+    for s, t1, t2, max_carrier, cap, got in queries:
+        want = reference_find_countermodel(s, t1, t2, max_carrier, cap)
+        assert (got is None) == (want is None), (t1, t2)
+        if got is not None:
+            assert got.canonical() == want.canonical(), (t1, t2)
