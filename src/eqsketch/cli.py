@@ -15,7 +15,7 @@ from .core import Specification, SpecMorphism, iso_search, validate, validate_mo
 from .decorate import pure_part, undecorate, validate_decorated
 from .errors import (BudgetExceeded, EqsketchError, SearchSpaceTooLarge,
                      SyntaxError_)
-from .inference import TriState, is_entailment, saturate, terms_equal
+from .inference import TriState, is_entailment, saturate
 from .models import (FiniteModel, base_types, check_model, enumerate_models,
                      exactness_check, is_terminal, pass_parameter,
                      terminal_model)

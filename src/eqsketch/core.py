@@ -91,6 +91,11 @@ class Specification:
     def all_names(self) -> Set[str]:
         return set(self.types) | set(self.terms)
 
+    def __contains__(self, name: str) -> bool:
+        """Is ``name`` taken by a type or a term?  Lets a specification
+        serve as the live ``taken`` set of ``fresh_name``."""
+        return name in self.types or name in self.terms
+
     def parallel(self, t1: TermName, t2: TermName) -> bool:
         a, b = self.terms[t1], self.terms[t2]
         return a.dom == b.dom and a.cod == b.cod

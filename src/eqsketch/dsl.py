@@ -25,16 +25,14 @@ glued to a name is part of that name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import Specification, fresh_name, validate
-from .decorate import (DecoratedSpecification, decoration_closure,
-                       validate_decorated)
+from .core import Specification, validate
+from .decorate import DecoratedSpecification, decoration_closure
 from .errors import DuplicateName, SyntaxError_
-from .parameterize import (ParameterizedSpecification,
-                           ParameterizedSpecificationWithConstant,
-                           ensure_comp, ensure_terminal, ensure_tuple)
+from .parameterize import (ParameterizedSpecification, ensure_comp, ensure_terminal,
+                           ensure_tuple)
 
 KEYWORDS = {"type", "unit", "term", "pure", "product", "with", "identity",
             "collapse", "compose", "tuple", "eq", "decorated", "parameter",

@@ -11,14 +11,16 @@ along the denominator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from .core import (Specification, SpecMorphism, Term, TermName, TypeName,
-                   _UnionFind, eqpair, fresh_name, identity_morphism, pushout,
-                   spec_equal, validate, validate_morphism)
+from .core import (Specification, SpecMorphism, TermName, TypeName, _UnionFind,
+                   eqpair, identity_morphism, pushout, spec_equal, validate,
+                   validate_morphism)
 from .errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
+from .parameterize import (ensure_collapse, ensure_comp, ensure_identity,
+                           ensure_product, ensure_terminal, ensure_tuple)
 from .yoneda import ElementaryPoint, elementary
 
 
@@ -44,17 +46,9 @@ class RuleTag(Enum):
     BINARY_TUPLE = "binary-tuple"
     TERMINAL_TYPE = "terminal-type"
     COLLAPSING = "collapsing"
-    # equality rules enlarging the structural set; they drive the
-    # congruence closure in terms_equal
-    REFLEXIVITY = "reflexivity"
-    SYMMETRY = "symmetry"
-    TRANSITIVITY = "transitivity"
-    CONG_COMPOSITION = "congruence-of-composition"
-    CONG_TUPLE = "congruence-of-tuple"
 
 
-STRUCTURAL_RULES = (RuleTag.COMPOSITION, RuleTag.IDENTITY, RuleTag.BINARY_PRODUCT,
-                    RuleTag.BINARY_TUPLE, RuleTag.TERMINAL_TYPE, RuleTag.COLLAPSING)
+STRUCTURAL_RULES = tuple(RuleTag)
 
 # hypothesis figure, extension figure, conclusion figure, conclusion selection
 _RULE_DATA = {
@@ -116,8 +110,6 @@ class InferenceRule:
 
 def rule(tag: RuleTag) -> InferenceRule:
     """One of the six structural rules as a fraction of generic figures."""
-    if tag not in _RULE_DATA:
-        raise ValueError(f"{tag} is an equality rule; it has no generic figure here")
     hyp_pt, ext_pt, con_pt, (sel_t, sel_m) = _RULE_DATA[tag]
     hyp = elementary(hyp_pt)
     ext = elementary(ext_pt)
@@ -189,28 +181,15 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     out = s.copy()
     trace: List[TraceStep] = []
     depth_of: Dict[TermName, int] = {t: 0 for t in out.terms}
-    taken = out.all_names()
 
-    def fresh(base: str) -> str:
-        n = fresh_name(base, taken)
-        taken.add(n)
-        return n
-
-    def add(tag: RuleTag, marks: dict, f: str, g: str, base: str, cod: str) -> None:
-        n = fresh(base)
-        out.add_term(n, out.terms[f].dom, cod)
-        marks[(f, g)] = n
-        depth_of[n] = max(depth_of[f], depth_of[g]) + 1
-        trace.append(TraceStep(tag, {"f": f, "g": g}, (n,)))
+    def record(tag: RuleTag, match: Dict[str, str], n: TermName, depth: int) -> None:
+        depth_of[n] = depth
+        trace.append(TraceStep(tag, match, (n,)))
         if len(out.terms) > cap:
             raise BudgetExceeded(f"term universe exceeded {cap}")
 
-    # terminal type
     if out.terminal is None:
-        u = fresh("One")
-        out.add_type(u)
-        out.terminal = u
-        trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (u,)))
+        trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (ensure_terminal(out),)))
     scanned: Set[TermName] = set()
     changed = True
     while changed:
@@ -219,18 +198,10 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
             raise BudgetExceeded(f"term universe exceeded {cap}")
         for x in sorted(out.types):
             if x not in out.identities:
-                n = fresh(f"id_{x}")
-                out.add_term(n, x, x)
-                out.identities[x] = n
-                depth_of[n] = 0
-                trace.append(TraceStep(RuleTag.IDENTITY, {"X": x}, (n,)))
+                record(RuleTag.IDENTITY, {"X": x}, ensure_identity(out, x), 0)
                 changed = True
             if x not in out.collapsings:
-                n = fresh(f"tu_{x}")
-                out.add_term(n, x, out.terminal)
-                out.collapsings[x] = n
-                depth_of[n] = 0
-                trace.append(TraceStep(RuleTag.COLLAPSING, {"X": x}, (n,)))
+                record(RuleTag.COLLAPSING, {"X": x}, ensure_collapse(out, x), 0)
                 changed = True
         # only terms below the depth bound take part in a pair
         snapshot = sorted(t for t in out.terms if depth_of[t] < depth)
@@ -245,16 +216,16 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
         for f, index in partners:
             for g in index.get(out.terms[f].cod, ()):
                 if (f, g) not in out.compositions:
-                    add(RuleTag.COMPOSITION, out.compositions, f, g, f"{g}_o_{f}",
-                        out.terms[g].cod)
+                    record(RuleTag.COMPOSITION, {"f": f, "g": g}, ensure_comp(out, f, g),
+                           max(depth_of[f], depth_of[g]) + 1)
                     changed = True
         for f, index in partners:
             cod_f = out.terms[f].cod
             for g in index.get(out.terms[f].dom, ()):
                 key = (cod_f, out.terms[g].cod)
                 if key in out.products and (f, g) not in out.tuples:
-                    add(RuleTag.BINARY_TUPLE, out.tuples, f, g, f"pair_{f}_{g}",
-                        out.products[key][0])
+                    record(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, ensure_tuple(out, f, g),
+                           max(depth_of[f], depth_of[g]) + 1)
                     changed = True
     m = SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms})
     return Saturation(out, m, trace, depth_of)
@@ -418,6 +389,42 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
 # Entailment checking
 # ---------------------------------------------------------------------------
 
+class _MarkKind(NamedTuple):
+    """A kind of term mark: its sites in a spec as (arguments, marked
+    terms), whether the arguments are types or terms, and the ensure-helper
+    that makes the marked terms from mapped arguments."""
+    sites: Callable[[Specification], Iterable[Tuple[tuple, tuple]]]
+    on_types: bool
+    ensure: Callable[..., Tuple[TermName, ...]]
+
+
+_MARK_KINDS = {
+    RuleTag.IDENTITY: _MarkKind(
+        lambda s: (((x,), (i,)) for x, i in s.identities.items()),
+        True, lambda s, x: (ensure_identity(s, x),)),
+    RuleTag.COMPOSITION: _MarkKind(
+        lambda s: ((fg, (c,)) for fg, c in s.compositions.items()),
+        False, lambda s, f, g: (ensure_comp(s, f, g),)),
+    RuleTag.BINARY_PRODUCT: _MarkKind(
+        lambda s: ((key, (p1, p2)) for key, (_p, p1, p2) in s.products.items()),
+        True, lambda s, y1, y2: ensure_product(s, y1, y2)[1:]),
+    RuleTag.BINARY_TUPLE: _MarkKind(
+        lambda s: ((fg, (t,)) for fg, t in s.tuples.items()),
+        False, lambda s, f, g: (ensure_tuple(s, f, g),)),
+    RuleTag.COLLAPSING: _MarkKind(
+        lambda s: (((x,), (c,)) for x, c in s.collapsings.items()),
+        True, lambda s, x: (ensure_collapse(s, x),)),
+}
+# A new term with several marks is made by the first of its kinds here;
+# obligations are listed, and their missing terms made, in the second
+# order.  Both orders fix the names of the terms made, which the printed
+# countermodel shows.
+_RECIPE_ORDER = (RuleTag.IDENTITY, RuleTag.COMPOSITION, RuleTag.BINARY_PRODUCT,
+                 RuleTag.BINARY_TUPLE, RuleTag.COLLAPSING)
+_OBLIGATION_ORDER = (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE, RuleTag.IDENTITY,
+                     RuleTag.COLLAPSING, RuleTag.BINARY_PRODUCT)
+
+
 def is_entailment(tau: SpecMorphism, depth: int = 3,
                   max_carrier: int = 2) -> Verdict:
     """Is the extra content of the target derivable from the source?
@@ -428,7 +435,9 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
     least carrier choice that has one, and the search stops at it: a
     model of the target's universe that separates the first unproven
     obligation that has one, or, when the new content has no recipe, a
-    model of the source without exactly one extension along tau.
+    model of the source without exactly one extension along tau.  A
+    product or terminal mark of the target that the source lacks, on
+    types of the source, has no recipe: it goes to that semantic check.
     """
     errs = validate_morphism(tau)
     if errs:
@@ -437,8 +446,6 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
     if len(set(tau.type_map.values())) != len(tau.type_map) or \
             len(set(tau.term_map.values())) != len(tau.term_map):
         return Verdict(TriState.UNKNOWN)  # only extensions are analysed
-    from .parameterize import (ensure_collapse, ensure_comp, ensure_identity,
-                               ensure_product, ensure_terminal, ensure_tuple)
     big = s1.copy()
     inv_t = {v: k for k, v in tau.type_map.items()}
     inv_m = {v: k for k, v in tau.term_map.items()}
@@ -464,76 +471,48 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
                     break
     if new_types:
         return _semantic_entailment_check(tau, max_carrier)
+    # the terminal and product types the target marks must be the ones
+    # derived from the source; on a mark the source lacks they are not
+    if (s.terminal is not None and ensure_terminal(big) != phi_t[s.terminal]) or \
+            any(ensure_product(big, phi_t[y1], phi_t[y2])[0] != phi_t[p]
+                for (y1, y2), (p, _1, _2) in s.products.items()):
+        return _semantic_entailment_check(tau, max_carrier)
     # map new terms, in rounds since marks may chain
     new_terms = [t for t in sorted(s.terms) if t not in inv_m]
-    mark_of: Dict[str, Tuple[str, tuple]] = {}
-    for x, i in s.identities.items():
-        mark_of.setdefault(i, ("identity", (x,)))
-    for (f, g), c in s.compositions.items():
-        mark_of.setdefault(c, ("compose", (f, g)))
-    for key, (p, p1, p2) in s.products.items():
-        mark_of.setdefault(p1, ("proj1", key))
-        mark_of.setdefault(p2, ("proj2", key))
-    for (f, g), t in s.tuples.items():
-        mark_of.setdefault(t, ("tuple", (f, g)))
-    for x, c in s.collapsings.items():
-        mark_of.setdefault(c, ("collapse", (x,)))
+    mark_of: Dict[TermName, Tuple[_MarkKind, tuple, int]] = {}
+    for tag in _RECIPE_ORDER:
+        kind = _MARK_KINDS[tag]
+        for args, marks in kind.sites(s):
+            for i, t in enumerate(marks):
+                mark_of.setdefault(t, (kind, args, i))
     progress = True
     while progress and new_terms:
         progress = False
         for t in list(new_terms):
-            rec = mark_of.get(t)
-            img: Optional[str] = None
-            if rec is None:
+            if t not in mark_of:
                 return _semantic_entailment_check(tau, max_carrier)
-            kind, args = rec
-            if kind == "identity":
-                x = phi_t.get(args[0])
-                img = ensure_identity(big, x) if x else None
-            elif kind == "collapse":
-                x = phi_t.get(args[0])
-                img = ensure_collapse(big, x) if x else None
-            elif kind == "compose":
-                f, g = (phi_m.get(a) for a in args)
-                img = ensure_comp(big, f, g) if f and g else None
-            elif kind == "tuple":
-                f, g = (phi_m.get(a) for a in args)
-                img = ensure_tuple(big, f, g) if f and g else None
-            elif kind in ("proj1", "proj2"):
-                y1, y2 = (phi_t.get(a) for a in args)
-                prod = ensure_product(big, y1, y2) if y1 and y2 else None
-                img = prod[1 if kind == "proj1" else 2] if prod else None
-            if img is not None:
-                phi_m[t] = img
+            kind, args, i = mark_of[t]
+            phi = phi_t if kind.on_types else phi_m
+            if all(a in phi for a in args):
+                phi_m[t] = kind.ensure(big, *(phi[a] for a in args))[i]
                 new_terms.remove(t)
                 progress = True
     if new_terms:
         return Verdict(TriState.UNKNOWN)  # a new term without a derivable recipe
-    # obligations: equations of s and marks of s not present in s1
-    obligations: List[Tuple[str, str]] = []
-    for (a, b) in s.equations:
-        src_eq = eqpair(inv_m[a], inv_m[b]) if a in inv_m and b in inv_m else None
-        if src_eq is not None and (src_eq in s1.equations or src_eq[0] == src_eq[1]):
-            continue
-        obligations.append((phi_m[a], phi_m[b]))
-    for (f, g), c in s.compositions.items():
-        if f in inv_m and g in inv_m and c in inv_m and \
-                s1.compositions.get((inv_m[f], inv_m[g])) == inv_m[c]:
-            continue
-        obligations.append((ensure_comp(big, phi_m[f], phi_m[g]), phi_m[c]))
-    for (f, g), t in s.tuples.items():
-        if f in inv_m and g in inv_m and t in inv_m and \
-                s1.tuples.get((inv_m[f], inv_m[g])) == inv_m[t]:
-            continue
-        obligations.append((ensure_tuple(big, phi_m[f], phi_m[g]), phi_m[t]))
-    for x, i in s.identities.items():
-        if x in inv_t and i in inv_m and s1.identities.get(inv_t[x]) == inv_m[i]:
-            continue
-        obligations.append((ensure_identity(big, phi_t[x]), phi_m[i]))
-    for x, c in s.collapsings.items():
-        if x in inv_t and c in inv_m and s1.collapsings.get(inv_t[x]) == inv_m[c]:
-            continue
-        obligations.append((ensure_collapse(big, phi_t[x]), phi_m[c]))
+    # obligations: equations of s and marks of s that are not images of
+    # those of s1
+    carried_eqs = {eqpair(tau.term_map[a], tau.term_map[b]) for (a, b) in s1.equations}
+    obligations = [(phi_m[a], phi_m[b]) for (a, b) in s.equations
+                   if (a, b) not in carried_eqs]
+    for tag in _OBLIGATION_ORDER:
+        kind = _MARK_KINDS[tag]
+        phi, image = (phi_t, tau.type_map) if kind.on_types else (phi_m, tau.term_map)
+        carried = {(tuple(image[a] for a in args), tuple(tau.term_map[t] for t in marks))
+                   for args, marks in kind.sites(s1)}
+        for args, marks in kind.sites(s):
+            if (args, marks) not in carried:
+                made = kind.ensure(big, *(phi[a] for a in args))
+                obligations.extend(zip(made, (phi_m[t] for t in marks)))
     uf = congruence_classes(big)
     unproven = [(a, b) for (a, b) in obligations if uf.find(a) != uf.find(b)]
     if unproven:
@@ -550,16 +529,11 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
     if not unproven:
         return Verdict(TriState.EQUAL)
     for (a, b) in unproven:
-        cm = _find_countermodel_in(big, a, b, max_carrier)
-        if cm is not None:
-            return Verdict(TriState.DISTINCT_AT_BOUND, cm)
+        if big.parallel(a, b):
+            cm = _find_countermodel(big, a, b, max_carrier, 200000)
+            if cm is not None:
+                return Verdict(TriState.DISTINCT_AT_BOUND, cm)
     return Verdict(TriState.UNKNOWN)
-
-
-def _find_countermodel_in(big: Specification, a: str, b: str, max_carrier: int):
-    if a not in big.terms or b not in big.terms or not big.parallel(a, b):
-        return None
-    return _find_countermodel(big, a, b, max_carrier, 200000)
 
 
 def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Specification, TermName, TypeName
-from .decorate import DecoratedSpecification, pure_part, undecorate
+from .decorate import DecoratedSpecification, undecorate
 from .errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
 from .parameterize import Parameterization, parameterize
 
@@ -368,6 +368,9 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
         for x, v in fixed.carriers.items():
             merged_base.setdefault(x, tuple(v))
     carriers = derived_carriers(s, merged_base)
+    if fixed is not None and any(set(v) != set(carriers[x])
+                                 for x, v in fixed.carriers.items()):
+        return None  # s forces another carrier on a type that fixed gives
     marked = _mark_results(s)
     fixed_funcs = dict(fixed.functions) if fixed is not None else {}
     terms = sorted(s.terms)
@@ -424,7 +427,8 @@ def enumerate_models(s: Specification,
                      cap: int = DEFAULT_CANDIDATE_CAP) -> List[FiniteModel]:
     """All models of s over the given base carriers extending ``fixed``.
 
-    Product/terminal carriers are forced.  The search assigns one table
+    Product/terminal carriers are forced; a fixed model that gives such a
+    type another carrier has no extension.  The search assigns one table
     cell at a time and lets every mark and equation fill or check the
     cells whose inputs are known, backtracking on a conflict.  ``cap``
     bounds, before the search starts, the product of |cod|^|dom| over

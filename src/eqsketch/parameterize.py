@@ -31,14 +31,21 @@ class ParameterizedSpecificationWithConstant:
 
 
 # ---------------------------------------------------------------------------
-# ensure-helpers: add a derived feature to a mutable spec, reusing an
-# existing mark when the site is already filled
+# ensure-helpers: the one executable form of the six structural rules.
+# Each adds a derived feature to a mutable spec, reusing the existing mark
+# when the site is already filled.  On a match, each gives a spec
+# isomorphic to the pushout of ``inference.rule(tag)`` (for the tuple rule,
+# up to the projection laws that ``congruence_classes`` builds in).  Their
+# callers: ``inference.saturate`` and ``inference.is_entailment``,
+# ``parameterize``, ``parameterize_morphism``, ``ell``, ``check_ell_natural``
+# and the DSL's elaboration of composite expressions.  Fresh names are
+# taken against the spec itself, which is the live set of its names.
 # ---------------------------------------------------------------------------
 
 def ensure_identity(s: Specification, x: TypeName) -> TermName:
     if x in s.identities:
         return s.identities[x]
-    n = fresh_name(f"id_{x}", s.all_names())
+    n = fresh_name(f"id_{x}", s)
     s.add_term(n, x, x)
     s.identities[x] = n
     return n
@@ -46,7 +53,7 @@ def ensure_identity(s: Specification, x: TypeName) -> TermName:
 
 def ensure_terminal(s: Specification) -> TypeName:
     if s.terminal is None:
-        u = fresh_name("One", s.all_names())
+        u = fresh_name("One", s)
         s.add_type(u)
         s.terminal = u
     return s.terminal
@@ -56,7 +63,7 @@ def ensure_collapse(s: Specification, x: TypeName) -> TermName:
     if x in s.collapsings:
         return s.collapsings[x]
     u = ensure_terminal(s)
-    n = fresh_name(f"tu_{x}", s.all_names())
+    n = fresh_name(f"tu_{x}", s)
     s.add_term(n, x, u)
     s.collapsings[x] = n
     return n
@@ -68,11 +75,11 @@ def ensure_product(s: Specification, y1: TypeName, y2: TypeName,
     if (y1, y2) in s.products:
         return s.products[(y1, y2)]
     hint_p, hint_1, hint_2 = names or (f"{y1}*{y2}", f"p1_{y1}*{y2}", f"p2_{y1}*{y2}")
-    p = fresh_name(hint_p, s.all_names())
+    p = fresh_name(hint_p, s)
     s.add_type(p)
-    p1 = fresh_name(hint_1, s.all_names())
+    p1 = fresh_name(hint_1, s)
     s.add_term(p1, p, y1)
-    p2 = fresh_name(hint_2, s.all_names())
+    p2 = fresh_name(hint_2, s)
     s.add_term(p2, p, y2)
     s.products[(y1, y2)] = (p, p1, p2)
     return (p, p1, p2)
@@ -82,7 +89,7 @@ def ensure_comp(s: Specification, f: TermName, g: TermName) -> TermName:
     """The marked composite g . f (first f, then g)."""
     if (f, g) in s.compositions:
         return s.compositions[(f, g)]
-    n = fresh_name(f"{g}_o_{f}", s.all_names())
+    n = fresh_name(f"{g}_o_{f}", s)
     s.add_term(n, s.terms[f].dom, s.terms[g].cod)
     s.compositions[(f, g)] = n
     return n
@@ -92,7 +99,7 @@ def ensure_tuple(s: Specification, f: TermName, g: TermName) -> TermName:
     if (f, g) in s.tuples:
         return s.tuples[(f, g)]
     p, _1, _2 = ensure_product(s, s.terms[f].cod, s.terms[g].cod)
-    n = fresh_name(f"pair_{f}_{g}", s.all_names())
+    n = fresh_name(f"pair_{f}_{g}", s)
     s.add_term(n, s.terms[f].dom, p)
     s.tuples[(f, g)] = n
     return n
@@ -106,7 +113,7 @@ def embed_A(s: Specification) -> ParameterizedSpecification:
     """View a plain specification as parameterized: adjoin one fresh
     parameter type, altering nothing else."""
     out = s.copy()
-    a = fresh_name("A", out.all_names())
+    a = fresh_name("A", out)
     out.add_type(a)
     return ParameterizedSpecification(out, a)
 
@@ -116,7 +123,7 @@ def embed_a(p: ParameterizedSpecification) -> ParameterizedSpecificationWithCons
     type when there is none)."""
     out = p.base.copy()
     u = ensure_terminal(out)
-    a = fresh_name("a", out.all_names())
+    a = fresh_name("a", out)
     out.add_term(a, u, p.parameter_type)
     return ParameterizedSpecificationWithConstant(
         ParameterizedSpecification(out, p.parameter_type), a)
@@ -201,7 +208,7 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
     for f in sorted(d.general_terms()):
         dom, cod = base.terms[f].dom, base.terms[f].cod
         prod, _proj, _eps = _aprod(p, a, dom, aprods)
-        prime = fresh_name(f + "'", p.all_names())
+        prime = fresh_name(f + "'", p)
         p.add_term(prime, prod, cod)
         lift[f] = prime
 
@@ -339,6 +346,17 @@ class EllResult:
         return self.morphism.target
 
 
+def _with_constant(ext: Specification, a: TermName, x: TypeName,
+                   fs: TermName) -> TermName:
+    """fs . <a.tu_X, id_X>: the parameterized fs: A*X -> Y with the
+    constant a: 1 -> A passed for its parameter."""
+    idx = ensure_identity(ext, x)
+    tux = ensure_collapse(ext, x)
+    ax = ensure_comp(ext, tux, a)          # a . tu_X : X -> A
+    w = ensure_tuple(ext, ax, idx)         # <a.tu_X, id_X>: X -> A*X
+    return ensure_comp(ext, w, fs)
+
+
 def ell(d: DecoratedSpecification,
         par: Optional[Parameterization] = None) -> EllResult:
     """Parameter passing: pure terms are untouched; a general f: X -> Y
@@ -359,41 +377,20 @@ def ell(d: DecoratedSpecification,
     type_map[src.terminal] = ext.terminal
     term_map: Dict[TermName, TermName] = {src_pc.parameter_constant: a_const}
 
-    def ell_term(f: TermName) -> TermName:
-        if d.is_pure(f):
-            return f
-        x = base.terms[f].dom
-        idx = ensure_identity(ext, x)
-        tux = ensure_collapse(ext, x)
-        ax = ensure_comp(ext, tux, a_const)          # a . tu_X : X -> A
-        w = ensure_tuple(ext, ax, idx)               # <a.tu_X, id_X>: X -> A*X
-        return ensure_comp(ext, w, par.lift[f])
-
     for f in sorted(base.terms):
-        term_map[f] = ell_term(f)
-    # preserve the structural marks of the source on their images
-    for (f, g), c in base.compositions.items():
-        key = (term_map[f], term_map[g])
-        if ext.compositions.get(key, term_map[c]) != term_map[c]:
-            ext.add_equation(ext.compositions[key], term_map[c])
+        if d.is_pure(f):
+            term_map[f] = f
         else:
-            ext.compositions[key] = term_map[c]
-    for (f, g), t in base.tuples.items():
-        key = (term_map[f], term_map[g])
-        if ext.tuples.get(key, term_map[t]) != term_map[t]:
-            ext.add_equation(ext.tuples[key], term_map[t])
-        else:
-            ext.tuples[key] = term_map[t]
-    for x, i in base.identities.items():
-        if x not in ext.identities:
-            ext.identities[x] = term_map[i]
-        elif ext.identities[x] != term_map[i]:
-            ext.add_equation(ext.identities[x], term_map[i])
-    for x, c in base.collapsings.items():
-        if x not in ext.collapsings:
-            ext.collapsings[x] = term_map[c]
-        elif ext.collapsings[x] != term_map[c]:
-            ext.add_equation(ext.collapsings[x], term_map[c])
+            term_map[f] = _with_constant(ext, a_const, base.terms[f].dom, par.lift[f])
+    # preserve the structural marks of the source on their images: mark the
+    # image site, or equate with the mark already there
+    for marks, own, on_terms in ((ext.compositions, base.compositions, True),
+                                 (ext.tuples, base.tuples, True),
+                                 (ext.identities, base.identities, False),
+                                 (ext.collapsings, base.collapsings, False)):
+        for site, c in own.items():
+            key = tuple(term_map[f] for f in site) if on_terms else site
+            ext.add_equation(marks.setdefault(key, term_map[c]), term_map[c])
     for (t1, t2) in base.equations:
         ext.add_equation(term_map[t1], term_map[t2])
 
@@ -428,12 +425,8 @@ def check_ell_natural(d1: DecoratedSpecification, d2: DecoratedSpecification,
         else:
             x2 = u.type_map[d1.base.terms[f].dom]
             _aprod(ext, a2, x2, aprods2)
-            idx = ensure_identity(ext, x2)
-            tux = ensure_collapse(ext, x2)
-            ax = ensure_comp(ext, tux, e2.constant)
-            w = ensure_tuple(ext, ax, idx)
             fs = _sharp(ext, a2, d2, lift2, aprods2, uf)
-            path_b = ensure_comp(ext, w, fs)
+            path_b = _with_constant(ext, e2.constant, x2, fs)
         if path_a == path_b:
             continue
         if terms_equal(ext, path_a, path_b, depth).state is not TriState.EQUAL:

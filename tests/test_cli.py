@@ -149,6 +149,30 @@ def test_entail_negative_output_is_pinned(tmp_path, case):
         assert (len(data), hashlib.sha256(data).hexdigest()) == want
 
 
+# a product or terminal mark on types the source already has: a model of
+# the source where P is no product, or U no singleton, does not extend
+NEW_MARKS_ON_SOURCE_TYPES = {
+    "product": ("type X\ntype Y\ntype P\nterm a : P -> X\nterm b : P -> Y\n",
+                "type X\ntype Y\nproduct P = X * Y with a b\n",
+                "carrier P: 0\ncarrier X: 0\ncarrier Y: 0\n"
+                "table a: 0 |-> 0\ntable b: 0 |-> 0\n"),
+    "terminal": ("type U\ntype X\nterm f : X -> U\n",
+                 "unit U\ntype X\nterm f : X -> U\n",
+                 "carrier U: 0\ncarrier X: 0\ntable f: 0 |-> 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEW_MARKS_ON_SOURCE_TYPES))
+def test_entail_new_product_or_terminal_mark_is_refuted(tmp_path, case):
+    source, target, tables = NEW_MARKS_ON_SOURCE_TYPES[case]
+    (tmp_path / "source.spec").write_text(source)
+    (tmp_path / "target.spec").write_text(target)
+    rc, out = run("entail", str(tmp_path / "source.spec"), str(tmp_path / "target.spec"),
+                  "--depth", "2")
+    assert rc == 1
+    assert out == "entailment: distinct-at-bound\nmodel: countermodel\n" + tables
+
+
 def test_saturate_dump_parses(files):
     rc, out = run("saturate", files["small"], "--depth", "1")
     assert rc == 0

@@ -18,6 +18,8 @@ from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
                                 match_morphism, rule, saturate, terms_equal,
                                 _find_countermodel, _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
+from eqsketch.parameterize import (ensure_collapse, ensure_comp, ensure_identity,
+                                   ensure_product, ensure_terminal, ensure_tuple)
 
 from conftest import CORPUS, DECORATED, small_specs
 
@@ -632,3 +634,102 @@ def test_entailment_countermodel_matches_reference_on_saturated_targets(name, mo
         assert (got is None) == (want is None), (t1, t2)
         if got is not None:
             assert got.canonical() == want.canonical(), (t1, t2)
+
+
+NEW_MARKS_ON_SOURCE_TYPES = {
+    # a model of the source where P is no product of X and Y, or where U
+    # has two elements, has no extension along the inclusion
+    "product": ("type X\ntype Y\ntype P\nterm a : P -> X\nterm b : P -> Y\n",
+                "type X\ntype Y\nproduct P = X * Y with a b\n"),
+    "terminal": ("type U\ntype X\nterm f : X -> U\n",
+                 "unit U\ntype X\nterm f : X -> U\n"),
+    # no term touches U, so only its carrier can stop an extension
+    "untouched-terminal": ("type U\ntype X\nterm t : X -> X\n",
+                           "unit U\ntype X\nterm t : X -> X\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEW_MARKS_ON_SOURCE_TYPES))
+def test_new_product_or_terminal_mark_on_source_types_is_not_entailed(name):
+    source, target = (dsl.parse(text).spec for text in NEW_MARKS_ON_SOURCE_TYPES[name])
+    tau = SpecMorphism(source, target, {x: x for x in source.types},
+                       {t: t for t in source.terms})
+    v = is_entailment(tau, depth=2)
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    cm = v.countermodel
+    assert check_model(source, cm) == []
+    extensions = enumerate_models(target, {}, fixed=FiniteModel(cm.carriers, cm.functions))
+    assert len(extensions) != 1
+    state, want = reference_semantic_entailment_check(tau, 2)
+    assert state is TriState.DISTINCT_AT_BOUND and cm.canonical() == want.canonical()
+
+
+def test_projections_of_a_derived_product_are_obligations():
+    # p1 is made as the composite p2 . id_P, so only the product mark
+    # itself says that it is the first projection
+    source = dsl.parse("type X\n").spec
+    target = dsl.parse("type X\nproduct P = X * X with p1 p2\nidentity P = id_P\n"
+                       "compose p1 = p2 . id_P\n").spec
+    v = is_entailment(SpecMorphism(source, target, {"X": "X"}, {}), depth=2)
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    assert v.countermodel.functions["p1_X*X"] != v.countermodel.functions["p2_X*X"]
+
+
+def _tuple_with_projection_laws(s, f, g):
+    # the tuple rule's figure also carries p1 . t = f and p2 . t = g, which
+    # the ensure-helpers leave to congruence_classes
+    t = ensure_tuple(s, f, g)
+    _p, p1, p2 = s.products[(s.terms[f].cod, s.terms[g].cod)]
+    s.add_equation(ensure_comp(s, t, p1), f)
+    s.add_equation(ensure_comp(s, t, p2), g)
+
+
+def _rule_matches(tag, s):
+    """Each match of the rule's hypothesis in s: its type and term maps,
+    whether the site already carries the rule's mark, and the
+    ensure-helper call that applies the rule there."""
+    if tag is RuleTag.TERMINAL_TYPE:
+        yield {}, {}, s.terminal is not None, ensure_terminal
+    elif tag in (RuleTag.IDENTITY, RuleTag.COLLAPSING):
+        marks, ensure = ((s.identities, ensure_identity) if tag is RuleTag.IDENTITY
+                         else (s.collapsings, ensure_collapse))
+        for x in sorted(s.types):
+            yield {"X": x}, {}, x in marks, lambda c, x=x: ensure(c, x)
+    elif tag is RuleTag.BINARY_PRODUCT:
+        for y1, y2 in itertools.product(sorted(s.types), repeat=2):
+            yield ({"Y1": y1, "Y2": y2}, {}, (y1, y2) in s.products,
+                   lambda c, y1=y1, y2=y2: ensure_product(c, y1, y2))
+    else:
+        for f, g in itertools.product(sorted(s.terms), repeat=2):
+            tf, tg = s.terms[f], s.terms[g]
+            if tag is RuleTag.COMPOSITION and tf.cod == tg.dom:
+                yield ({"X": tf.dom, "Y": tf.cod, "Z": tg.cod}, {"f": f, "g": g},
+                       (f, g) in s.compositions, lambda c, f=f, g=g: ensure_comp(c, f, g))
+            elif tag is RuleTag.BINARY_TUPLE and tf.dom == tg.dom:
+                yield ({"X": tf.dom, "Y1": tf.cod, "Y2": tg.cod}, {"f": f, "g": g},
+                       (f, g) in s.tuples,
+                       lambda c, f=f, g=g: _tuple_with_projection_laws(c, f, g))
+
+
+@pytest.mark.parametrize("tag", STRUCTURAL_RULES)
+def test_ensure_helpers_agree_with_the_rule_pushout(tag):
+    r = rule(tag)
+    marked = 0
+    for name, mk in CORPUS.items():
+        s = mk()
+        for tm, mm, already, ensure in _rule_matches(tag, s):
+            pushed, _emb = apply_rule(r, s, SpecMorphism(r.hypothesis, s, tm, mm))
+            helped = s.copy()
+            ensure(helped)
+            res = iso_search(helped, pushed)
+            assert res and res.definitive, (name, tm, mm)
+            if already and tag is not RuleTag.BINARY_TUPLE:
+                # a marked site is reused: no new content on either side
+                assert spec_equal(helped, s), (name, tm, mm)
+                assert bool(iso_search(pushed, s)), (name, tm, mm)
+            elif already:
+                # the tuple is reused; both sides add only its missing laws
+                site = (mm["f"], mm["g"])
+                assert ensure_tuple(s.copy(), *site) == s.tuples[site]
+            marked += already
+    assert marked > 0

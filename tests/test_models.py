@@ -57,6 +57,15 @@ def test_enumerate_models_respects_fixed_part():
     assert all(m.apply("e", ()) == 0 for m in ms)
 
 
+def test_enumerate_models_keeps_the_fixed_carriers():
+    # the spec forces the terminal's carrier; a fixed model that gives U
+    # two elements, or other labels, has no extension
+    s = CORPUS["endo"]()
+    for u in ((0, 1), (0,)):
+        fixed = FiniteModel({"U": u, "X": (0, 1)}, {})
+        assert enumerate_models(s, {}, fixed=fixed) == []
+
+
 def test_enumerate_models_cap():
     s = CORPUS["endo"]()
     with pytest.raises(SearchSpaceTooLarge):
