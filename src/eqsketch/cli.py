@@ -59,12 +59,8 @@ class _Out:
         else:
             print(key)
 
-    def block(self, text: str) -> None:
-        for ln in text.rstrip("\n").split("\n") if text.strip() else []:
-            print(ln)
 
-
-def _print_model(out: _Out, s: Specification, m: FiniteModel, label: str) -> None:
+def _print_model(out: _Out, m: FiniteModel, label: str) -> None:
     out.line("model", label)
     for x in sorted(m.carriers):
         vals = " ".join(repr(v) for v in m.carriers[x])
@@ -93,7 +89,6 @@ def _usage(msg: str) -> int:
 
 def _pick_m0(d, base_carriers, idx: int, cap: int):
     p0 = pure_part(d)
-    from .models import derived_carriers
     carr = {x: base_carriers[x] for x in p0.types if x in base_carriers}
     ms = enumerate_models(p0, carr, cap=cap)
     if not ms:
@@ -213,7 +208,7 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
         v = is_entailment(tau, depth=args.depth)
         out.line("entailment", v.state.value)
         if v.state is TriState.DISTINCT_AT_BOUND and v.countermodel is not None:
-            _print_model(out, small.spec, v.countermodel, "countermodel")
+            _print_model(out, v.countermodel, "countermodel")
         return {TriState.EQUAL: 0, TriState.DISTINCT_AT_BOUND: 1,
                 TriState.UNKNOWN: 3}[v.state]
 
@@ -244,7 +239,7 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
         ms = enumerate_models(doc.spec, base, cap=args.cap)
         out.line("models", str(len(ms)))
         for i, m in enumerate(ms):
-            _print_model(out, doc.spec, m, str(i))
+            _print_model(out, m, str(i))
         return 0
 
     # the remaining commands consume one decorated spec
@@ -258,7 +253,7 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
     if cmd == "terminal":
         m_a, exts = terminal_model(d, m0, base, par=par, cap=args.cap)
         out.line("parameter carrier size", str(len(exts)))
-        _print_model(out, par.spec.base, m_a, "terminal")
+        _print_model(out, m_a, "terminal")
         if args.bound is not None:
             ok = is_terminal(d, m_a, m0, base, bound=args.bound, par=par,
                              cap=args.cap)
@@ -274,7 +269,7 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
             return _usage(f"--alpha={idx} out of range (0..{len(alphas)-1})")
         m = pass_parameter(d, par, m_a, alphas[idx])
         errs = check_model(undecorate(d), m)
-        _print_model(out, undecorate(d), m, f"alpha={idx}")
+        _print_model(out, m, f"alpha={idx}")
         out.line("model check", "ok" if not errs else "; ".join(errs))
         return 0 if not errs else 1
 
@@ -284,7 +279,7 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
                  f"{rep.parameter_count} = {rep.model_count} "
                  f"{'bijection' if rep.exact else 'NO bijection'}")
         for ln in rep.lines():
-            out.line(ln.strip() if not out.machine else ln.strip())
+            out.line(ln.strip())
         return 0 if rep.exact else 1
 
     return _usage(f"unhandled command {cmd}")

@@ -68,9 +68,6 @@ class Specification:
             equations=set(self.equations),
         )
 
-    def term(self, name: TermName) -> Term:
-        return self.terms[name]
-
     def add_type(self, name: TypeName) -> None:
         self.types.add(name)
 
@@ -112,14 +109,7 @@ def fresh_name(base: str, taken: Container[str]) -> str:
 
 def spec_equal(s1: Specification, s2: Specification) -> bool:
     """Exact structural equality, name for name."""
-    return (s1.types == s2.types and s1.terms == s2.terms
-            and s1.identities == s2.identities
-            and s1.compositions == s2.compositions
-            and s1.products == s2.products
-            and s1.tuples == s2.tuples
-            and s1.terminal == s2.terminal
-            and s1.collapsings == s2.collapsings
-            and s1.equations == s2.equations)
+    return s1 == s2
 
 
 def validate(s: Specification) -> List[str]:
@@ -204,12 +194,6 @@ class SpecMorphism:
     target: Specification
     type_map: Dict[TypeName, TypeName]
     term_map: Dict[TermName, TermName]
-
-    def apply_type(self, x: TypeName) -> TypeName:
-        return self.type_map[x]
-
-    def apply_term(self, t: TermName) -> TermName:
-        return self.term_map[t]
 
 
 def identity_morphism(s: Specification) -> SpecMorphism:
@@ -330,52 +314,33 @@ def pushout(f: SpecMorphism, g: SpecMorphism) -> Tuple[Specification, SpecMorphi
     changed = True
     while changed:
         changed = False
+        first: Dict[object, object] = {}
 
-        def merge(buckets, uf):
+        def mark(uf, site, result) -> None:
+            """Identify result with the first result seen at its site."""
             nonlocal changed
-            for vals in buckets.values():
-                first = vals[0]
-                for v in vals[1:]:
-                    if uf.union(first, v):
-                        changed = True
+            if uf.union(first.setdefault(site, result), result):
+                changed = True
 
-        b: Dict[object, List[object]] = {}
+        def term_site(kind, side, u, v):
+            return kind, uf_m.find((side, u)), uf_m.find((side, v))
+
         for side, sp in sides.items():
             for x, i in sp.identities.items():
-                b.setdefault(uf_t.find((side, x)), []).append((side, i))
-        merge(b, uf_m)
-        b = {}
-        for side, sp in sides.items():
+                mark(uf_m, ("identity", uf_t.find((side, x))), (side, i))
             for (u, v), c in sp.compositions.items():
-                key = (uf_m.find((side, u)), uf_m.find((side, v)))
-                b.setdefault(key, []).append((side, c))
-        merge(b, uf_m)
-        bt: Dict[object, List[object]] = {}
-        bm: Dict[object, List[object]] = {}
-        for side, sp in sides.items():
+                mark(uf_m, term_site("compose", side, u, v), (side, c))
             for (y1, y2), (p, p1, p2) in sp.products.items():
                 key = (uf_t.find((side, y1)), uf_t.find((side, y2)))
-                bt.setdefault(key, []).append((side, p))
-                bm.setdefault((key, 1), []).append((side, p1))
-                bm.setdefault((key, 2), []).append((side, p2))
-        merge(bt, uf_t)
-        merge(bm, uf_m)
-        b = {}
-        for side, sp in sides.items():
+                mark(uf_t, ("product", key), (side, p))
+                mark(uf_m, ("proj1", key), (side, p1))
+                mark(uf_m, ("proj2", key), (side, p2))
             for (u, v), tt in sp.tuples.items():
-                key = (uf_m.find((side, u)), uf_m.find((side, v)))
-                b.setdefault(key, []).append((side, tt))
-        merge(b, uf_m)
-        terminals = [(side, sp.terminal) for side, sp in sides.items()
-                     if sp.terminal is not None]
-        if len(terminals) == 2:
-            if uf_t.union(terminals[0], terminals[1]):
-                changed = True
-        b = {}
-        for side, sp in sides.items():
+                mark(uf_m, term_site("tuple", side, u, v), (side, tt))
+            if sp.terminal is not None:
+                mark(uf_t, ("terminal",), (side, sp.terminal))
             for x, c in sp.collapsings.items():
-                b.setdefault(uf_t.find((side, x)), []).append((side, c))
-        merge(b, uf_m)
+                mark(uf_m, ("collapse", uf_t.find((side, x))), (side, c))
 
     def name_classes(uf, items):
         classes = uf.classes(items)

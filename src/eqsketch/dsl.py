@@ -408,7 +408,9 @@ def dump(doc: SpecDocument) -> str:
                 marks.remove(m)
                 emitted = True
         if not emitted:
-            c = marks[0][1]
+            # a pending mark waits for an argument that is itself the
+            # result of a pending mark, which is not declared yet
+            c = next(c for _k, c, _f, _g in marks if c not in declared)
             t = s.terms[c]
             lines.append(f"term {c} : {t.dom} -> {t.cod}")
             declared.add(c)

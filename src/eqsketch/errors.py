@@ -37,10 +37,6 @@ class InvalidAlpha(EqsketchError):
     """The chosen argument is not an element of the parameter carrier."""
 
 
-class NameClash(EqsketchError):
-    """A generated distinguished name collides with an existing one."""
-
-
 class PurityViolation(EqsketchError):
     """A decorated morphism maps a pure term to a general one."""
 

@@ -323,17 +323,23 @@ def congruence_classes(s: Specification) -> _UnionFind:
     return uf
 
 
-def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
-                max_carrier: int = 2, countermodel_cap: int = 200000,
-                sat_cap: int = 800) -> Verdict:
+# the carrier bound (1..MAX_CARRIER per base type) of every countermodel
+# search, the free-table cap of each carrier choice, and the term universe
+# cap of each saturation level in terms_equal
+MAX_CARRIER = 2
+COUNTERMODEL_CAP = 200000
+SAT_CAP = 800
+
+
+def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Verdict:
     """Decide equality of two parallel terms in the presented theory, up
     to the saturation depth; inequality is witnessed by a finite model.
 
     The countermodel is the ``canonical()``-least model separating the
-    terms on the least carrier choice (sizes 1..max_carrier per base
+    terms on the least carrier choice (sizes 1..MAX_CARRIER per base
     type, in ``itertools.product`` order) that has one; the search stops
     at that model instead of listing all of them.  A choice whose free
-    tables exceed ``countermodel_cap`` is skipped."""
+    tables exceed ``COUNTERMODEL_CAP`` is skipped."""
     if t1 not in s.terms or t2 not in s.terms:
         raise NotParallel(f"unknown term {t1 if t1 not in s.terms else t2}")
     if not s.parallel(t1, t2):
@@ -345,13 +351,13 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int,
     # falls through to the semantic check instead
     for level in range(depth + 1):
         try:
-            sat = saturate(s, level, cap=sat_cap)
+            sat = saturate(s, level, cap=SAT_CAP)
         except BudgetExceeded:
             break
         uf = congruence_classes(sat.spec)
         if uf.find(t1) == uf.find(t2):
             return Verdict(TriState.EQUAL)
-    cm = _find_countermodel(s, t1, t2, max_carrier, countermodel_cap)
+    cm = _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP)
     if cm is not None:
         return Verdict(TriState.DISTINCT_AT_BOUND, cm)
     return Verdict(TriState.UNKNOWN)
@@ -415,29 +421,19 @@ _MARK_KINDS = {
         lambda s: (((x,), (c,)) for x, c in s.collapsings.items()),
         True, lambda s, x: (ensure_collapse(s, x),)),
 }
-# A new term with several marks is made by the first of its kinds here;
-# obligations are listed, and their missing terms made, in the second
-# order.  Both orders fix the names of the terms made, which the printed
-# countermodel shows.
-_RECIPE_ORDER = (RuleTag.IDENTITY, RuleTag.COMPOSITION, RuleTag.BINARY_PRODUCT,
-                 RuleTag.BINARY_TUPLE, RuleTag.COLLAPSING)
-_OBLIGATION_ORDER = (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE, RuleTag.IDENTITY,
-                     RuleTag.COLLAPSING, RuleTag.BINARY_PRODUCT)
 
 
-def is_entailment(tau: SpecMorphism, depth: int = 3,
-                  max_carrier: int = 2) -> Verdict:
+def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     """Is the extra content of the target derivable from the source?
 
-    EQUAL means yes (tau is an entailment at this bound).  A separating
-    model yields DISTINCT_AT_BOUND; everything else is UNKNOWN.  The
-    countermodel is the ``canonical()``-least separating model on the
-    least carrier choice that has one, and the search stops at it: a
-    model of the target's universe that separates the first unproven
-    obligation that has one, or, when the new content has no recipe, a
-    model of the source without exactly one extension along tau.  A
-    product or terminal mark of the target that the source lacks, on
-    types of the source, has no recipe: it goes to that semantic check.
+    EQUAL means yes (tau is an entailment at this bound): every new type
+    and term of the target is made from the source by the mark that
+    names it, and every new equation and mark holds in the congruence
+    closure of the universe so made, widened by saturation.  Otherwise
+    the countermodel is the ``canonical()``-least model of the source,
+    on the least carrier choice that has one, without exactly one
+    extension along tau (``_semantic_entailment_check``); it gives
+    DISTINCT_AT_BOUND, and without one the verdict is UNKNOWN.
     """
     errs = validate_morphism(tau)
     if errs:
@@ -470,27 +466,25 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
                     progress = True
                     break
     if new_types:
-        return _semantic_entailment_check(tau, max_carrier)
+        return _semantic_entailment_check(tau, MAX_CARRIER)
     # the terminal and product types the target marks must be the ones
     # derived from the source; on a mark the source lacks they are not
     if (s.terminal is not None and ensure_terminal(big) != phi_t[s.terminal]) or \
             any(ensure_product(big, phi_t[y1], phi_t[y2])[0] != phi_t[p]
                 for (y1, y2), (p, _1, _2) in s.products.items()):
-        return _semantic_entailment_check(tau, max_carrier)
-    # map new terms, in rounds since marks may chain
+        return _semantic_entailment_check(tau, MAX_CARRIER)
+    # map new terms, in rounds since marks may chain; a term with several
+    # marks is made by the first of them
     new_terms = [t for t in sorted(s.terms) if t not in inv_m]
     mark_of: Dict[TermName, Tuple[_MarkKind, tuple, int]] = {}
-    for tag in _RECIPE_ORDER:
-        kind = _MARK_KINDS[tag]
+    for kind in _MARK_KINDS.values():
         for args, marks in kind.sites(s):
             for i, t in enumerate(marks):
                 mark_of.setdefault(t, (kind, args, i))
     progress = True
     while progress and new_terms:
         progress = False
-        for t in list(new_terms):
-            if t not in mark_of:
-                return _semantic_entailment_check(tau, max_carrier)
+        for t in [t for t in new_terms if t in mark_of]:
             kind, args, i = mark_of[t]
             phi = phi_t if kind.on_types else phi_m
             if all(a in phi for a in args):
@@ -498,14 +492,14 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
                 new_terms.remove(t)
                 progress = True
     if new_terms:
-        return Verdict(TriState.UNKNOWN)  # a new term without a derivable recipe
+        # a new term without a mark, or whose mark never becomes ready
+        return _semantic_entailment_check(tau, MAX_CARRIER)
     # obligations: equations of s and marks of s that are not images of
     # those of s1
     carried_eqs = {eqpair(tau.term_map[a], tau.term_map[b]) for (a, b) in s1.equations}
     obligations = [(phi_m[a], phi_m[b]) for (a, b) in s.equations
                    if (a, b) not in carried_eqs]
-    for tag in _OBLIGATION_ORDER:
-        kind = _MARK_KINDS[tag]
+    for kind in _MARK_KINDS.values():
         phi, image = (phi_t, tau.type_map) if kind.on_types else (phi_m, tau.term_map)
         carried = {(tuple(image[a] for a in args), tuple(tau.term_map[t] for t in marks))
                    for args, marks in kind.sites(s1)}
@@ -514,8 +508,7 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
                 made = kind.ensure(big, *(phi[a] for a in args))
                 obligations.extend(zip(made, (phi_m[t] for t in marks)))
     uf = congruence_classes(big)
-    unproven = [(a, b) for (a, b) in obligations if uf.find(a) != uf.find(b)]
-    if unproven:
+    if any(uf.find(a) != uf.find(b) for (a, b) in obligations):
         # widen the term universe before giving up on a proof
         for dd in range(min(depth, 2), 0, -1):
             try:
@@ -523,23 +516,19 @@ def is_entailment(tau: SpecMorphism, depth: int = 3,
             except BudgetExceeded:
                 continue
             uf = congruence_classes(big)
-            unproven = [(a, b) for (a, b) in unproven
-                        if uf.find(a) != uf.find(b)]
             break
-    if not unproven:
+    if all(uf.find(a) == uf.find(b) for (a, b) in obligations):
         return Verdict(TriState.EQUAL)
-    for (a, b) in unproven:
-        if big.parallel(a, b):
-            cm = _find_countermodel(big, a, b, max_carrier, 200000)
-            if cm is not None:
-                return Verdict(TriState.DISTINCT_AT_BOUND, cm)
-    return Verdict(TriState.UNKNOWN)
+    return _semantic_entailment_check(tau, MAX_CARRIER)
 
 
 def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
-    """Fallback: look for a small model of the source without a unique
-    extension along tau; the ``canonical()``-least one on the least
-    carrier choice refutes the entailment."""
+    """Look for a small model of the source without a unique extension
+    along tau: the ``canonical()``-least one on the least carrier choice
+    (sizes 1..max_carrier per base type) that has one refutes the
+    entailment.  Extensions are counted over carriers 0..max_carrier for
+    the target's new base types; a source model whose count exceeds the
+    cap is passed over."""
     from .models import FiniteModel, _least_model, _models, base_types
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
@@ -554,7 +543,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
         count = 0
         for extra in choices:
             try:
-                count += len(_models(s, extra, fixed, 200000, 2 - count))
+                count += len(_models(s, extra, fixed, COUNTERMODEL_CAP, 2 - count))
             except SearchSpaceTooLarge:
                 return False  # cannot conclude from this source model
             if count > 1:
@@ -563,7 +552,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
 
     for carriers in _carrier_choices(base_types(s1), max_carrier):
         try:
-            m = _least_model(s1, carriers, not_unique, 200000)
+            m = _least_model(s1, carriers, not_unique, COUNTERMODEL_CAP)
         except SearchSpaceTooLarge:
             continue
         if m is not None:

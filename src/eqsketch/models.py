@@ -25,18 +25,8 @@ class FiniteModel:
     carriers: Dict[TypeName, Tuple] = field(default_factory=dict)
     functions: Dict[TermName, Dict] = field(default_factory=dict)
 
-    def carrier(self, x: TypeName) -> Tuple:
-        return self.carriers[x]
-
     def apply(self, t: TermName, x):
         return self.functions[t][x]
-
-    def table(self, t: TermName) -> Dict:
-        return self.functions[t]
-
-    def copy(self) -> "FiniteModel":
-        return FiniteModel({k: tuple(v) for k, v in self.carriers.items()},
-                           {k: dict(v) for k, v in self.functions.items()})
 
     def canonical(self) -> Tuple:
         """Hashable, order-insensitive form used for comparisons and sorting."""
@@ -500,9 +490,6 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
 class ModelHom:
     components: Dict[TypeName, Dict]
 
-    def apply(self, x: TypeName, v):
-        return self.components[x][v]
-
 
 def base_types(s: Specification) -> List[TypeName]:
     """The types whose carriers are chosen: all but products and the terminal."""
@@ -533,7 +520,7 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
         cells.pair([(off[y1] + im[y1][a], off[y2] + im[y2][b], off[p] + v)
                     for v, (a, b) in enumerate(m.carriers[p])], pairing)
     for t in s.terms.values():
-        mt, nt = m.table(t.name), n.table(t.name)
+        mt, nt = m.functions[t.name], n.functions[t.name]
         for v, x in enumerate(m.carriers[t.dom]):
             cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
                         off[t.cod] + im[t.cod][mt[x]])

@@ -14,7 +14,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .core import (Specification, SpecMorphism, TermName, TypeName,
                    fresh_name)
-from .decorate import DecoratedSpecification, undecorate, validate_decorated
+from .decorate import (DecoratedSpecification, pure_part, undecorate,
+                       validate_decorated)
 from .errors import PurityViolation
 
 
@@ -182,26 +183,8 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
     if errs:
         raise ValueError("parameterize requires a valid decorated input: " + errs[0])
     base = d.base
-    p = Specification()
-    p.types = set(base.types)
-    p.terminal = base.terminal
-    for t in base.terms.values():
-        if d.is_pure(t.name):
-            p.add_term(t.name, t.dom, t.cod)
-    p.identities = dict(base.identities)
-    p.collapsings = dict(base.collapsings)
-    p.products = {k: v for k, v in base.products.items()}
-    for (f, g), c in base.compositions.items():
-        if d.is_pure(f) and d.is_pure(g) and d.is_pure(c):
-            p.compositions[(f, g)] = c
-    for (f, g), t in base.tuples.items():
-        if d.is_pure(f) and d.is_pure(g) and d.is_pure(t):
-            p.tuples[(f, g)] = t
-    for (t1, t2) in base.equations:
-        if d.is_pure(t1) and d.is_pure(t2):
-            p.equations.add((t1, t2))
-
-    a = fresh_name("A", p.all_names() | base.all_names())
+    p = pure_part(d)
+    a = fresh_name("A", base)
     p.add_type(a)
     lift: Dict[TermName, TermName] = {}
     aprods: Dict[TypeName, Tuple[TypeName, TermName, TermName]] = {}

@@ -1,11 +1,11 @@
 """Generic limit sketches, finite set-valued realizations, and the fixed
 sketch whose realizations are exactly the equational specifications.
 
-A sketch is a graph with potential features: identities, composites,
-limit cones, tuples, monomorphism marks and arrow equalities.  A finite
-realization assigns a finite set to each point and a function to each
-arrow; ``check_realization`` decides whether the potential features are
-sent to real ones.
+A sketch is a graph with potential features: identities, limit cones,
+monomorphism marks and arrow equalities.  A finite realization assigns a
+finite set to each point and a function to each arrow;
+``check_realization`` decides whether the potential features are sent
+to real ones.
 """
 from __future__ import annotations
 
@@ -45,23 +45,12 @@ class Cone:
     projections: Tuple[Tuple[str, ArrowName], ...] = ()
 
 
-@dataclass(frozen=True)
-class PotentialTuple:
-    """An arrow marked as the mediating map into a cone's vertex."""
-    cone: str
-    components: Tuple[Tuple[str, ArrowName], ...]  # node id -> component arrow
-    result: ArrowName
-
-
 @dataclass
 class LimitSketch:
     points: Set[Point] = field(default_factory=set)
     arrows: Dict[ArrowName, Arrow] = field(default_factory=dict)
     potential_identities: Dict[Point, ArrowName] = field(default_factory=dict)
-    potential_compositions: Dict[Tuple[ArrowName, ArrowName], ArrowName] = field(
-        default_factory=dict)
     potential_cones: Dict[str, Cone] = field(default_factory=dict)
-    potential_tuples: List[PotentialTuple] = field(default_factory=list)
     mono_marks: Set[ArrowName] = field(default_factory=set)
     arrow_equalities: List[Tuple[Path, Path]] = field(default_factory=list)
 
@@ -100,15 +89,6 @@ def validate_sketch(sk: LimitSketch) -> List[str]:
         ar = sk.arrows.get(a)
         if ar is None or ar.src != p or ar.tgt != p:
             out.append(f"potential identity at {p}: {a} is not {p} -> {p}")
-    for (a1, a2), a3 in sk.potential_compositions.items():
-        x, y, z = sk.arrows.get(a1), sk.arrows.get(a2), sk.arrows.get(a3)
-        if x is None or y is None or z is None:
-            out.append(f"potential composition ({a1},{a2}): unknown arrow")
-            continue
-        if x.tgt != y.src:
-            out.append(f"potential composition ({a1},{a2}): not consecutive")
-        if z.src != x.src or z.tgt != y.tgt:
-            out.append(f"potential composite {a3} of ({a1},{a2}): wrong endpoints")
     seen_vertices: Set[Point] = set()
     for c in sk.potential_cones.values():
         if c.vertex in seen_vertices:
@@ -144,20 +124,6 @@ def validate_sketch(sk: LimitSketch) -> List[str]:
         for n in nodes:
             if n not in reach:
                 out.append(f"cone {c.name}: node {n} not determined by projections")
-    for pt in sk.potential_tuples:
-        c = sk.potential_cones.get(pt.cone)
-        if c is None:
-            out.append(f"potential tuple into unknown cone {pt.cone}")
-            continue
-        res = sk.arrows.get(pt.result)
-        if res is None or res.tgt != c.vertex:
-            out.append(f"potential tuple {pt.result}: must end at {c.vertex}")
-        nodes = dict(c.base_points)
-        for (n, a) in pt.components:
-            ar = sk.arrows.get(a)
-            if n not in nodes or ar is None or (res is not None and ar.src != res.src) \
-                    or (ar is not None and ar.tgt != nodes.get(n)):
-                out.append(f"potential tuple {pt.result}: bad component {a}")
     for a in sk.mono_marks:
         if a not in sk.arrows:
             out.append(f"mono mark on unknown arrow {a}")
@@ -172,9 +138,6 @@ def validate_sketch(sk: LimitSketch) -> List[str]:
 class FiniteRealization:
     point_sets: Dict[Point, Tuple] = field(default_factory=dict)
     functions: Dict[ArrowName, Dict] = field(default_factory=dict)
-
-    def elements(self, p: Point) -> Tuple:
-        return self.point_sets[p]
 
     def apply(self, arrow: ArrowName, x):
         return self.functions[arrow][x]
@@ -209,10 +172,6 @@ def check_realization(sk: LimitSketch, r: FiniteRealization) -> List[str]:
         for x in r.point_sets[p]:
             if r.apply(a, x) != x:
                 out.append(f"potential identity {a}: not the identity at {x!r}")
-    for (a1, a2), a3 in sk.potential_compositions.items():
-        for x in r.point_sets[sk.arrows[a1].src]:
-            if r.apply(a3, x) != r.apply(a2, r.apply(a1, x)):
-                out.append(f"potential composition ({a1},{a2}) != {a3} at {x!r}")
     for a in sorted(sk.mono_marks):
         fn = r.functions[a]
         seen: Dict[object, object] = {}
@@ -229,8 +188,6 @@ def check_realization(sk: LimitSketch, r: FiniteRealization) -> List[str]:
                 out.append(f"arrow equality {p1} = {p2} fails at {x!r}")
     for c in sorted(sk.potential_cones.values(), key=lambda c: c.name):
         out.extend(_check_cone(sk, r, c))
-    for pt in sk.potential_tuples:
-        out.extend(_check_tuple(sk, r, pt))
     return out
 
 
@@ -281,20 +238,6 @@ def _check_cone(sk: LimitSketch, r: FiniteRealization, c: Cone) -> List[str]:
     missing = limit_keys - seen
     if missing:
         out.append(f"cone {c.name}: {len(missing)} limit element(s) not reached")
-    return out
-
-
-def _check_tuple(sk: LimitSketch, r: FiniteRealization, pt: PotentialTuple) -> List[str]:
-    out: List[str] = []
-    c = sk.potential_cones[pt.cone]
-    projections = dict(c.projections)
-    src = sk.arrows[pt.result].src
-    for x in r.point_sets[src]:
-        v = r.apply(pt.result, x)
-        for (n, a) in pt.components:
-            if n in projections and r.apply(projections[n], v) != r.apply(a, x):
-                out.append(f"potential tuple {pt.result}: not mediating at {x!r}")
-                break
     return out
 
 

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from eqsketch import dsl
 from eqsketch.core import spec_equal
 from eqsketch.errors import DuplicateName, SyntaxError_
 
-from conftest import CORPUS, DECORATED
+from conftest import CORPUS, DECORATED, small_specs
 
 
 def test_empty_input_is_empty_spec():
@@ -108,3 +109,11 @@ def test_parameter_declarations():
     assert a.cod == "A" and a.dom == doc.spec.terminal
     p = doc.parameterized()
     assert p.parameter_type == "A"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_dump_parse_round_trip_on_generated_specs(case):
+    # self-referential compose marks make dump forward-declare results
+    s = case[0]
+    assert spec_equal(dsl.parse(dsl.dump(dsl.SpecDocument(s))).spec, s)

@@ -1,4 +1,5 @@
 import itertools
+import signal
 import time
 
 import pytest
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 import eqsketch.inference
 import eqsketch.models
 from eqsketch import dsl
-from eqsketch.core import (Specification, SpecMorphism, _UnionFind, fresh_name,
+from eqsketch.core import (Specification, SpecMorphism, _UnionFind, eqpair, fresh_name,
                            iso_search, spec_equal, validate, validate_morphism)
 from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
-                                TraceStep, TriState, apply_rule,
+                                TraceStep, TriState, Verdict, apply_rule,
                                 compose_fractions, congruence_classes,
                                 identity_fraction, is_entailment,
                                 match_morphism, rule, saturate, terms_equal,
-                                _find_countermodel, _semantic_entailment_check)
+                                _MARK_KINDS, _find_countermodel,
+                                _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
 from eqsketch.parameterize import (ensure_collapse, ensure_comp, ensure_identity,
                                    ensure_product, ensure_terminal, ensure_tuple)
@@ -612,28 +614,43 @@ ENTAIL_SATURATED = {
 }
 
 
+def _assert_refutes(tau, v):
+    """v refutes the inclusion tau: its countermodel is a model of the
+    source, with exactly the source's types and terms, that has no unique
+    extension along tau, and the one the reference semantic check finds."""
+    source, target = tau.source, tau.target
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    cm = v.countermodel
+    assert set(cm.carriers) == source.types and set(cm.functions) == set(source.terms)
+    assert check_model(source, cm) == []
+    fixed = FiniteModel(cm.carriers, cm.functions)
+    new = [x for x in base_types(target) if x not in source.types]
+    extensions = sum(
+        len(enumerate_models(target, {x: tuple(range(k)) for x, k in zip(new, sizes)},
+                             fixed=fixed))
+        for sizes in itertools.product(range(3), repeat=len(new)))
+    assert extensions != 1
+    state, want = reference_semantic_entailment_check(tau, 2)
+    assert state is TriState.DISTINCT_AT_BOUND and cm.canonical() == want.canonical()
+
+
+def _inclusion(source, target):
+    return SpecMorphism(source, target, {x: x for x in source.types},
+                        {t: t for t in source.terms})
+
+
 @pytest.mark.parametrize("name", sorted(ENTAIL_SATURATED))
 def test_entailment_countermodel_matches_reference_on_saturated_targets(name, monkeypatch):
-    # the countermodel itself, apart from how `entail` prints it
+    # the countermodel itself, apart from how `entail` prints it: a model
+    # of the source, found without a search of the saturated universe
     source, target = (dsl.parse(text).spec for text in ENTAIL_SATURATED[name])
-    tau = SpecMorphism(source, target, {x: x for x in source.types},
-                       {t: t for t in source.terms})
-    queries = []
+    tau = _inclusion(source, target)
 
-    def recording(s, t1, t2, max_carrier, cap):
-        m = _find_countermodel(s, t1, t2, max_carrier, cap)
-        queries.append((s, t1, t2, max_carrier, cap, m))
-        return m
+    def universe_search(*args):
+        raise AssertionError("is_entailment searched its term universe for a model")
 
-    monkeypatch.setattr(eqsketch.inference, "_find_countermodel", recording)
-    v = is_entailment(tau, depth=2)
-    assert v.state is TriState.DISTINCT_AT_BOUND
-    assert queries and queries[-1][-1] is v.countermodel
-    for s, t1, t2, max_carrier, cap, got in queries:
-        want = reference_find_countermodel(s, t1, t2, max_carrier, cap)
-        assert (got is None) == (want is None), (t1, t2)
-        if got is not None:
-            assert got.canonical() == want.canonical(), (t1, t2)
+    monkeypatch.setattr(eqsketch.inference, "_find_countermodel", universe_search)
+    _assert_refutes(tau, is_entailment(tau, depth=2))
 
 
 NEW_MARKS_ON_SOURCE_TYPES = {
@@ -652,27 +669,233 @@ NEW_MARKS_ON_SOURCE_TYPES = {
 @pytest.mark.parametrize("name", sorted(NEW_MARKS_ON_SOURCE_TYPES))
 def test_new_product_or_terminal_mark_on_source_types_is_not_entailed(name):
     source, target = (dsl.parse(text).spec for text in NEW_MARKS_ON_SOURCE_TYPES[name])
-    tau = SpecMorphism(source, target, {x: x for x in source.types},
-                       {t: t for t in source.terms})
-    v = is_entailment(tau, depth=2)
-    assert v.state is TriState.DISTINCT_AT_BOUND
-    cm = v.countermodel
-    assert check_model(source, cm) == []
-    extensions = enumerate_models(target, {}, fixed=FiniteModel(cm.carriers, cm.functions))
-    assert len(extensions) != 1
-    state, want = reference_semantic_entailment_check(tau, 2)
-    assert state is TriState.DISTINCT_AT_BOUND and cm.canonical() == want.canonical()
+    tau = _inclusion(source, target)
+    _assert_refutes(tau, is_entailment(tau, depth=2))
 
 
 def test_projections_of_a_derived_product_are_obligations():
     # p1 is made as the composite p2 . id_P, so only the product mark
-    # itself says that it is the first projection
+    # itself says that it is the first projection: they differ once X has
+    # two elements
     source = dsl.parse("type X\n").spec
     target = dsl.parse("type X\nproduct P = X * X with p1 p2\nidentity P = id_P\n"
                        "compose p1 = p2 . id_P\n").spec
-    v = is_entailment(SpecMorphism(source, target, {"X": "X"}, {}), depth=2)
-    assert v.state is TriState.DISTINCT_AT_BOUND
-    assert v.countermodel.functions["p1_X*X"] != v.countermodel.functions["p2_X*X"]
+    tau = _inclusion(source, target)
+    v = is_entailment(tau, depth=2)
+    _assert_refutes(tau, v)
+    assert v.countermodel.carriers == {"X": (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# Reference entailment check: a verbatim copy of is_entailment as it was
+# when unproven obligations went to a search of the term universe for a
+# separating model, kept as a differential oracle for the verdict states
+# ---------------------------------------------------------------------------
+
+_RECIPE_ORDER = (RuleTag.IDENTITY, RuleTag.COMPOSITION, RuleTag.BINARY_PRODUCT,
+                 RuleTag.BINARY_TUPLE, RuleTag.COLLAPSING)
+_OBLIGATION_ORDER = (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE, RuleTag.IDENTITY,
+                     RuleTag.COLLAPSING, RuleTag.BINARY_PRODUCT)
+
+
+def reference_is_entailment(tau, depth=3, max_carrier=2):
+    errs = validate_morphism(tau)
+    if errs:
+        raise ValueError("is_entailment requires a valid morphism: " + errs[0])
+    s1, s = tau.source, tau.target
+    if len(set(tau.type_map.values())) != len(tau.type_map) or \
+            len(set(tau.term_map.values())) != len(tau.term_map):
+        return Verdict(TriState.UNKNOWN)  # only extensions are analysed
+    big = s1.copy()
+    inv_t = {v: k for k, v in tau.type_map.items()}
+    inv_m = {v: k for k, v in tau.term_map.items()}
+    phi_t = dict(inv_t)
+    phi_m = dict(inv_m)
+
+    # map new types; each must be derivable as a terminal or product type
+    new_types = [x for x in sorted(s.types) if x not in inv_t]
+    progress = True
+    while new_types and progress:
+        progress = False
+        for x in list(new_types):
+            if x == s.terminal:
+                phi_t[x] = ensure_terminal(big)
+                new_types.remove(x)
+                progress = True
+                continue
+            for (y1, y2), (p, _1, _2) in s.products.items():
+                if p == x and y1 in phi_t and y2 in phi_t:
+                    phi_t[x] = ensure_product(big, phi_t[y1], phi_t[y2])[0]
+                    new_types.remove(x)
+                    progress = True
+                    break
+    if new_types:
+        return _semantic_entailment_check(tau, max_carrier)
+    # the terminal and product types the target marks must be the ones
+    # derived from the source; on a mark the source lacks they are not
+    if (s.terminal is not None and ensure_terminal(big) != phi_t[s.terminal]) or \
+            any(ensure_product(big, phi_t[y1], phi_t[y2])[0] != phi_t[p]
+                for (y1, y2), (p, _1, _2) in s.products.items()):
+        return _semantic_entailment_check(tau, max_carrier)
+    # map new terms, in rounds since marks may chain
+    new_terms = [t for t in sorted(s.terms) if t not in inv_m]
+    mark_of = {}
+    for tag in _RECIPE_ORDER:
+        kind = _MARK_KINDS[tag]
+        for args, marks in kind.sites(s):
+            for i, t in enumerate(marks):
+                mark_of.setdefault(t, (kind, args, i))
+    progress = True
+    while progress and new_terms:
+        progress = False
+        for t in list(new_terms):
+            if t not in mark_of:
+                return _semantic_entailment_check(tau, max_carrier)
+            kind, args, i = mark_of[t]
+            phi = phi_t if kind.on_types else phi_m
+            if all(a in phi for a in args):
+                phi_m[t] = kind.ensure(big, *(phi[a] for a in args))[i]
+                new_terms.remove(t)
+                progress = True
+    if new_terms:
+        return Verdict(TriState.UNKNOWN)  # a new term without a derivable recipe
+    # obligations: equations of s and marks of s that are not images of
+    # those of s1
+    carried_eqs = {eqpair(tau.term_map[a], tau.term_map[b]) for (a, b) in s1.equations}
+    obligations = [(phi_m[a], phi_m[b]) for (a, b) in s.equations
+                   if (a, b) not in carried_eqs]
+    for tag in _OBLIGATION_ORDER:
+        kind = _MARK_KINDS[tag]
+        phi, image = (phi_t, tau.type_map) if kind.on_types else (phi_m, tau.term_map)
+        carried = {(tuple(image[a] for a in args), tuple(tau.term_map[t] for t in marks))
+                   for args, marks in kind.sites(s1)}
+        for args, marks in kind.sites(s):
+            if (args, marks) not in carried:
+                made = kind.ensure(big, *(phi[a] for a in args))
+                obligations.extend(zip(made, (phi_m[t] for t in marks)))
+    uf = congruence_classes(big)
+    unproven = [(a, b) for (a, b) in obligations if uf.find(a) != uf.find(b)]
+    if unproven:
+        # widen the term universe before giving up on a proof
+        for dd in range(min(depth, 2), 0, -1):
+            try:
+                big = saturate(big, dd).spec
+            except BudgetExceeded:
+                continue
+            uf = congruence_classes(big)
+            unproven = [(a, b) for (a, b) in unproven
+                        if uf.find(a) != uf.find(b)]
+            break
+    if not unproven:
+        return Verdict(TriState.EQUAL)
+    for (a, b) in unproven:
+        if big.parallel(a, b):
+            cm = _find_countermodel(big, a, b, max_carrier, 200000)
+            if cm is not None:
+                return Verdict(TriState.DISTINCT_AT_BOUND, cm)
+    return Verdict(TriState.UNKNOWN)
+
+
+def _saturated_targets(s, per_spec=6):
+    """The inclusion of s into its depth-1 saturation, and into that
+    saturation plus one equation, for up to per_spec parallel pairs spread
+    over its sorted list."""
+    sat = saturate(s, 1).spec
+    yield _inclusion(s, sat)
+    pairs = _parallel_pairs(sat)
+    for a, b in pairs[::max(1, len(pairs) // per_spec)][:per_spec]:
+        t = sat.copy()
+        t.add_equation(a, b)
+        yield _inclusion(s, t)
+
+
+PROBE_SOURCES = {**CORPUS, **{f"decorated-{name}": (lambda mk=mk: mk().base)
+                              for name, mk in DECORATED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_SOURCES))
+def test_entailment_verdicts_match_reference(name):
+    for tau in _saturated_targets(PROBE_SOURCES[name]()):
+        v = is_entailment(tau, depth=2)
+        assert v.state is reference_is_entailment(tau, depth=2).state
+        if v.state is TriState.DISTINCT_AT_BOUND:
+            _assert_refutes(tau, v)
+
+
+class _Slow(Exception):
+    pass
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or _Slow once it has run for `seconds`."""
+    def alarm(_signum, _frame):
+        raise _Slow
+
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs(), st.data())
+def test_entailment_verdicts_match_reference_on_generated_specs(case, data):
+    s = case[0]
+    tau = data.draw(st.sampled_from(list(_saturated_targets(s, per_spec=3))))
+    v = is_entailment(tau, depth=2)
+    if v.state is TriState.DISTINCT_AT_BOUND:
+        _assert_refutes(tau, v)
+    # the reference's search of the term universe can run for minutes
+    # (see test_universe_sized_refutation_is_fast); such a case is not
+    # compared
+    try:
+        want = _within(5, reference_is_entailment, tau, 2)
+    except _Slow:
+        return
+    assert v.state is want.state
+
+
+def test_new_term_whose_mark_needs_itself_is_refuted():
+    # c = f . c makes c from itself, so its mark is never ready; with f the
+    # identity on two elements every c : X -> X satisfies it
+    source = dsl.parse("type X\nterm f : X -> X\n").spec
+    target = dsl.parse("type X\nterm f : X -> X\nterm c : X -> X\ncompose c = f . c\n").spec
+    tau = _inclusion(source, target)
+    assert reference_is_entailment(tau, depth=2).state is TriState.UNKNOWN
+    v = is_entailment(tau, depth=2)
+    _assert_refutes(tau, v)
+    cm = v.countermodel
+    assert cm.functions == {"f": {0: 0, 1: 1}}
+    assert len(enumerate_models(target, {}, fixed=FiniteModel(cm.carriers, cm.functions))) == 4
+
+
+UNIVERSE_SIZED = ("type X\ntype Y\nproduct P = X * X with p1 p2\nidentity X = id\n"
+                  "term t0 : Y -> Y\nterm t1 : Y -> Y\nterm t2 : X -> X\n"
+                  "term f6 : X -> X\nterm u7 : X -> P\ncompose t0 = t1 . t0\n"
+                  "tuple u7 = < f6 , f6 >\neq f6 = t2\neq f6 = id\n")
+
+
+def test_universe_sized_refutation_is_fast():
+    # 8 terms into their 81-term depth-1 saturation plus one equation: a
+    # search over the saturated universe ran past 15 s on each of these
+    source = dsl.parse(UNIVERSE_SIZED).spec
+    sat = saturate(source, 1).spec
+    verdicts = {}
+    t0 = time.time()
+    for a, b in [("p1", "t2_o_p2"), ("id_Y_o_t1", "t1_o_t1")]:
+        target = sat.copy()
+        target.add_equation(a, b)
+        tau = _inclusion(source, target)
+        verdicts[(a, b)] = tau, is_entailment(tau, depth=2)
+    dt = time.time() - t0
+    assert dt < 5, f"took {dt:.1f}s, limit 5s"
+    _assert_refutes(*verdicts[("p1", "t2_o_p2")])
+    # t1 . t0 = t0 leaves t1 no room to be the swap, the one map on at most
+    # two elements with t1 . t1 != t1
+    assert verdicts[("id_Y_o_t1", "t1_o_t1")][1].state is TriState.UNKNOWN
 
 
 def _tuple_with_projection_laws(s, f, g):
