@@ -376,20 +376,26 @@ def dump(doc: SpecDocument) -> str:
             lines.append(f"type {x}")
     for (y1, y2), (p, p1, p2) in sorted(s.products.items()):
         lines.append(f"product {p} = {y1} * {y2} with {p1} {p2}")
-    for name in sorted(s.terms):
-        if name in mark_terms or name in first_comp or name in first_tup:
-            continue
+    pure = doc.pure or set()
+
+    def declare(name: str) -> None:
         t = s.terms[name]
-        pure = "pure " if doc.is_decorated and name in (doc.pure or ()) else ""
-        lines.append(f"term {pure}{name} : {t.dom} -> {t.cod}")
+        lines.append(f"term {'pure ' if name in pure else ''}{name} : {t.dom} -> {t.cod}")
+        declared.add(name)
+
+    # a mark carries no purity, so a pure mark result is declared up front
+    declared = set(mark_terms)
+    for name in sorted(s.terms):
+        if name in mark_terms:
+            continue
+        if name in pure or not (name in first_comp or name in first_tup):
+            declare(name)
     for x in sorted(s.identities):
         lines.append(f"identity {x} = {s.identities[x]}")
     for x in sorted(s.collapsings):
         lines.append(f"collapse {x} = {s.collapsings[x]}")
     # compose/tuple marks may use each other's result terms; emit in
     # dependency order, forward-declaring a result when stuck on a cycle
-    declared = {t for t in s.terms
-                if t in mark_terms or not (t in first_comp or t in first_tup)}
     marks: List[Tuple[str, str, str, str]] = []
     for (f, g), c in sorted(s.compositions.items(), key=lambda kv: (kv[1], kv[0])):
         marks.append(("compose", c, f, g))
@@ -410,10 +416,7 @@ def dump(doc: SpecDocument) -> str:
         if not emitted:
             # a pending mark waits for an argument that is itself the
             # result of a pending mark, which is not declared yet
-            c = next(c for _k, c, _f, _g in marks if c not in declared)
-            t = s.terms[c]
-            lines.append(f"term {c} : {t.dom} -> {t.cod}")
-            declared.add(c)
+            declare(next(c for _k, c, _f, _g in marks if c not in declared))
     for (a, b) in sorted(s.equations):
         lines.append(f"eq {a} = {b}")
     if doc.parameter_type is not None:

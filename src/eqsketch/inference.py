@@ -11,6 +11,7 @@ along the denominator.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -174,6 +175,11 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     lexicographic order, which fixes the names and the trace.  Whether a
     pair yields a term depends only on its two terms and the marks, so a
     pair whose terms were both in an earlier round's snapshot is skipped.
+
+    Every pair of a round that is not marked yet makes one new term.  So
+    a round whose pairs, less all the marks of their kind already present,
+    cannot fit the cap is refused before it is built, with the
+    ``BudgetExceeded`` that building it would raise.
     """
     errs = validate(s)
     if errs:
@@ -213,12 +219,23 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
                 new_by_dom.setdefault(out.terms[t].dom, []).append(t)
         partners = [(f, by_dom if f not in scanned else new_by_dom) for f in snapshot]
         scanned.update(snapshot)
+        # each loop below makes a term for each of its unmarked pairs, of
+        # which a round has at most len(snapshot) ** 2: a loop that cannot
+        # fit the cap raises before it builds any of them
+        most_pairs = len(snapshot) ** 2
+        if most_pairs > cap - len(out.terms) and (
+                sum(len(index.get(out.terms[f].cod, ())) for f, index in partners)
+                - len(out.compositions) > cap - len(out.terms)):
+            raise BudgetExceeded(f"term universe exceeded {cap}")
         for f, index in partners:
             for g in index.get(out.terms[f].cod, ()):
                 if (f, g) not in out.compositions:
                     record(RuleTag.COMPOSITION, {"f": f, "g": g}, ensure_comp(out, f, g),
                            max(depth_of[f], depth_of[g]) + 1)
                     changed = True
+        if most_pairs > cap - len(out.terms) and (
+                _tuple_pairs(out, by_dom, new_by_dom) - len(out.tuples) > cap - len(out.terms)):
+            raise BudgetExceeded(f"term universe exceeded {cap}")
         for f, index in partners:
             cod_f = out.terms[f].cod
             for g in index.get(out.terms[f].dom, ()):
@@ -229,6 +246,22 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
                     changed = True
     m = SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms})
     return Saturation(out, m, trace, depth_of)
+
+
+def _tuple_pairs(s: Specification, by_dom: Dict[str, List[TermName]],
+                 new_by_dom: Dict[str, List[TermName]]) -> int:
+    """The pairs of a round of ``saturate``'s tuple loop: an old f pairs
+    with each new g of its domain, a new f with each g, and the pair
+    counts when the codomains carry a product mark."""
+    if not s.products:
+        return 0
+    total = 0
+    for x, every in by_dom.items():
+        n_all = Counter(s.terms[t].cod for t in every)
+        n_new = Counter(s.terms[t].cod for t in new_by_dom.get(x, ()))
+        total += sum((n_all[y1] - n_new[y1]) * n_new[y2] + n_new[y1] * n_all[y2]
+                     for y1, y2 in s.products)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -500,15 +500,18 @@ def base_types(s: Specification) -> List[TypeName]:
 
 
 def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
-               fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
+               fix_types: Sequence[TypeName] = (),
+               partial: Optional[Dict[TypeName, Dict]] = None) -> List[ModelHom]:
     """All homomorphisms m -> n; components on product/terminal types are
-    forced, components listed in ``fix_types`` are required to be the
-    identity.
+    forced.  ``partial`` gives required entries of components, as
+    {type: {element of m: element of n}}; a type listed in ``fix_types``
+    is the case of an identity component.
 
     The cells are the component entries.  Those on the choice types are
     searched; a product entry follows from its factors, and each entry
     fills the entry the commutation square of every term sends it to."""
-    fix = set(fix_types)
+    given = {x: {v: v for v in m.carriers[x]} for x in fix_types}
+    given.update(partial or {})
     im, ino = _indices(m.carriers), _indices(n.carriers)
     cells = _Cells()
     types = sorted(s.types)
@@ -524,15 +527,15 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
         for v, x in enumerate(m.carriers[t.dom]):
             cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
                         off[t.cod] + im[t.cod][mt[x]])
-    seeds = [(off[x] + v, ino[x].get(x_v, -1))
-             for x in sorted(fix) for v, x_v in enumerate(m.carriers[x])]
+    seeds = [(off[x] + im[x][v], ino[x].get(w, -1))
+             for x, entries in sorted(given.items()) for v, w in entries.items()]
     if s.terminal is not None:
         seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
     if not cells.assign(seeds):
         return []
-    choice = [x for x in base_types(s) if x not in fix]
-    # the other cells are set by propagation once the choice cells are
-    order = [off[x] + v for x in choice + types for v in range(len(m.carriers[x]))]
+    # the other cells are set by propagation once the choice cells are;
+    # solve skips the cells that are set already
+    order = [off[x] + v for x in base_types(s) + types for v in range(len(m.carriers[x]))]
     val = cells.val
     out: List[ModelHom] = []
 
@@ -618,19 +621,46 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                 cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True iff every model of the parameterized specification extending
     m_0 with a parameter carrier of size <= bound has exactly one
-    homomorphism into ``candidate`` fixing the shared part."""
+    homomorphism into ``candidate`` fixing the shared part.
+
+    Every component but the parameter's is the identity or forced, so the
+    square of each primed term f' : A*X -> Y sends an element a of a model
+    to a record r of the candidate with the field values f'(r, x) of a.
+    The records are indexed once by their field values.  An element with
+    no such record has no hom; one with a single record gives that entry
+    to ``hom_search``, which tries the records of the others.  A record
+    with a missing field value makes the candidate no model: False."""
     if par is None:
         par = parameterize(d)
     p = par.spec.base
     a_type = par.spec.parameter_type
     fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    fields = [(par.lift[f], d.base.terms[f].dom) for f in sorted(d.general_terms())]
+
+    def values(m: FiniteModel, a, carriers) -> Tuple:
+        return tuple(m.functions[f][(a, x)] for f, dom in fields for x in carriers[dom])
+
+    records: Optional[Dict[Tuple, List]] = None
     for size in range(bound + 1):
         carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
                     a_type: tuple(range(size))}
-        others = enumerate_models(p, carriers, fixed=m_0, cap=cap)
-        for n in others:
-            homs = hom_search(p, n, candidate, fix_types=fix)
-            if len(homs) != 1:
+        for n in _models(p, carriers, m_0, cap):
+            if records is None:
+                # the models share every carrier but the parameter's
+                records = {}
+                try:
+                    for r in candidate.carriers[a_type]:
+                        records.setdefault(values(candidate, r, n.carriers), []).append(r)
+                except KeyError:
+                    return False
+            single = {}
+            for a in n.carriers[a_type]:
+                rs = records.get(values(n, a, n.carriers), ())
+                if not rs:
+                    return False
+                if len(rs) == 1:
+                    single[a] = rs[0]
+            if len(hom_search(p, n, candidate, fix, {a_type: single})) != 1:
                 return False
     return True
 

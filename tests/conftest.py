@@ -6,7 +6,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from eqsketch.core import Specification, validate
-from eqsketch.decorate import DecoratedSpecification
+from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
+                               validate_decorated)
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -227,6 +228,17 @@ def small_specs(draw):
     assert validate(s) == []
     sizes = {x: draw(st.integers(1, 2)) for x in types}
     return s, {x: tuple(range(k)) for x, k in sizes.items()}
+
+
+@st.composite
+def small_decorated_specs(draw):
+    """``small_specs`` with a drawn set of pure terms, closed under the
+    decoration rules; mark results may be pure too."""
+    s, _carriers = draw(small_specs())
+    chosen = draw(st.sets(st.sampled_from(sorted(s.terms))))
+    d, _added = decoration_closure(DecoratedSpecification(s, chosen))
+    assert validate_decorated(d) == []
+    return d
 
 
 @pytest.fixture

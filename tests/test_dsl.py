@@ -3,9 +3,10 @@ from hypothesis import HealthCheck, given, settings
 
 from eqsketch import dsl
 from eqsketch.core import spec_equal
+from eqsketch.decorate import decoration_closure
 from eqsketch.errors import DuplicateName, SyntaxError_
 
-from conftest import CORPUS, DECORATED, small_specs
+from conftest import CORPUS, DECORATED, small_decorated_specs, small_specs
 
 
 def test_empty_input_is_empty_spec():
@@ -45,7 +46,6 @@ def test_dump_parse_round_trip_decorated(name):
     assert spec_equal(d.base, back.spec)
     assert back.is_decorated
     got = back.decorated()
-    from eqsketch.decorate import decoration_closure
     want, _ = decoration_closure(d)
     assert got.pure_terms == want.pure_terms
 
@@ -117,3 +117,22 @@ def test_dump_parse_round_trip_on_generated_specs(case):
     # self-referential compose marks make dump forward-declare results
     s = case[0]
     assert spec_equal(dsl.parse(dsl.dump(dsl.SpecDocument(s))).spec, s)
+
+
+def _round_trip_purity(doc):
+    back = dsl.parse(dsl.dump(doc))
+    assert spec_equal(back.spec, doc.spec)
+    return decoration_closure(back.decorated())[0].pure_terms
+
+
+def test_dump_keeps_pure_on_a_self_referential_result():
+    # compose s = s . s needs s declared before it, and with its purity
+    doc = dsl.parse("decorated\nunit U\ntype X\nterm pure e : U -> X\n"
+                    "term pure s : X -> X\ncompose s = s . s\n")
+    assert _round_trip_purity(doc) == {"e", "s"}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_decorated_dump_parse_round_trip_on_generated_specs(d):
+    assert _round_trip_purity(dsl.SpecDocument(d.base, set(d.pure_terms))) == d.pure_terms

@@ -388,17 +388,110 @@ REFERENCE_INPUTS = {**{name: mk for name, mk in CORPUS.items()},
                        for name, mk in DECORATED.items()}}
 
 
+def _round_caps(s, depth):
+    """Caps that fall inside the rounds of a depth-``depth`` saturation:
+    one past the universe of depth - 1, and one below and at the universe
+    of depth itself (saturate must not refuse a round that fits).  Caps
+    above the largest of CAPS are left out: the reference's rescans of
+    every pair are too slow there."""
+    caps = set()
+    for d in (depth - 1, depth):
+        try:
+            n = len(saturate(s, d, cap=max(CAPS)).spec.terms) if d >= 0 else 0
+        except BudgetExceeded:
+            break
+        caps |= {n + 1} if d < depth else {n - 1, n}
+    return sorted(c for c in caps if c <= max(CAPS))
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
 def test_saturate_and_closure_match_reference(name):
     s = REFERENCE_INPUTS[name]()
-    for depth, cap in itertools.product(range(4), CAPS):
-        _assert_matches_reference(s, depth, cap)
+    for depth in range(4):
+        for cap in CAPS + tuple(_round_caps(s, depth)):
+            _assert_matches_reference(s, depth, cap)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_specs(), st.integers(0, 3), st.sampled_from(CAPS))
 def test_saturate_and_closure_match_reference_on_generated_specs(case, depth, cap):
     _assert_matches_reference(case[0], depth, cap)
+    for cap in _round_caps(case[0], depth):
+        _assert_matches_reference(case[0], depth, cap)
+
+
+def _endos(*names):
+    s = Specification()
+    s.add_type("X")
+    for t in names:
+        s.add_term(t, "X", "X")
+    return s
+
+
+def _words_k2():
+    # two words of length 3 over two generators, s0.s1.s0 and s0.s0.s1,
+    # which terms_equal refutes after its depth-2 level blows SAT_CAP
+    s = _endos("s0", "s1", "w0", "w1", "w2", "w3")
+    for (f, g), c in {("s0", "s1"): "w0", ("w0", "s0"): "w1",
+                      ("s1", "s0"): "w2", ("w2", "s0"): "w3"}.items():
+        s.compositions[(f, g)] = c
+    return s
+
+
+def _squares():
+    s = _endos("s", "r", "ss")
+    s.compositions[("s", "s")] = "ss"
+    return s
+
+
+def _pairs_of_endos():
+    s = _endos("t0", "t1", "t2")
+    s.add_type("P")
+    s.add_term("p1", "P", "X")
+    s.add_term("p2", "P", "X")
+    s.products[("X", "X")] = ("P", "p1", "p2")
+    return s
+
+
+# spec, depth, cap
+OVER_CAP = {
+    "monoid_core": (CORPUS["monoid_core"], 3, 100_000),
+    "squares": (_squares, 3, 100_000),
+    "words_k2": (_words_k2, 2, eqsketch.inference.SAT_CAP),
+    "pairs": (_pairs_of_endos, 2, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_CAP))
+def test_over_cap_round_is_refused_before_it_is_built(name, monkeypatch):
+    # checking the cap only after each new term, saturate built 99,696 /
+    # 99,994 / 791 / 390 terms here before raising
+    mk, depth, cap = OVER_CAP[name]
+    s = mk()
+    fits = len(saturate(s, depth - 1, cap=cap).spec.terms)
+    calls = _count_helper_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded) as e:
+        saturate(s, depth, cap=cap)
+    assert str(e.value) == f"term universe exceeded {cap}"
+    assert len(calls["ensure_comp"] + calls["ensure_tuple"]) <= fits, calls
+
+
+def _count_helper_calls(monkeypatch):
+    calls = {"ensure_comp": [], "ensure_tuple": []}
+    for helper, log in calls.items():
+        real = getattr(eqsketch.inference, helper)
+        monkeypatch.setattr(eqsketch.inference, helper,
+                            lambda *a, real=real, log=log: log.append(a) or real(*a))
+    return calls
+
+
+def test_over_cap_tuple_loop_is_refused_before_it_is_built(monkeypatch):
+    # the 11 terms of depth 0 make 42 composites (53 <= 60), which fit,
+    # and 20 tuples, which do not; the tuple loop used to build 8 of them
+    calls = _count_helper_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="term universe exceeded 60"):
+        saturate(_pairs_of_endos(), 1, cap=60)
+    assert (len(calls["ensure_comp"]), len(calls["ensure_tuple"])) == (42, 0)
 
 
 def test_equal_projections_identify_tuple_components():

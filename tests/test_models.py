@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from eqsketch.core import Specification
 from eqsketch.errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
 from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
-                             check_model, derived_carriers, enumerate_models,
-                             exactness_check, hom_search, is_terminal,
-                             pass_parameter, terminal_model)
+                             check_model, complete_tables, derived_carriers,
+                             enumerate_models, exactness_check, hom_search,
+                             is_terminal, pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
 
 from conftest import CORPUS, DECORATED, small_specs
@@ -256,3 +256,90 @@ def test_hom_search_matches_brute_force(kind, mk_m0):
     for n1, n2 in itertools.product(small, small):
         got = sorted(_hom_key(h.components) for h in hom_search(p, n1, n2))
         assert got == brute_force_homs(p, n1, n2)
+    # a partial component keeps the homs that agree with it
+    for n in enumerate_models(p, {**base, a_type: (0, 1)}, fixed=m0)[:8]:
+        every = brute_force_homs(p, n, m_a, fix)
+        for r in m_a.carriers[a_type]:
+            got = sorted(_hom_key(h.components)
+                         for h in hom_search(p, n, m_a, fix, {a_type: {1: r}}))
+            assert got == [h for h in every if dict(dict(h)[a_type])[1] == r]
+
+
+def reference_is_terminal(d, candidate, m_0, base_carriers, bound, par):
+    """``is_terminal`` as it was before the record look-up: every hom of
+    every model listed by ``hom_search``."""
+    p = par.spec.base
+    a_type = par.spec.parameter_type
+    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    for size in range(bound + 1):
+        carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
+                    a_type: tuple(range(size))}
+        others = enumerate_models(p, carriers, fixed=m_0)
+        for n in others:
+            homs = hom_search(p, n, candidate, fix_types=fix)
+            if len(homs) != 1:
+                return False
+    return True
+
+
+def _record_model(d, par, m_a, m0, base, records):
+    """The record model whose parameter element i carries the fields of
+    m_a's record records[i]."""
+    p, a_type = par.spec.base, par.spec.parameter_type
+    carriers = derived_carriers(p, {**base, **m0.carriers, a_type: tuple(range(len(records)))})
+    functions = {t: dict(m_a.functions[t]) for t in d.base.terms if d.is_pure(t)}
+    for f in d.general_terms():
+        fp, dom = par.lift[f], d.base.terms[f].dom
+        functions[fp] = {(i, x): m_a.functions[fp][(r, x)]
+                         for i, r in enumerate(records) for x in carriers[dom]}
+    assert complete_tables(p, carriers, functions) and len(functions) == len(p.terms)
+    return FiniteModel(carriers, functions)
+
+
+def _flipped(m_a, t, cod):
+    """m_a with the first entry of t's table moved to the next value."""
+    fns = {u: dict(tab) for u, tab in m_a.functions.items()}
+    k0 = sorted(fns[t], key=repr)[0]
+    fns[t][k0] = cod[(cod.index(fns[t][k0]) + 1) % len(cod)]
+    return FiniteModel(m_a.carriers, fns)
+
+
+@pytest.mark.parametrize("kind,mk_m0", CRITERION_7, ids=[c[0] for c in CRITERION_7])
+def test_is_terminal_matches_reference(kind, mk_m0):
+    d, m0, base = DECORATED[kind](), mk_m0(), {"X": (0, 1)}
+    par = parameterize(d)
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    a_type = par.spec.parameter_type
+    records = list(m_a.carriers[a_type])
+    f = sorted(d.general_terms())[0]
+    # eps_X : A*X -> X; its square fails where the record look-up succeeds
+    eps = par.spec.base.products[(a_type, "X")][2]
+    candidates = {
+        "terminal": m_a,
+        "flipped": _flipped(m_a, par.lift[f], m_a.carriers[d.base.terms[f].cod]),
+        "projection": _flipped(m_a, eps, m_a.carriers["X"]),
+        "duplicated": _record_model(d, par, m_a, m0, base, records + records[-1:]),
+        "dropped": _record_model(d, par, m_a, m0, base, records[:-1]),
+    }
+    for label, cand in candidates.items():
+        want = [reference_is_terminal(d, cand, m0, base, b, par) for b in (0, 1, 2)]
+        got = [is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1, 2)]
+        assert got == want, label
+        assert want == ([True] * 3 if label == "terminal" else [True, False, False]), label
+
+
+def test_is_terminal_rejects_a_candidate_that_is_no_model():
+    d = DECORATED["endo"]()
+    par = parameterize(d)
+    base = {"X": (0, 1)}
+    m_a, _ = terminal_model(d, _m0(), base, par=par)
+    sp, a_type = par.lift["s"], par.spec.parameter_type
+    missing = {k: dict(v) for k, v in m_a.functions.items()}
+    del missing[sp][sorted(missing[sp], key=repr)[-1]]
+    assert not is_terminal(d, FiniteModel(m_a.carriers, missing), _m0(), base, bound=2, par=par)
+    # the carrier of A*X is not the set of pairs
+    prod = next(p for (y1, _y2), (p, _1, _2) in par.spec.base.products.items() if y1 == a_type)
+    relabelled = {**m_a.carriers, prod: tuple(range(len(m_a.carriers[prod])))}
+    cand = FiniteModel(relabelled, m_a.functions)
+    assert not is_terminal(d, cand, _m0(), base, bound=2, par=par)
+    assert not reference_is_terminal(d, cand, _m0(), base, 2, par)
