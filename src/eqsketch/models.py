@@ -9,6 +9,7 @@ canonical one-element set ``((),)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Specification, TermName, TypeName
@@ -350,9 +351,14 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     """The cells of the models of s over the base carriers extending
     ``fixed``, with the marked structure and the fixed tables set (None
     when they conflict); the order the search assigns them in; the tables
-    not fixed, by name, as (term, first cell, domain, value of an index);
-    and a function that reads the model off the cells once all are set.
-    ``cap`` is checked as ``enumerate_models`` says."""
+    not fixed, by name, as (term, first cell, sorted domain, value of a
+    rank); and a function that reads the model off the cells once all
+    are set.  ``cap`` is checked as ``enumerate_models`` says.
+
+    The cells work on the sorted carriers: a table's cells are its
+    entries in the sorted order of its domain, and a cell's value is the
+    rank of the entry's value in the sorted carrier of the codomain.  The
+    models read off keep the carriers as given."""
     merged_base = dict(base_carriers)
     if fixed is not None:
         for x, v in fixed.carriers.items():
@@ -364,14 +370,15 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     marked = _mark_results(s)
     fixed_funcs = dict(fixed.functions) if fixed is not None else {}
     terms = sorted(s.terms)
-    dom = {t: carriers[s.terms[t].dom] for t in terms}
+    ranked = {x: tuple(sorted(c)) for x, c in carriers.items()}
+    dom = {t: ranked[s.terms[t].dom] for t in terms}
     total = 1
     for t in terms:
         if t not in marked and t not in fixed_funcs:
             total *= len(carriers[s.terms[t].cod]) ** len(dom[t])
             if total > cap:
                 raise SearchSpaceTooLarge(f"{total} candidates exceed cap {cap}")
-    built = _spec_cells(s, carriers, fixed_funcs)
+    built = _spec_cells(s, ranked, fixed_funcs)
     if built is None:
         return None
     cells, off = built
@@ -379,7 +386,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     # unmarked terms first, small tables first: the marks then fill the rest
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
-    tables = [(t, off[t], dom[t], carriers[s.terms[t].cod].__getitem__)
+    tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__)
               for t in terms if t not in fixed_funcs]
 
     def model() -> FiniteModel:
@@ -389,6 +396,27 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
         return FiniteModel(dict(carriers), functions)
 
     return cells, order, tables, model
+
+
+def _repr_order(xs: Sequence) -> List[int]:
+    """The indices of xs in the order of the repr of their elements."""
+    return sorted(range(len(xs)), key=lambda v: repr(xs[v]))
+
+
+def _ranks(c: Sequence) -> List[int]:
+    """The rank in sorted(c) of each element of c, by its index in c."""
+    out = [0] * len(c)
+    for k, i in enumerate(sorted(range(len(c)), key=c.__getitem__)):
+        out[i] = k
+    return out
+
+
+def _canonical_cells(tables) -> List[int]:
+    """The cells of ``_model_cells``'s tables in the order in which
+    ``canonical()`` compares two models that share the fixed tables:
+    tables by term name, entries by the repr of their key.  As the cells
+    hold ranks, the models compare as their values at these cells."""
+    return [start + v for _t, start, xs, _cod in tables for v in _repr_order(xs)]
 
 
 def _models(s: Specification, base_carriers: Dict[TypeName, Sequence],
@@ -422,36 +450,49 @@ def enumerate_models(s: Specification,
     cell at a time and lets every mark and equation fill or check the
     cells whose inputs are known, backtracking on a conflict.  ``cap``
     bounds, before the search starts, the product of |cod|^|dom| over
-    the terms that no mark and no fixed table determine.  Sorted by
-    ``canonical()``.
+    the terms that no mark and no fixed table determine.
+
+    Sorted by ``canonical()``, on any carriers.  A cell holds the rank of
+    its value in the sorted carrier, so the values of a model at the
+    cells of the tables not fixed, tables by term name and entries by the
+    repr of their key, are a key in ``canonical()`` order.  The key is
+    read off the cells as the search finds the model; no model is turned
+    into a ``canonical()`` tuple.
     """
-    out = _models(s, base_carriers, fixed, cap)
-    if len(out) > 1:
-        out.sort(key=lambda m: m.canonical())
-    return out
+    built = _model_cells(s, base_carriers, fixed, cap)
+    if built is None:
+        return []
+    cells, order, tables, model = built
+    canon, at = _canonical_cells(tables), cells.val.__getitem__
+    keyed: List[Tuple[Tuple[int, ...], FiniteModel]] = []
+
+    def emit() -> None:
+        m = model()
+        if not check_model(s, m):
+            keyed.append((tuple(map(at, canon)), m))
+
+    cells.solve(order, emit)
+    keyed.sort(key=itemgetter(0))
+    return [m for _key, m in keyed]
 
 
 def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
                  accept, cap: int = DEFAULT_CANDIDATE_CAP) -> Optional[FiniteModel]:
     """The ``canonical()``-least model of s over the base carriers that
-    ``accept`` takes, or None; on carriers in ascending order, such as
-    ``tuple(range(k))``, the first such model of ``enumerate_models``'s
-    list.  The cap is the same.
+    ``accept`` takes, or None: the first such model of
+    ``enumerate_models``'s list.  The cap is the same.
 
     A first-hit search finds a witness.  Then each cell, in the order of
-    ``canonical()``, gets the least value that a first-hit search from the
-    cells set so far can still complete to a model that ``accept`` takes;
-    values from the witness's up need no search.  ``check_model`` gates
-    the one model found.
+    ``canonical()`` (``_canonical_cells``), gets the least value that a
+    first-hit search from the cells set so far can still complete to a
+    model that ``accept`` takes; values from the witness's up need no
+    search.  ``check_model`` gates the one model found.
     """
     built = _model_cells(s, base_carriers, None, cap)
     if built is None:
         return None
     cells, order, tables, model = built
     val = cells.val
-    # terms by name, then entries by the repr of their key
-    least_order = [start + v for _t, start, xs, _cod in tables
-                   for v in sorted(range(len(xs)), key=lambda v, xs=xs: repr(xs[v]))]
 
     def witness() -> Optional[List[int]]:
         """The cells of the first model in search order that ``accept``
@@ -465,7 +506,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     w = witness()
     if w is None:
         return None
-    for cell in least_order:
+    for cell in _canonical_cells(tables):
         if val[cell] >= 0:
             continue
         for x in range(w[cell]):
@@ -537,18 +578,17 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
     # solve skips the cells that are set already
     order = [off[x] + v for x in base_types(s) + types for v in range(len(m.carriers[x]))]
     val = cells.val
-    out: List[ModelHom] = []
-
-    def emit() -> None:
-        out.append(ModelHom({x: dict(zip(m.carriers[x], map(
-            n.carriers[x].__getitem__, val[off[x]:off[x] + len(m.carriers[x])])))
-            for x in types}))
-
-    cells.solve(order, emit)
-    if len(out) > 1:
-        out.sort(key=lambda h: tuple(sorted((x, tuple(sorted(tab.items(), key=repr)))
-                                            for x, tab in h.components.items())))
-    return out
+    found: List[List[int]] = []
+    cells.solve(order, lambda: found.append(val[:]))
+    if len(found) > 1:
+        # canonical() order: components by type name, entries by the repr
+        # of their key, values by their rank in the sorted target carrier
+        rank = {x: _ranks(n.carriers[x]) for x in types}
+        entries = [(off[x] + v, rank[x]) for x in types for v in _repr_order(m.carriers[x])]
+        found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
+    return [ModelHom({x: dict(zip(m.carriers[x], map(
+        n.carriers[x].__getitem__, w[off[x]:off[x] + len(m.carriers[x])])))
+        for x in types}) for w in found]
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +733,19 @@ def exactness_check(d: DecoratedSpecification, m_0: FiniteModel,
     the arguments are in bijection with the models extending m_0."""
     par = parameterize(d)
     m_a, extensions = terminal_model(d, m_0, base_carriers, par=par, cap=cap)
-    keys = [e.canonical() for e in extensions]
-    index = {k: i for i, k in enumerate(keys)}
+
+    def key(m: FiniteModel):
+        # equal exactly when the canonical() forms are, with no sorting
+        return (frozenset((x, tuple(c)) for x, c in m.carriers.items()),
+                frozenset((t, frozenset(tab.items())) for t, tab in m.functions.items()))
+
+    index = {key(e): i for i, e in enumerate(extensions)}
     a_type = par.spec.parameter_type
     bijection: List[Tuple[object, int]] = []
     hit = set()
     injective = True
     for alpha in m_a.carriers[a_type]:
-        m = pass_parameter(d, par, m_a, alpha)
-        k = m.canonical()
-        idx = index.get(k, -1)
+        idx = index.get(key(pass_parameter(d, par, m_a, alpha)), -1)
         if idx in hit:
             injective = False
         hit.add(idx)

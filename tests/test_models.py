@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqsketch.core import Specification
+from eqsketch.decorate import pure_part
 from eqsketch.errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
-from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
-                             check_model, complete_tables, derived_carriers,
+from eqsketch.models import (UNIT_ELEMENT, ExactnessReport, FiniteModel,
+                             _least_model, base_types, check_model,
+                             complete_tables, derived_carriers,
                              enumerate_models, exactness_check, hom_search,
                              is_terminal, pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
@@ -243,26 +246,135 @@ CRITERION_7 = [
 
 @pytest.mark.parametrize("kind,mk_m0", CRITERION_7, ids=[c[0] for c in CRITERION_7])
 def test_hom_search_matches_brute_force(kind, mk_m0):
-    d, m0, base = DECORATED[kind](), mk_m0(), {"X": (0, 1)}
+    # the homs come in _hom_key order, also on a carrier in reversed order
+    for xs in ((0, 1), (1, 0)):
+        d, base, m0 = DECORATED[kind](), {"X": xs}, mk_m0()
+        m0 = FiniteModel({**m0.carriers, "X": xs}, m0.functions)
+        par = parameterize(d)
+        p, a_type = par.spec.base, par.spec.parameter_type
+        m_a, _ = terminal_model(d, m0, base, par=par)
+        fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+        for size in (0, 1, 2):
+            for n in enumerate_models(p, {**base, a_type: tuple(range(size))}, fixed=m0):
+                got = [_hom_key(h.components) for h in hom_search(p, n, m_a, fix_types=fix)]
+                assert got == brute_force_homs(p, n, m_a, fix)
+        small = enumerate_models(p, {**base, a_type: (0,)}, fixed=m0)[:6]
+        for n1, n2 in itertools.product(small, small):
+            got = [_hom_key(h.components) for h in hom_search(p, n1, n2)]
+            assert got == brute_force_homs(p, n1, n2)
+        # a partial component keeps the homs that agree with it
+        for n in enumerate_models(p, {**base, a_type: (0, 1)}, fixed=m0)[:8]:
+            every = brute_force_homs(p, n, m_a, fix)
+            for r in m_a.carriers[a_type]:
+                got = [_hom_key(h.components)
+                       for h in hom_search(p, n, m_a, fix, {a_type: {1: r}})]
+                assert got == [h for h in every if dict(dict(h)[a_type])[1] == r]
+
+
+# ---------------------------------------------------------------------------
+# canonical() order on carriers that are not in ascending order
+# ---------------------------------------------------------------------------
+
+LABELS = {
+    "reversed": lambda k: tuple(reversed(range(k))),
+    "strings": lambda k: ("c", "a", "b")[:k],
+    # repr order "10" < "2" < "9" is not the order of the values
+    "wide": lambda k: (10, 9, 2)[:k],
+}
+ORDER_SPECS = {**CORPUS, **{f"decorated_{name}": (lambda mk=mk: mk().base)
+                            for name, mk in DECORATED.items()}}
+
+
+def _assert_canonical_order(ms):
+    keys = [m.canonical() for m in ms]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("labels", sorted(LABELS))
+@pytest.mark.parametrize("name", sorted(ORDER_SPECS))
+def test_enumerate_models_is_in_canonical_order_on_any_carriers(name, labels):
+    s = ORDER_SPECS[name]()
+    base = base_types(s)
+    tried = 0
+    for sizes in itertools.product((1, 2, 3), repeat=len(base)):
+        carriers = {x: LABELS[labels](k) for x, k in zip(base, sizes)}
+        if _oracle_space(s, derived_carriers(s, carriers)) > ORACLE_CAP:
+            continue
+        ms = enumerate_models(s, carriers)
+        _assert_canonical_order(ms)
+        # the least model is the head of the list on these carriers too
+        least = _least_model(s, carriers, lambda m: True)
+        assert least == (ms[0] if ms else None)
+        tried += 1
+    assert tried > 0
+
+
+@pytest.mark.parametrize("labels", sorted(LABELS))
+@pytest.mark.parametrize("kind", sorted(DECORATED))
+def test_extensions_of_m0_are_in_canonical_order_on_any_carriers(kind, labels):
+    d = DECORATED[kind]()
+    p0 = pure_part(d)
+    for k in (1, 2, 3):
+        base = {"X": LABELS[labels](k)}
+        for m0 in enumerate_models(p0, {x: v for x, v in base.items() if x in p0.types}):
+            _assert_canonical_order(enumerate_models(d.base, base, fixed=m0))
+            _m_a, extensions = terminal_model(d, m0, base)
+            _assert_canonical_order(extensions)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_enumerate_models_matches_brute_force_on_permuted_carriers(data):
+    s, carriers = data.draw(small_specs())
+    carriers = {x: tuple(data.draw(st.permutations(v))) for x, v in sorted(carriers.items())}
+    if _oracle_space(s, derived_carriers(s, carriers)) <= ORACLE_CAP:
+        _assert_matches_oracle(s, carriers)
+
+
+def test_model_finder_does_not_call_canonical(monkeypatch):
+    d = DECORATED["two_ops"]()
+    m0, base = FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}
+
+    def refuse(self):
+        raise AssertionError("canonical() called")
+
+    monkeypatch.setattr(FiniteModel, "canonical", refuse)
+    assert len(enumerate_models(d.base, base)) == 16
+    m_a, extensions = terminal_model(d, m0, base)
+    assert len(extensions) == len(m_a.carriers[parameterize(d).spec.parameter_type]) == 16
+    assert exactness_check(d, m0, base).exact
+
+
+def reference_exactness_check(d, m_0, base_carriers):
+    """``exactness_check`` as it was before the equality keys: the
+    extensions and the passed models matched by ``canonical()``."""
     par = parameterize(d)
-    p, a_type = par.spec.base, par.spec.parameter_type
-    m_a, _ = terminal_model(d, m0, base, par=par)
-    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
-    for size in (0, 1, 2):
-        for n in enumerate_models(p, {**base, a_type: tuple(range(size))}, fixed=m0):
-            got = sorted(_hom_key(h.components) for h in hom_search(p, n, m_a, fix_types=fix))
-            assert got == brute_force_homs(p, n, m_a, fix)
-    small = enumerate_models(p, {**base, a_type: (0,)}, fixed=m0)[:6]
-    for n1, n2 in itertools.product(small, small):
-        got = sorted(_hom_key(h.components) for h in hom_search(p, n1, n2))
-        assert got == brute_force_homs(p, n1, n2)
-    # a partial component keeps the homs that agree with it
-    for n in enumerate_models(p, {**base, a_type: (0, 1)}, fixed=m0)[:8]:
-        every = brute_force_homs(p, n, m_a, fix)
-        for r in m_a.carriers[a_type]:
-            got = sorted(_hom_key(h.components)
-                         for h in hom_search(p, n, m_a, fix, {a_type: {1: r}}))
-            assert got == [h for h in every if dict(dict(h)[a_type])[1] == r]
+    m_a, extensions = terminal_model(d, m_0, base_carriers, par=par)
+    index = {e.canonical(): i for i, e in enumerate(extensions)}
+    a_type = par.spec.parameter_type
+    bijection, hit, injective = [], set(), True
+    for alpha in m_a.carriers[a_type]:
+        idx = index.get(pass_parameter(d, par, m_a, alpha).canonical(), -1)
+        if idx in hit:
+            injective = False
+        hit.add(idx)
+        bijection.append((alpha, idx))
+    surjective = (-1 not in hit) and len(hit) == len(extensions)
+    return ExactnessReport(len(m_a.carriers[a_type]), len(extensions),
+                           bijection, injective, surjective)
+
+
+@pytest.mark.parametrize("kind", sorted(DECORATED))
+def test_exactness_check_matches_reference(kind):
+    d = DECORATED[kind]()
+    p0 = pure_part(d)
+    for k in (1, 2, 3):
+        for xs in (tuple(range(k)), tuple(reversed(range(k)))):
+            base = {"X": xs}
+            for m0 in enumerate_models(p0, {x: v for x, v in base.items() if x in p0.types}):
+                got, want = exactness_check(d, m0, base), reference_exactness_check(d, m0, base)
+                assert got == want
+                assert got.lines() == want.lines()
 
 
 def reference_is_terminal(d, candidate, m_0, base_carriers, bound, par):
