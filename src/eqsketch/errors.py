@@ -49,6 +49,12 @@ class SearchSpaceTooLarge(EqsketchError):
     """Model enumeration would exceed the configured candidate cap."""
 
 
+class IncomparableCarrier(EqsketchError, TypeError):
+    """A carrier's elements cannot be ordered with ``<``, so models over
+    it have no ``canonical()`` order.  Also a ``TypeError``, which is
+    what sorting such a carrier raises."""
+
+
 class SyntaxError_(EqsketchError):
     """DSL parse error, carrying line/column information."""
 

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Specification, TermName, TypeName
 from .decorate import DecoratedSpecification, undecorate
-from .errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
+from .errors import (IncomparableCarrier, InvalidAlpha, SearchSpaceTooLarge,
+                     Unassigned)
 from .parameterize import Parameterization, parameterize
 
 UNIT_ELEMENT: Tuple = ()
@@ -38,58 +39,82 @@ class FiniteModel:
 
 
 def check_model(s: Specification, m: FiniteModel) -> List[str]:
-    """Empty iff m is a model of s with the chosen cartesian structure."""
+    """Empty iff m is a model of s with the chosen cartesian structure.
+
+    Otherwise the failures: first the carriers of the product and
+    terminal types and the entries of every table, then, only when
+    those hold, the marks and the equations.  A type with no carrier or
+    a term with no table raises ``Unassigned``.  This is
+    ``_model_check``, which the model searches build once per search."""
+    return _model_check(s, m.carriers)(m.functions)
+
+
+def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
+    """The check of ``check_model`` on the given carriers, as a function
+    of the tables.  The carrier checks run here, once; the function runs
+    the table checks, so a search checks its models table by table only."""
     for x in s.types:
-        if x not in m.carriers:
+        if x not in carriers:
             raise Unassigned(f"type {x}")
-    for t in s.terms:
-        if t not in m.functions:
-            raise Unassigned(f"term {t}")
-    out: List[str] = []
+    head: List[str] = []
     for (y1, y2), (p, _p1, _p2) in s.products.items():
-        want = {(a, b) for a in m.carriers[y1] for b in m.carriers[y2]}
-        if set(m.carriers[p]) != want:
-            out.append(f"carrier of product type {p} is not the set of pairs")
-    if s.terminal is not None and tuple(m.carriers[s.terminal]) != (UNIT_ELEMENT,):
-        out.append(f"carrier of terminal {s.terminal} is not the canonical singleton")
-    for t in s.terms.values():
-        tab = m.functions[t.name]
-        dom = m.carriers[t.dom]
-        cod = set(m.carriers[t.cod])
-        for x in dom:
-            if x not in tab:
-                out.append(f"term {t.name}: no value at {x!r}")
-            elif tab[x] not in cod:
-                out.append(f"term {t.name}: value at {x!r} outside carrier of {t.cod}")
-    if out:
+        want = {(a, b) for a in carriers[y1] for b in carriers[y2]}
+        if set(carriers[p]) != want:
+            head.append(f"carrier of product type {p} is not the set of pairs")
+    if s.terminal is not None and tuple(carriers[s.terminal]) != (UNIT_ELEMENT,):
+        head.append(f"carrier of terminal {s.terminal} is not the canonical singleton")
+    terms = s.terms
+    elements = {t.cod: set(carriers[t.cod]) for t in terms.values()}
+
+    def check(functions: Dict[TermName, Dict]) -> List[str]:
+        for t in terms:
+            if t not in functions:
+                raise Unassigned(f"term {t}")
+        out = list(head)
+        for t in terms.values():
+            tab, cod = functions[t.name], elements[t.cod]
+            for x in carriers[t.dom]:
+                if x not in tab:
+                    out.append(f"term {t.name}: no value at {x!r}")
+                elif tab[x] not in cod:
+                    out.append(f"term {t.name}: value at {x!r} outside carrier of {t.cod}")
+        if out:
+            return out
+        for x, i in s.identities.items():
+            tab = functions[i]
+            for v in carriers[x]:
+                if tab[v] != v:
+                    out.append(f"identity {i}: not the identity at {v!r}")
+        for (f, g), c in s.compositions.items():
+            tf, tg, tc = functions[f], functions[g], functions[c]
+            for v in carriers[terms[f].dom]:
+                if tc[v] != tg[tf[v]]:
+                    out.append(f"composite {c} != {g} after {f} at {v!r}")
+        for (p, p1, p2) in s.products.values():
+            t1, t2 = functions[p1], functions[p2]
+            for (a, b) in carriers[p]:
+                if t1[(a, b)] != a or t2[(a, b)] != b:
+                    out.append(f"projections of {p} are not coordinate projections")
+                    break
+        for (f, g), t in s.tuples.items():
+            tf, tg, tt = functions[f], functions[g], functions[t]
+            for v in carriers[terms[f].dom]:
+                if tt[v] != (tf[v], tg[v]):
+                    out.append(f"tuple {t} is not the pairing of {f},{g} at {v!r}")
+        for x, c in s.collapsings.items():
+            tab = functions[c]
+            for v in carriers[x]:
+                if tab[v] != UNIT_ELEMENT:
+                    out.append(f"collapsing {c}: not constant at {v!r}")
+        for (t1, t2) in sorted(s.equations):
+            u1, u2 = functions[t1], functions[t2]
+            for v in carriers[terms[t1].dom]:
+                if u1[v] != u2[v]:
+                    out.append(f"equation {t1} = {t2} fails at {v!r}")
+                    break
         return out
-    for x, i in s.identities.items():
-        for v in m.carriers[x]:
-            if m.apply(i, v) != v:
-                out.append(f"identity {i}: not the identity at {v!r}")
-    for (f, g), c in s.compositions.items():
-        for v in m.carriers[s.terms[f].dom]:
-            if m.apply(c, v) != m.apply(g, m.apply(f, v)):
-                out.append(f"composite {c} != {g} after {f} at {v!r}")
-    for (y1, y2), (p, p1, p2) in s.products.items():
-        for (a, b) in m.carriers[p]:
-            if m.apply(p1, (a, b)) != a or m.apply(p2, (a, b)) != b:
-                out.append(f"projections of {p} are not coordinate projections")
-                break
-    for (f, g), t in s.tuples.items():
-        for v in m.carriers[s.terms[f].dom]:
-            if m.apply(t, v) != (m.apply(f, v), m.apply(g, v)):
-                out.append(f"tuple {t} is not the pairing of {f},{g} at {v!r}")
-    for x, c in s.collapsings.items():
-        for v in m.carriers[x]:
-            if m.apply(c, v) != UNIT_ELEMENT:
-                out.append(f"collapsing {c}: not constant at {v!r}")
-    for (t1, t2) in sorted(s.equations):
-        for v in m.carriers[s.terms[t1].dom]:
-            if m.apply(t1, v) != m.apply(t2, v):
-                out.append(f"equation {t1} = {t2} fails at {v!r}")
-                break
-    return out
+
+    return check
 
 
 def derived_carriers(s: Specification, base_carriers: Dict[TypeName, Sequence]) -> Dict[TypeName, Tuple]:
@@ -168,10 +193,13 @@ class _Cells:
         for v in range(n):
             self._on((a + v, b + v), (_EQ, a + v, b + v))
 
-    def image(self, src: int, dom: Sequence, table: Dict, cod: Dict, dst: int) -> None:
-        """dst = cod[table[dom[src]]]: the image of src's value under a
-        fixed table, with ``cod`` mapping values to indices."""
-        self._on((src,), (_IMG, src, dom, table, cod, dst))
+    def image(self, src: int, dom: Sequence, table: Dict, cod: Dict,
+              dst: List[int], k: int) -> None:
+        """dst[k] = cod[table[dom[src]]]: the image of src's value under a
+        fixed table, with ``cod`` mapping values to indices.  The cell
+        ``dst[k]`` is read when src is set, so one instance serves every
+        source model whose cells are written into ``dst`` in turn."""
+        self._on((src,), (_IMG, src, dom, table, cod, dst, k))
 
     def assign(self, todo: List[Tuple[int, int]]) -> bool:
         """Give each (cell, value) in ``todo`` its value and propagate;
@@ -218,8 +246,8 @@ class _Cells:
                         a = val[inst[1]]
                         todo.append((inst[2], a) if a >= 0 else (inst[1], val[inst[2]]))
                     else:
-                        _k, sc, dom, table, cod, dc = inst
-                        todo.append((dc, cod.get(table[dom[val[sc]]], -1)))
+                        _k, sc, dom, table, cod, dst, k = inst
+                        todo.append((dst[k], cod.get(table[dom[val[sc]]], -1)))
         return True
 
     def undo(self, mark: int) -> None:
@@ -352,13 +380,15 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     ``fixed``, with the marked structure and the fixed tables set (None
     when they conflict); the order the search assigns them in; the tables
     not fixed, by name, as (term, first cell, sorted domain, value of a
-    rank); and a function that reads the model off the cells once all
-    are set.  ``cap`` is checked as ``enumerate_models`` says.
+    rank); a function that reads the model off the cells once all are
+    set; and the ``_model_check`` of the carriers, which gates every
+    model read off.  ``cap`` is checked as ``enumerate_models`` says.
 
     The cells work on the sorted carriers: a table's cells are its
     entries in the sorted order of its domain, and a cell's value is the
     rank of the entry's value in the sorted carrier of the codomain.  The
-    models read off keep the carriers as given."""
+    models read off keep the carriers as given.  A carrier whose elements
+    do not compare raises ``IncomparableCarrier``."""
     merged_base = dict(base_carriers)
     if fixed is not None:
         for x, v in fixed.carriers.items():
@@ -370,7 +400,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     marked = _mark_results(s)
     fixed_funcs = dict(fixed.functions) if fixed is not None else {}
     terms = sorted(s.terms)
-    ranked = {x: tuple(sorted(c)) for x, c in carriers.items()}
+    ranked = {x: tuple(_sorted_carrier(x, c)) for x, c in carriers.items()}
     dom = {t: ranked[s.terms[t].dom] for t in terms}
     total = 1
     for t in terms:
@@ -395,7 +425,17 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
             functions[t] = dict(zip(xs, map(cod, val[start:start + len(xs)])))
         return FiniteModel(dict(carriers), functions)
 
-    return cells, order, tables, model
+    return cells, order, tables, model, _model_check(s, carriers)
+
+
+def _sorted_carrier(x: TypeName, c: Sequence, key=None) -> List:
+    """sorted(c, key=key), or ``IncomparableCarrier`` naming the type x
+    when the elements of its carrier c do not compare."""
+    try:
+        return sorted(c, key=key)
+    except TypeError as e:
+        raise IncomparableCarrier(
+            f"the elements of the carrier of {x} do not compare: {e}") from None
 
 
 def _repr_order(xs: Sequence) -> List[int]:
@@ -403,10 +443,11 @@ def _repr_order(xs: Sequence) -> List[int]:
     return sorted(range(len(xs)), key=lambda v: repr(xs[v]))
 
 
-def _ranks(c: Sequence) -> List[int]:
-    """The rank in sorted(c) of each element of c, by its index in c."""
+def _ranks(x: TypeName, c: Sequence) -> List[int]:
+    """The rank in sorted(c) of each element of c, by its index in c, for
+    the carrier c of the type x."""
     out = [0] * len(c)
-    for k, i in enumerate(sorted(range(len(c)), key=c.__getitem__)):
+    for k, i in enumerate(_sorted_carrier(x, range(len(c)), key=c.__getitem__)):
         out[i] = k
     return out
 
@@ -426,12 +467,12 @@ def _models(s: Specification, base_carriers: Dict[TypeName, Sequence],
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, _tables, model = built
+    cells, order, _tables, model, check = built
     out: List[FiniteModel] = []
 
     def emit() -> bool:
         m = model()
-        if not check_model(s, m):
+        if not check(m.functions):
             out.append(m)
         return len(out) == limit
 
@@ -462,13 +503,13 @@ def enumerate_models(s: Specification,
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, tables, model = built
+    cells, order, tables, model, check = built
     canon, at = _canonical_cells(tables), cells.val.__getitem__
     keyed: List[Tuple[Tuple[int, ...], FiniteModel]] = []
 
     def emit() -> None:
         m = model()
-        if not check_model(s, m):
+        if not check(m.functions):
             keyed.append((tuple(map(at, canon)), m))
 
     cells.solve(order, emit)
@@ -491,7 +532,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     built = _model_cells(s, base_carriers, None, cap)
     if built is None:
         return None
-    cells, order, tables, model = built
+    cells, order, tables, model, _check = built
     val = cells.val
 
     def witness() -> Optional[List[int]]:
@@ -548,47 +589,81 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
     {type: {element of m: element of n}}; a type listed in ``fix_types``
     is the case of an identity component.
 
-    The cells are the component entries.  Those on the choice types are
-    searched; a product entry follows from its factors, and each entry
-    fills the entry the commutation square of every term sends it to."""
-    given = {x: {v: v for v in m.carriers[x]} for x in fix_types}
-    given.update(partial or {})
-    im, ino = _indices(m.carriers), _indices(n.carriers)
+    This builds ``_hom_searcher`` on m's carriers and runs it once; a
+    caller with many source models on the same carriers builds it once.
+    The homs come in ``canonical()`` order of their components."""
+    return _hom_searcher(s, m.carriers, n, fix_types)(m, partial)
+
+
+def _hom_searcher(s: Specification, carriers: Dict[TypeName, Sequence],
+                  n: FiniteModel, fix_types: Sequence[TypeName]):
+    """``run(m, partial)``: the ``hom_search`` of every model m of s on
+    the given carriers into n, with the identity on ``fix_types``.
+
+    The cells are the component entries, built here once with the pairing
+    constraints, n's indices and the seeds of the fixed components.  Those
+    on the choice types are searched; a product entry follows from its
+    factors, and each entry fills the entry that the commutation square of
+    every term sends it to.  That entry depends on m, so ``run`` writes
+    m's tables into the destinations of the image constraints, searches,
+    and unsets every cell again."""
+    im, ino = _indices(carriers), _indices(n.carriers)
     cells = _Cells()
     types = sorted(s.types)
-    off = {x: cells.block(len(m.carriers[x]), len(n.carriers[x])) for x in types}
+    off = {x: cells.block(len(carriers[x]), len(n.carriers[x])) for x in types}
     for (y1, y2), (p, _1, _2) in s.products.items():
         pairing = _pairing(n.carriers, ino, y1, y2, p)
         if pairing is None:
-            return []
+            return lambda m, partial: []
         cells.pair([(off[y1] + im[y1][a], off[y2] + im[y2][b], off[p] + v)
-                    for v, (a, b) in enumerate(m.carriers[p])], pairing)
+                    for v, (a, b) in enumerate(carriers[p])], pairing)
+    # the squares of the terms: the cell of x in t's domain fills the
+    # cell of m's t(x), written into dst[t] by run
+    squares = []
     for t in s.terms.values():
-        mt, nt = m.functions[t.name], n.functions[t.name]
-        for v, x in enumerate(m.carriers[t.dom]):
-            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
-                        off[t.cod] + im[t.cod][mt[x]])
-    seeds = [(off[x] + im[x][v], ino[x].get(w, -1))
-             for x, entries in sorted(given.items()) for v, w in entries.items()]
-    if s.terminal is not None:
-        seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
-    if not cells.assign(seeds):
-        return []
+        dst = [0] * len(carriers[t.dom])
+        nt = n.functions[t.name]
+        for v in range(len(dst)):
+            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod], dst, v)
+        squares.append((t.name, carriers[t.dom], off[t.cod], im[t.cod], dst))
+    identity = {x: [(off[x] + im[x][v], ino[x].get(v, -1)) for v in carriers[x]]
+                for x in fix_types}
+    unit = ([] if s.terminal is None
+            else [(off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1))])
     # the other cells are set by propagation once the choice cells are;
     # solve skips the cells that are set already
-    order = [off[x] + v for x in base_types(s) + types for v in range(len(m.carriers[x]))]
+    order = [off[x] + v for x in base_types(s) + types for v in range(len(carriers[x]))]
     val = cells.val
-    found: List[List[int]] = []
-    cells.solve(order, lambda: found.append(val[:]))
-    if len(found) > 1:
-        # canonical() order: components by type name, entries by the repr
-        # of their key, values by their rank in the sorted target carrier
-        rank = {x: _ranks(n.carriers[x]) for x in types}
-        entries = [(off[x] + v, rank[x]) for x in types for v in _repr_order(m.carriers[x])]
-        found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
-    return [ModelHom({x: dict(zip(m.carriers[x], map(
-        n.carriers[x].__getitem__, w[off[x]:off[x] + len(m.carriers[x])])))
-        for x in types}) for w in found]
+    entries = []
+
+    def run(m: FiniteModel, partial: Optional[Dict[TypeName, Dict]]) -> List[ModelHom]:
+        for t, xs, start, index, dst in squares:
+            mt = m.functions[t]
+            dst[:] = [start + index[mt[x]] for x in xs]
+        partial = partial or {}
+        seeds = []
+        for x in sorted({*identity, *partial}):
+            if x in partial:
+                seeds += [(off[x] + im[x][v], ino[x].get(w, -1)) for v, w in partial[x].items()]
+            else:
+                seeds += identity[x]
+        found: List[List[int]] = []
+        if cells.assign(seeds + unit):
+            cells.solve(order, lambda: found.append(val[:]))
+        cells.undo(0)
+        if len(found) > 1:
+            # canonical() order: components by type name, entries by the repr
+            # of their key, values by their rank in the sorted target carrier
+            if not entries:
+                rank = {x: _ranks(x, n.carriers[x]) for x in types}
+                entries.extend((off[x] + v, rank[x])
+                               for x in types for v in _repr_order(carriers[x]))
+            found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
+        return [ModelHom({x: dict(zip(carriers[x], map(
+            n.carriers[x].__getitem__, w[off[x]:off[x] + len(carriers[x])])))
+            for x in types}) for w in found]
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +743,12 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     to a record r of the candidate with the field values f'(r, x) of a.
     The records are indexed once by their field values.  An element with
     no such record has no hom; one with a single record gives that entry
-    to ``hom_search``, which tries the records of the others.  A record
-    with a missing field value makes the candidate no model: False."""
+    to the hom search, which tries the records of the others.  A record
+    with a missing field value makes the candidate no model: False.
+
+    The models of one parameter size share their carriers, so each size
+    builds one ``_hom_searcher`` into the candidate, at its first model,
+    and runs it on every model of that size."""
     if par is None:
         par = parameterize(d)
     p = par.spec.base
@@ -684,6 +763,7 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     for size in range(bound + 1):
         carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
                     a_type: tuple(range(size))}
+        homs = None
         for n in _models(p, carriers, m_0, cap):
             if records is None:
                 # the models share every carrier but the parameter's
@@ -700,7 +780,9 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                     return False
                 if len(rs) == 1:
                     single[a] = rs[0]
-            if len(hom_search(p, n, candidate, fix, {a_type: single})) != 1:
+            if homs is None:
+                homs = _hom_searcher(p, n.carriers, candidate, fix)
+            if len(homs(n, {a_type: single})) != 1:
                 return False
     return True
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from eqsketch.core import Specification
 from eqsketch.decorate import pure_part
-from eqsketch.errors import InvalidAlpha, SearchSpaceTooLarge, Unassigned
+from eqsketch import models
+from eqsketch.errors import (EqsketchError, IncomparableCarrier, InvalidAlpha,
+                             SearchSpaceTooLarge, Unassigned)
 from eqsketch.models import (UNIT_ELEMENT, ExactnessReport, FiniteModel,
                              _least_model, base_types, check_model,
                              complete_tables, derived_carriers,
@@ -115,6 +118,217 @@ def test_exactness_bijection_listed():
     rep = exactness_check(DECORATED["endo"](), _m0(), {"X": (0, 1)})
     assert rep.exact
     assert sorted(i for _a, i in rep.bijection) == list(range(rep.model_count))
+
+
+# ---------------------------------------------------------------------------
+# check_model against its version that checks the carriers on every call
+# ---------------------------------------------------------------------------
+
+def reference_check_model(s, m):
+    """``check_model`` as it was before ``_model_check``: the carriers
+    checked, and the codomain sets built, on every call."""
+    for x in s.types:
+        if x not in m.carriers:
+            raise Unassigned(f"type {x}")
+    for t in s.terms:
+        if t not in m.functions:
+            raise Unassigned(f"term {t}")
+    out = []
+    for (y1, y2), (p, _p1, _p2) in s.products.items():
+        want = {(a, b) for a in m.carriers[y1] for b in m.carriers[y2]}
+        if set(m.carriers[p]) != want:
+            out.append(f"carrier of product type {p} is not the set of pairs")
+    if s.terminal is not None and tuple(m.carriers[s.terminal]) != (UNIT_ELEMENT,):
+        out.append(f"carrier of terminal {s.terminal} is not the canonical singleton")
+    for t in s.terms.values():
+        tab = m.functions[t.name]
+        dom = m.carriers[t.dom]
+        cod = set(m.carriers[t.cod])
+        for x in dom:
+            if x not in tab:
+                out.append(f"term {t.name}: no value at {x!r}")
+            elif tab[x] not in cod:
+                out.append(f"term {t.name}: value at {x!r} outside carrier of {t.cod}")
+    if out:
+        return out
+    for x, i in s.identities.items():
+        for v in m.carriers[x]:
+            if m.apply(i, v) != v:
+                out.append(f"identity {i}: not the identity at {v!r}")
+    for (f, g), c in s.compositions.items():
+        for v in m.carriers[s.terms[f].dom]:
+            if m.apply(c, v) != m.apply(g, m.apply(f, v)):
+                out.append(f"composite {c} != {g} after {f} at {v!r}")
+    for (y1, y2), (p, p1, p2) in s.products.items():
+        for (a, b) in m.carriers[p]:
+            if m.apply(p1, (a, b)) != a or m.apply(p2, (a, b)) != b:
+                out.append(f"projections of {p} are not coordinate projections")
+                break
+    for (f, g), t in s.tuples.items():
+        for v in m.carriers[s.terms[f].dom]:
+            if m.apply(t, v) != (m.apply(f, v), m.apply(g, v)):
+                out.append(f"tuple {t} is not the pairing of {f},{g} at {v!r}")
+    for x, c in s.collapsings.items():
+        for v in m.carriers[x]:
+            if m.apply(c, v) != UNIT_ELEMENT:
+                out.append(f"collapsing {c}: not constant at {v!r}")
+    for (t1, t2) in sorted(s.equations):
+        for v in m.carriers[s.terms[t1].dom]:
+            if m.apply(t1, v) != m.apply(t2, v):
+                out.append(f"equation {t1} = {t2} fails at {v!r}")
+                break
+    return out
+
+
+def _check_outcome(check, s, m):
+    """The messages of a check, or the type and text of what it raised."""
+    try:
+        return check(s, m)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return (type(e), str(e))
+
+
+def _assert_same_check(s, m):
+    got = _check_outcome(check_model, s, m)
+    assert got == _check_outcome(reference_check_model, s, m)
+    return got
+
+
+JUNK = "junk"
+
+
+def _tampered(s, m):
+    """Copies of m, each broken in one way, labelled by the way: a dropped
+    entry and a value outside its carrier in every table; every product
+    and terminal carrier replaced; one entry, and every entry, of each
+    mark's and each equation's result moved to another value of its
+    carrier; each table and each carrier missing."""
+    def copy(carriers=None, functions=None):
+        return FiniteModel(dict(m.carriers if carriers is None else carriers),
+                           {t: dict(tab) for t, tab in
+                            (m.functions if functions is None else functions).items()})
+
+    out = []
+    for t in sorted(s.terms):
+        keys = sorted(m.functions[t], key=repr)
+        if keys:
+            c = copy()
+            del c.functions[t][keys[0]]
+            out.append((f"dropped {t}", c))
+            c = copy()
+            c.functions[t][keys[-1]] = JUNK
+            out.append((f"outside {t}", c))
+        out.append((f"no table {t}", copy(functions={u: tab for u, tab in m.functions.items()
+                                                     if u != t})))
+    for x in sorted(s.types):
+        out.append((f"no carrier {x}", copy(carriers={y: c for y, c in m.carriers.items()
+                                                       if y != x})))
+    for (p, _1, _2) in s.products.values():
+        pairs = m.carriers[p]
+        out.append((f"product {p} relabelled", copy(carriers={**m.carriers,
+                                                             p: tuple(range(len(pairs)))})))
+        out.append((f"product {p} short", copy(carriers={**m.carriers, p: pairs[1:]})))
+    if s.terminal is not None:
+        for u in ((), (UNIT_ELEMENT, 1), (0,)):
+            out.append((f"terminal {u!r}", copy(carriers={**m.carriers, s.terminal: u})))
+    results = (list(s.identities.values()) + sorted(s.projection_names())
+               + list(s.compositions.values()) + list(s.tuples.values())
+               + list(s.collapsings.values()) + [t for eq in sorted(s.equations) for t in eq])
+    for t in results:
+        keys = sorted(m.functions[t], key=repr)
+        cod = m.carriers[s.terms[t].cod]
+        if keys and len(cod) > 1:
+            for label, moved in ((f"moved {t}", keys[:1]), (f"moved all {t}", keys)):
+                c = copy()
+                for k in moved:
+                    c.functions[t][k] = cod[(cod.index(c.functions[t][k]) + 1) % len(cod)]
+                out.append((label, c))
+    return out
+
+
+CHECK_SPECS = {**CORPUS, **{f"decorated_{name}": (lambda mk=mk: mk().base)
+                            for name, mk in DECORATED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SPECS))
+def test_check_model_matches_reference_on_models_and_tampered_copies(name):
+    s = CHECK_SPECS[name]()
+    base = base_types(s)
+    for sizes in itertools.product((1, 2), repeat=len(base)):
+        ms = enumerate_models(s, {x: tuple(range(k)) for x, k in zip(base, sizes)})
+        for m in ms:
+            assert _assert_same_check(s, m) == []
+        for m in ms[:3]:
+            for label, bad in _tampered(s, m):
+                assert _assert_same_check(s, bad) != [], label
+
+
+MESSAGE_KINDS = [
+    r"term \S+: no value at ", r"term \S+: value at .* outside carrier of ",
+    r"carrier of product type ", r"carrier of terminal ", r"identity \S+: not the identity at ",
+    r"composite \S+ != ", r"projections of ", r"tuple \S+ is not the pairing of ",
+    r"equation \S+ = \S+ fails at ",
+    # what Unassigned says
+    r"type ", r"term ",
+]
+
+
+def test_tampered_copies_fire_every_message_kind():
+    seen = set()
+    for _name, mk in sorted(CHECK_SPECS.items()):
+        s = mk()
+        for m in enumerate_models(s, {x: (0, 1) for x in base_types(s)})[:3]:
+            for _label, bad in _tampered(s, m):
+                out = _assert_same_check(s, bad)
+                lines = [out[1]] if isinstance(out, tuple) else out
+                seen.update(next(k for k in MESSAGE_KINDS if re.match(k, line)) for line in lines)
+    # "collapsing c: not constant" cannot fire: a collapsing's value is in
+    # the terminal's carrier, which the carrier checks hold to {()}
+    assert seen == set(MESSAGE_KINDS)
+
+
+@st.composite
+def specs_with_tables(draw):
+    """A ``small_specs`` spec and a model of it with drawn tables: each
+    entry a value of its carrier, a value outside it, or missing; now and
+    then a table or a carrier missing, or a product carrier cut short."""
+    s, base = draw(small_specs())
+    carriers = derived_carriers(s, base)
+    functions = {}
+    for t in sorted(s.terms):
+        cod = carriers[s.terms[t].cod]
+        tab = {}
+        for x in carriers[s.terms[t].dom]:
+            v = draw(st.sampled_from(cod + (JUNK, None)))
+            if v is not None:
+                tab[x] = v
+        functions[t] = tab
+    if draw(st.integers(0, 9)) == 0:
+        del functions[draw(st.sampled_from(sorted(functions)))]
+    if draw(st.integers(0, 9)) == 0:
+        del carriers[draw(st.sampled_from(sorted(carriers)))]
+    if "P" in carriers and draw(st.integers(0, 9)) == 0:
+        carriers["P"] = carriers["P"][1:]
+    return s, FiniteModel(carriers, functions)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(specs_with_tables())
+def test_check_model_matches_reference_on_drawn_tables(case):
+    s, m = case
+    _assert_same_check(s, m)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_check_model_matches_reference_on_generated_models(case):
+    s, carriers = case
+    if _oracle_space(s, derived_carriers(s, carriers)) <= ORACLE_CAP:
+        for m in enumerate_models(s, carriers)[:20]:
+            assert _assert_same_check(s, m) == []
+            # a moved entry can still be a model, as under compose t = t . id
+            for _label, bad in _tampered(s, m):
+                _assert_same_check(s, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +630,16 @@ def _flipped(m_a, t, cod):
     return FiniteModel(m_a.carriers, fns)
 
 
-@pytest.mark.parametrize("kind,mk_m0", CRITERION_7, ids=[c[0] for c in CRITERION_7])
-def test_is_terminal_matches_reference(kind, mk_m0):
-    d, m0, base = DECORATED[kind](), mk_m0(), {"X": (0, 1)}
+IS_TERMINAL_CASES = [(kind, mk_m0, (0, 1), (0, 1, 2)) for kind, mk_m0 in CRITERION_7] + [
+    # 729 records, one hom search per model of the 730
+    ("two_ops", lambda: FiniteModel({"X": (0, 1, 2)}, {}), (0, 1, 2), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("kind,mk_m0,xs,bounds", IS_TERMINAL_CASES,
+                         ids=[c[0] for c in CRITERION_7] + ["two_ops-X3"])
+def test_is_terminal_matches_reference(kind, mk_m0, xs, bounds):
+    d, m0, base = DECORATED[kind](), mk_m0(), {"X": xs}
     par = parameterize(d)
     m_a, _ = terminal_model(d, m0, base, par=par)
     a_type = par.spec.parameter_type
@@ -426,18 +647,22 @@ def test_is_terminal_matches_reference(kind, mk_m0):
     f = sorted(d.general_terms())[0]
     # eps_X : A*X -> X; its square fails where the record look-up succeeds
     eps = par.spec.base.products[(a_type, "X")][2]
+    # the reference meets a dropped or duplicated record only at the model
+    # that maps to it; on 729 records, the last costs it ~2.5 s
+    at = -1 if len(records) < 100 else 0
     candidates = {
         "terminal": m_a,
         "flipped": _flipped(m_a, par.lift[f], m_a.carriers[d.base.terms[f].cod]),
         "projection": _flipped(m_a, eps, m_a.carriers["X"]),
-        "duplicated": _record_model(d, par, m_a, m0, base, records + records[-1:]),
-        "dropped": _record_model(d, par, m_a, m0, base, records[:-1]),
+        "duplicated": _record_model(d, par, m_a, m0, base, records + [records[at]]),
+        "dropped": _record_model(d, par, m_a, m0, base,
+                                 [r for r in records if r != records[at]]),
     }
     for label, cand in candidates.items():
-        want = [reference_is_terminal(d, cand, m0, base, b, par) for b in (0, 1, 2)]
-        got = [is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1, 2)]
+        want = [reference_is_terminal(d, cand, m0, base, b, par) for b in bounds]
+        got = [is_terminal(d, cand, m0, base, bound=b, par=par) for b in bounds]
         assert got == want, label
-        assert want == ([True] * 3 if label == "terminal" else [True, False, False]), label
+        assert want == [True] + [label == "terminal"] * (len(bounds) - 1), label
 
 
 def test_is_terminal_rejects_a_candidate_that_is_no_model():
@@ -455,3 +680,56 @@ def test_is_terminal_rejects_a_candidate_that_is_no_model():
     cand = FiniteModel(relabelled, m_a.functions)
     assert not is_terminal(d, cand, _m0(), base, bound=2, par=par)
     assert not reference_is_terminal(d, cand, _m0(), base, 2, par)
+
+
+@pytest.mark.parametrize("mk_m0,base,bound", [
+    (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 2),
+    (lambda: FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}, 1),
+], ids=["X2-b2", "X3-b1"])
+def test_is_terminal_builds_one_search_per_parameter_size(mk_m0, base, bound, monkeypatch):
+    # one cell set for the models of each parameter size and one for the
+    # hom search into the candidate, not one per model
+    d, m0 = DECORATED["two_ops"](), mk_m0()
+    par = parameterize(d)
+    m_a, extensions = terminal_model(d, m0, base, par=par)
+    built = {"cells": 0, "searchers": 0}
+    cells_init, searcher = models._Cells.__init__, models._hom_searcher
+
+    def counting_init(self):
+        built["cells"] += 1
+        cells_init(self)
+
+    def counting_searcher(*args, **kwargs):
+        built["searchers"] += 1
+        return searcher(*args, **kwargs)
+
+    monkeypatch.setattr(models._Cells, "__init__", counting_init)
+    monkeypatch.setattr(models, "_hom_searcher", counting_searcher)
+    assert is_terminal(d, m_a, m0, base, bound=bound, par=par)
+    assert built == {"cells": 2 * (bound + 1), "searchers": bound + 1}
+    assert len(extensions) > 2 * (bound + 1)
+
+
+def test_incomparable_carrier_raises_a_named_error():
+    # 0 and "a" do not compare, so models on X have no canonical() order
+    xs = (0, "a")
+    endo, base = DECORATED["endo"](), {"X": xs}
+    m0 = FiniteModel({"U": (UNIT_ELEMENT,), "X": xs}, {"e": {(): 0}})
+    m_a, _ = terminal_model(endo, _m0(), {"X": (0, 1)})
+    calls = {
+        "enumerate_models": lambda: enumerate_models(endo.base, base),
+        "terminal_model": lambda: terminal_model(endo, m0, base),
+        "exactness_check": lambda: exactness_check(endo, m0, base),
+        "is_terminal": lambda: is_terminal(endo, m_a, m0, base, bound=1),
+        # two homs from one point into X, which the search sorts
+        "hom_search": lambda: hom_search(CORPUS["single_type"](),
+                                         FiniteModel({"X": (0,)}, {}),
+                                         FiniteModel({"X": xs}, {})),
+    }
+    for label, call in calls.items():
+        with pytest.raises(IncomparableCarrier, match="carrier of X") as e:
+            call()
+        assert isinstance(e.value, EqsketchError), label
+    # a single hom needs no order
+    assert len(hom_search(CORPUS["single_type"](), FiniteModel({"X": ()}, {}),
+                          FiniteModel({"X": xs}, {}))) == 1
