@@ -5,12 +5,17 @@ types, typed terms, and partial maps recording which terms play the role
 of identities, composites, product projections, tuples and collapsings.
 Each such "site" carries at most one mark.  Equations are unordered pairs
 of parallel terms.
+
+``MARK_KINDS``, keyed by the ``RuleTag`` of the structural rule that
+concludes each of the six kinds of mark, is the one table of how a
+specification stores its marks; the other code reads them through it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Dict, List, Optional, Set, Tuple
+from enum import Enum
+from typing import Container, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import SourceTargetMismatch
 
@@ -78,13 +83,6 @@ class Specification:
         if t1 != t2:
             self.equations.add(eqpair(t1, t2))
 
-    def projection_names(self) -> Set[TermName]:
-        out = set()
-        for (_p, p1, p2) in self.products.values():
-            out.add(p1)
-            out.add(p2)
-        return out
-
     def all_names(self) -> Set[str]:
         return set(self.types) | set(self.terms)
 
@@ -96,6 +94,99 @@ class Specification:
     def parallel(self, t1: TermName, t2: TermName) -> bool:
         a, b = self.terms[t1], self.terms[t2]
         return a.dom == b.dom and a.cod == b.cod
+
+
+# ---------------------------------------------------------------------------
+# The six kinds of mark
+# ---------------------------------------------------------------------------
+
+class RuleTag(Enum):
+    COMPOSITION = "composition"
+    IDENTITY = "identity"
+    BINARY_PRODUCT = "binary-product"
+    BINARY_TUPLE = "binary-tuple"
+    TERMINAL_TYPE = "terminal-type"
+    COLLAPSING = "collapsing"
+
+
+# the two sorts of a mark's arguments and results
+TYPE, TERM = "type", "term"
+
+
+class MarkKind(NamedTuple):
+    """How a ``Specification`` stores the marks of one kind: the dict in
+    its field ``store`` maps each site to its results, a lone argument or
+    result standing bare; the terminal mark, with no arguments, is its
+    lone result in the field ``terminal``, or None there."""
+    name: str                  # as messages name the kind
+    store: str
+    args: str                  # the sort of the arguments
+    results: Tuple[str, ...]   # the sort of each result
+
+    def marks(self, s: Specification) -> List[Tuple[tuple, tuple]]:
+        """Every mark of this kind in s, as (arguments, results)."""
+        held = getattr(s, self.store)
+        if not held:
+            return []
+        if not isinstance(held, dict):
+            return [((), (held,))]
+        return [(site if isinstance(site, tuple) else (site,), r if isinstance(r, tuple) else (r,))
+                for site, r in held.items()]
+
+    def made(self, s: Specification, sort: str) -> List[str]:
+        """The types or terms, as ``sort`` says, that the marks make."""
+        held = getattr(s, self.store)
+        if sort not in self.results or held is None:
+            return []
+        if not isinstance(held, dict):
+            return [held]
+        if self.results == (sort,):
+            return list(held.values())
+        return [r[i] for r in held.values() for i, of in enumerate(self.results) if of == sort]
+
+    def get(self, s: Specification, site: tuple) -> Optional[tuple]:
+        """The results of the mark at the site, or None."""
+        held = getattr(s, self.store)
+        r = held.get(_bare(site)) if isinstance(held, dict) else held
+        return r if r is None or isinstance(r, tuple) else (r,)
+
+    def set(self, s: Specification, site: tuple, results: tuple) -> None:
+        if self.store == "terminal":
+            s.terminal, = results
+        else:
+            getattr(s, self.store)[_bare(site)] = _bare(results)
+
+    def image(self, maps: Dict[str, Dict[str, str]], args: tuple, results: tuple):
+        """The site and results of a mark under a map of each sort."""
+        return (tuple(maps[self.args][a] for a in args),
+                tuple(maps[sort][r] for sort, r in zip(self.results, results)))
+
+
+def _bare(t: tuple):
+    return t[0] if len(t) == 1 else t
+
+
+# in the order of validate_morphism's messages; a type or term that
+# several marks make is made by the first of them (is_entailment)
+MARK_KINDS: Dict[RuleTag, MarkKind] = {
+    RuleTag.IDENTITY: MarkKind("identity", "identities", TYPE, (TERM,)),
+    RuleTag.COMPOSITION: MarkKind("composition", "compositions", TERM, (TERM,)),
+    RuleTag.BINARY_PRODUCT: MarkKind("product", "products", TYPE, (TYPE, TERM, TERM)),
+    RuleTag.BINARY_TUPLE: MarkKind("tuple", "tuples", TERM, (TERM,)),
+    RuleTag.TERMINAL_TYPE: MarkKind("terminal", "terminal", TYPE, (TYPE,)),
+    RuleTag.COLLAPSING: MarkKind("collapsing", "collapsings", TYPE, (TERM,)),
+}
+
+
+def mark_results(s: Specification, sort: str,
+                 tags: Iterable[RuleTag] = MARK_KINDS) -> Set[str]:
+    """The types or terms, as ``sort`` says, that the marks of the given
+    kinds make."""
+    return {r for tag in tags for r in MARK_KINDS[tag].made(s, sort)}
+
+
+# the kinds of mark on types, whose terms the decoration forces pure
+TYPE_MARKS = tuple(tag for tag, kind in MARK_KINDS.items() if kind.args == TYPE)
 
 
 def fresh_name(base: str, taken: Container[str]) -> str:
@@ -217,24 +308,13 @@ def validate_morphism(m: SpecMorphism) -> List[str]:
             out.append(f"term {n}: image {img} has wrong dom/cod")
     if out:
         return out
-    for x, i in s.identities.items():
-        if t.identities.get(m.type_map[x]) != m.term_map[i]:
-            out.append(f"identity mark at {x} not preserved")
-    for (f, g), c in s.compositions.items():
-        if t.compositions.get((m.term_map[f], m.term_map[g])) != m.term_map[c]:
-            out.append(f"composition mark ({f},{g}) not preserved")
-    for (y1, y2), (p, p1, p2) in s.products.items():
-        img = t.products.get((m.type_map[y1], m.type_map[y2]))
-        if img != (m.type_map[p], m.term_map[p1], m.term_map[p2]):
-            out.append(f"product mark ({y1},{y2}) not preserved")
-    for (f1, f2), tt in s.tuples.items():
-        if t.tuples.get((m.term_map[f1], m.term_map[f2])) != m.term_map[tt]:
-            out.append(f"tuple mark ({f1},{f2}) not preserved")
-    if s.terminal is not None and t.terminal != m.type_map.get(s.terminal):
-        out.append("terminal mark not preserved")
-    for x, c in s.collapsings.items():
-        if t.collapsings.get(m.type_map[x]) != m.term_map[c]:
-            out.append(f"collapsing mark at {x} not preserved")
+    image = {TYPE: m.type_map, TERM: m.term_map}
+    for kind in MARK_KINDS.values():
+        for args, results in kind.marks(s):
+            site, want = kind.image(image, args, results)
+            if kind.get(t, site) != want:
+                at = f" at {args[0]}" if len(args) == 1 else f" ({','.join(args)})" if args else ""
+                out.append(f"{kind.name} mark{at} not preserved")
     for (t1, t2) in s.equations:
         a, b = m.term_map[t1], m.term_map[t2]
         if a != b and eqpair(a, b) not in t.equations:
@@ -299,102 +379,62 @@ def pushout(f: SpecMorphism, g: SpecMorphism) -> Tuple[Specification, SpecMorphi
     if not spec_equal(s0, g.source):
         raise SourceTargetMismatch("pushout legs must share their source")
     sides = {1: f.target, 2: g.target}
-    uf_t, uf_m = _UnionFind(), _UnionFind()
-    for side, sp in sides.items():
-        for x in sp.types:
-            uf_t.find((side, x))
-        for t in sp.terms:
-            uf_m.find((side, t))
+    uf = {TYPE: _UnionFind(), TERM: _UnionFind()}
     for x in s0.types:
-        uf_t.union((1, f.type_map[x]), (2, g.type_map[x]))
+        uf[TYPE].union((1, f.type_map[x]), (2, g.type_map[x]))
     for t in s0.terms:
-        uf_m.union((1, f.term_map[t]), (2, g.term_map[t]))
+        uf[TERM].union((1, f.term_map[t]), (2, g.term_map[t]))
 
-    # merge marks at identified sites until stable
+    # every mark of both sides, tagged once: (kind, its arguments and its
+    # results with their sorts, each name tagged with its side)
+    tagged = [(tag, kind, tuple((side, a) for a in args),
+               tuple(zip(kind.results, ((side, r) for r in results))))
+              for side, sp in sides.items() for tag, kind in MARK_KINDS.items()
+              for args, results in kind.marks(sp)]
+    # merge marks at identified sites until stable: each result is
+    # identified with the same result of the first mark seen at its site
     changed = True
     while changed:
         changed = False
-        first: Dict[object, object] = {}
+        first: Dict[object, tuple] = {}
+        for tag, kind, args, results in tagged:
+            seen = first.setdefault((tag, tuple(map(uf[kind.args].find, args))), results)
+            if seen is not results:
+                for (sort, a), (_sort, b) in zip(seen, results):
+                    if uf[sort].union(a, b):
+                        changed = True
 
-        def mark(uf, site, result) -> None:
-            """Identify result with the first result seen at its site."""
-            nonlocal changed
-            if uf.union(first.setdefault(site, result), result):
-                changed = True
-
-        def term_site(kind, side, u, v):
-            return kind, uf_m.find((side, u)), uf_m.find((side, v))
-
-        for side, sp in sides.items():
-            for x, i in sp.identities.items():
-                mark(uf_m, ("identity", uf_t.find((side, x))), (side, i))
-            for (u, v), c in sp.compositions.items():
-                mark(uf_m, term_site("compose", side, u, v), (side, c))
-            for (y1, y2), (p, p1, p2) in sp.products.items():
-                key = (uf_t.find((side, y1)), uf_t.find((side, y2)))
-                mark(uf_t, ("product", key), (side, p))
-                mark(uf_m, ("proj1", key), (side, p1))
-                mark(uf_m, ("proj2", key), (side, p2))
-            for (u, v), tt in sp.tuples.items():
-                mark(uf_m, term_site("tuple", side, u, v), (side, tt))
-            if sp.terminal is not None:
-                mark(uf_t, ("terminal",), (side, sp.terminal))
-            for x, c in sp.collapsings.items():
-                mark(uf_m, ("collapse", uf_t.find((side, x))), (side, c))
-
-    def name_classes(uf, items):
-        classes = uf.classes(items)
-        # deterministic: classes sorted by their sorted member names
-        ordered = sorted(classes.values(), key=lambda vs: sorted(n for _s, n in vs))
-        names: Dict[object, str] = {}
+    # name each class by its least member, made fresh; deterministic, as
+    # the classes are sorted by their sorted member names
+    named: Dict[str, Dict[Tuple[int, str], str]] = {TYPE: {}, TERM: {}}
+    for sort, field in ((TYPE, "types"), (TERM, "terms")):
+        members = [(side, n) for side, sp in sides.items() for n in getattr(sp, field)]
         taken: Set[str] = set()
-        for vs in ordered:
-            base = min(n for _s, n in vs)
-            nm = fresh_name(base, taken)
+        for vs in sorted(uf[sort].classes(members).values(),
+                         key=lambda vs: sorted(n for _s, n in vs)):
+            nm = fresh_name(min(n for _s, n in vs), taken)
             taken.add(nm)
-            for v in vs:
-                names[uf.find(v)] = nm
-        return names
-
-    all_types = [(side, x) for side, sp in sides.items() for x in sp.types]
-    all_terms = [(side, t) for side, sp in sides.items() for t in sp.terms]
-    tname = name_classes(uf_t, all_types)
-    mname = name_classes(uf_m, all_terms)
-
-    def nt(side, x):
-        return tname[uf_t.find((side, x))]
-
-    def nm(side, t):
-        return mname[uf_m.find((side, t))]
+            named[sort].update(dict.fromkeys(vs, nm))
+    # each side's names in the pushout, by sort
+    names = {side: {TYPE: {x: named[TYPE][side, x] for x in sp.types},
+                    TERM: {t: named[TERM][side, t] for t in sp.terms}}
+             for side, sp in sides.items()}
 
     out = Specification()
     for side, sp in sides.items():
+        nt, nm = names[side][TYPE], names[side][TERM]
         for x in sp.types:
-            out.add_type(nt(side, x))
+            out.add_type(nt[x])
         for t in sp.terms.values():
-            out.add_term(nm(side, t.name), nt(side, t.dom), nt(side, t.cod))
-        for x, i in sp.identities.items():
-            out.identities[nt(side, x)] = nm(side, i)
-        for (u, v), c in sp.compositions.items():
-            out.compositions[(nm(side, u), nm(side, v))] = nm(side, c)
-        for (y1, y2), (p, p1, p2) in sp.products.items():
-            out.products[(nt(side, y1), nt(side, y2))] = (
-                nt(side, p), nm(side, p1), nm(side, p2))
-        for (u, v), t in sp.tuples.items():
-            out.tuples[(nm(side, u), nm(side, v))] = nm(side, t)
-        if sp.terminal is not None:
-            out.terminal = nt(side, sp.terminal)
-        for x, c in sp.collapsings.items():
-            out.collapsings[nt(side, x)] = nm(side, c)
+            out.add_term(nm[t.name], nt[t.dom], nt[t.cod])
         for (t1, t2) in sp.equations:
-            out.add_equation(nm(side, t1), nm(side, t2))
+            out.add_equation(nm[t1], nm[t2])
+    for _tag, kind, args, results in tagged:
+        kind.set(out, tuple(named[kind.args][a] for a in args),
+                 tuple(named[sort][r] for sort, r in results))
 
-    in1 = SpecMorphism(sides[1], out,
-                       {x: nt(1, x) for x in sides[1].types},
-                       {t: nm(1, t) for t in sides[1].terms})
-    in2 = SpecMorphism(sides[2], out,
-                       {x: nt(2, x) for x in sides[2].types},
-                       {t: nm(2, t) for t in sides[2].terms})
+    in1 = SpecMorphism(sides[1], out, names[1][TYPE], names[1][TERM])
+    in2 = SpecMorphism(sides[2], out, names[2][TYPE], names[2][TERM])
     return out, in1, in2
 
 
@@ -458,13 +498,8 @@ def iso_search(s1: Specification, s2: Specification, budget: int = 200000,
     """
     pin_types = pin_types or {}
     if (len(s1.types) != len(s2.types) or len(s1.terms) != len(s2.terms)
-            or len(s1.identities) != len(s2.identities)
-            or len(s1.compositions) != len(s2.compositions)
-            or len(s1.products) != len(s2.products)
-            or len(s1.tuples) != len(s2.tuples)
-            or (s1.terminal is None) != (s2.terminal is None)
-            or len(s1.collapsings) != len(s2.collapsings)
-            or len(s1.equations) != len(s2.equations)):
+            or len(s1.equations) != len(s2.equations)
+            or any(len(kind.marks(s1)) != len(kind.marks(s2)) for kind in MARK_KINDS.values())):
         return IsoResult(None, True)
     types1 = sorted(s1.types)
     nodes = 0

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
-from .core import Specification, TermName, validate
+from .core import (MARK_KINDS, TERM, TYPE_MARKS, RuleTag, Specification,
+                   TermName, mark_results, validate)
 
 
 @dataclass
@@ -28,21 +29,15 @@ class DecoratedSpecification:
 def _forced_pure(d: DecoratedSpecification) -> Set[TermName]:
     """Terms whose purity is forced by the decoration rules."""
     s = d.base
-    forced = set(s.identities.values())
-    forced |= s.projection_names()
-    forced |= set(s.collapsings.values())
-    pure = set(d.pure_terms) | forced
+    pure = set(d.pure_terms) | mark_results(s, TERM, TYPE_MARKS)
     changed = True
     while changed:
         changed = False
-        for (f, g), c in s.compositions.items():
-            if f in pure and g in pure and c not in pure:
-                pure.add(c)
-                changed = True
-        for (f, g), t in s.tuples.items():
-            if f in pure and g in pure and t not in pure:
-                pure.add(t)
-                changed = True
+        for tag in (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE):
+            for args, (c,) in MARK_KINDS[tag].marks(s):
+                if c not in pure and pure.issuperset(args):
+                    pure.add(c)
+                    changed = True
     return pure - set(d.pure_terms)
 
 
@@ -62,7 +57,7 @@ def validate_decorated(d: DecoratedSpecification) -> List[str]:
     for x, i in s.identities.items():
         if i not in d.pure_terms:
             out.append(f"identity {i} must be pure")
-    for p in sorted(s.projection_names()):
+    for p in sorted(mark_results(s, TERM, (RuleTag.BINARY_PRODUCT,))):
         if p not in d.pure_terms:
             out.append(f"projection {p} must be pure")
     for x, c in s.collapsings.items():
@@ -99,20 +94,13 @@ def pure_part(d: DecoratedSpecification) -> Specification:
     for t in sorted(d.pure_terms):
         tm = s.terms[t]
         out.add_term(tm.name, tm.dom, tm.cod)
-    for x, i in s.identities.items():
-        if i in d.pure_terms:
-            out.identities[x] = i
-    for (f, g), c in s.compositions.items():
-        if f in d.pure_terms and g in d.pure_terms and c in d.pure_terms:
-            out.compositions[(f, g)] = c
-    for key, val in s.products.items():
-        out.products[key] = val
-    for (f, g), t in s.tuples.items():
-        if f in d.pure_terms and g in d.pure_terms and t in d.pure_terms:
-            out.tuples[(f, g)] = t
-    out.terminal = s.terminal
-    for x, c in s.collapsings.items():
-        out.collapsings[x] = c
+    for kind in MARK_KINDS.values():
+        for args, results in kind.marks(s):
+            terms = [r for sort, r in zip(kind.results, results) if sort == TERM]
+            if kind.args == TERM:
+                terms += args
+            if d.pure_terms.issuperset(terms):
+                kind.set(out, args, results)
     for (t1, t2) in s.equations:
         if t1 in d.pure_terms and t2 in d.pure_terms:
             out.equations.add((t1, t2))

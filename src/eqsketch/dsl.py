@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .core import Specification, validate
+from .core import TERM, TYPE, TYPE_MARKS, RuleTag, Specification, mark_results, validate
 from .decorate import DecoratedSpecification, decoration_closure
 from .errors import DuplicateName, SyntaxError_
 from .parameterize import (ParameterizedSpecification, ensure_comp, ensure_terminal,
@@ -359,16 +359,9 @@ def dump(doc: SpecDocument) -> str:
     lines: List[str] = []
     if doc.is_decorated:
         lines.append("decorated")
-    product_types = {p for (p, _1, _2) in s.products.values()}
-    mark_terms = set(s.identities.values()) | set(s.collapsings.values())
-    for (_p, p1, p2) in s.products.values():
-        mark_terms |= {p1, p2}
-    first_comp: Dict[str, Tuple[str, str]] = {}
-    for (f, g), c in sorted(s.compositions.items(), key=lambda kv: (kv[1], kv[0])):
-        first_comp.setdefault(c, (f, g))
-    first_tup: Dict[str, Tuple[str, str]] = {}
-    for (f, g), t in sorted(s.tuples.items(), key=lambda kv: (kv[1], kv[0])):
-        first_tup.setdefault(t, (f, g))
+    product_types = mark_results(s, TYPE, (RuleTag.BINARY_PRODUCT,))
+    type_mark_terms = mark_results(s, TERM, TYPE_MARKS)
+    term_mark_terms = mark_results(s, TERM, (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE))
     if s.terminal is not None:
         lines.append(f"unit {s.terminal}")
     for x in sorted(s.types):
@@ -384,11 +377,11 @@ def dump(doc: SpecDocument) -> str:
         declared.add(name)
 
     # a mark carries no purity, so a pure mark result is declared up front
-    declared = set(mark_terms)
+    declared = set(type_mark_terms)
     for name in sorted(s.terms):
-        if name in mark_terms:
+        if name in type_mark_terms:
             continue
-        if name in pure or not (name in first_comp or name in first_tup):
+        if name in pure or name not in term_mark_terms:
             declare(name)
     for x in sorted(s.identities):
         lines.append(f"identity {x} = {s.identities[x]}")

@@ -14,11 +14,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .core import (Specification, SpecMorphism, TermName, TypeName, _UnionFind,
-                   eqpair, identity_morphism, pushout, spec_equal, validate,
-                   validate_morphism)
+from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
+                   TermName, TypeName, _UnionFind, eqpair, identity_morphism, pushout,
+                   spec_equal, validate, validate_morphism)
 from .errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from .parameterize import (ensure_collapse, ensure_comp, ensure_identity,
                            ensure_product, ensure_terminal, ensure_tuple)
@@ -38,15 +38,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.state is TriState.EQUAL
-
-
-class RuleTag(Enum):
-    COMPOSITION = "composition"
-    IDENTITY = "identity"
-    BINARY_PRODUCT = "binary-product"
-    BINARY_TUPLE = "binary-tuple"
-    TERMINAL_TYPE = "terminal-type"
-    COLLAPSING = "collapsing"
 
 
 STRUCTURAL_RULES = tuple(RuleTag)
@@ -428,40 +419,19 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
 # Entailment checking
 # ---------------------------------------------------------------------------
 
-class _MarkKind(NamedTuple):
-    """A kind of term mark: its sites in a spec as (arguments, marked
-    terms), whether the arguments are types or terms, and the ensure-helper
-    that makes the marked terms from mapped arguments."""
-    sites: Callable[[Specification], Iterable[Tuple[tuple, tuple]]]
-    on_types: bool
-    ensure: Callable[..., Tuple[TermName, ...]]
-
-
-_MARK_KINDS = {
-    RuleTag.IDENTITY: _MarkKind(
-        lambda s: (((x,), (i,)) for x, i in s.identities.items()),
-        True, lambda s, x: (ensure_identity(s, x),)),
-    RuleTag.COMPOSITION: _MarkKind(
-        lambda s: ((fg, (c,)) for fg, c in s.compositions.items()),
-        False, lambda s, f, g: (ensure_comp(s, f, g),)),
-    RuleTag.BINARY_PRODUCT: _MarkKind(
-        lambda s: ((key, (p1, p2)) for key, (_p, p1, p2) in s.products.items()),
-        True, lambda s, y1, y2: ensure_product(s, y1, y2)[1:]),
-    RuleTag.BINARY_TUPLE: _MarkKind(
-        lambda s: ((fg, (t,)) for fg, t in s.tuples.items()),
-        False, lambda s, f, g: (ensure_tuple(s, f, g),)),
-    RuleTag.COLLAPSING: _MarkKind(
-        lambda s: (((x,), (c,)) for x, c in s.collapsings.items()),
-        True, lambda s, x: (ensure_collapse(s, x),)),
-}
+# the ensure-helper that makes the results of each kind of mark
+_MARK_KINDS = {RuleTag.IDENTITY: ensure_identity, RuleTag.COMPOSITION: ensure_comp,
+               RuleTag.BINARY_PRODUCT: ensure_product, RuleTag.BINARY_TUPLE: ensure_tuple,
+               RuleTag.TERMINAL_TYPE: ensure_terminal, RuleTag.COLLAPSING: ensure_collapse}
 
 
 def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     """Is the extra content of the target derivable from the source?
 
     EQUAL means yes (tau is an entailment at this bound): every new type
-    and term of the target is made from the source by the mark that
-    names it, and every new equation and mark holds in the congruence
+    and term of the target is made from the source by the first mark that
+    names it, each new mark makes the types it names, and every new
+    equation and term result of a new mark holds in the congruence
     closure of the universe so made, widened by saturation.  Otherwise
     the countermodel is the ``canonical()``-least model of the source,
     on the least carrier choice that has one, without exactly one
@@ -476,70 +446,46 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
             len(set(tau.term_map.values())) != len(tau.term_map):
         return Verdict(TriState.UNKNOWN)  # only extensions are analysed
     big = s1.copy()
-    inv_t = {v: k for k, v in tau.type_map.items()}
-    inv_m = {v: k for k, v in tau.term_map.items()}
-    phi_t: Dict[str, str] = dict(inv_t)
-    phi_m: Dict[str, str] = dict(inv_m)
-
-    # map new types; each must be derivable as a terminal or product type
-    new_types = [x for x in sorted(s.types) if x not in inv_t]
+    image = {TYPE: tau.type_map, TERM: tau.term_map}
+    phi = {sort: {v: k for k, v in image[sort].items()} for sort in image}  # into big
+    carried = {(tag, *kind.image(image, args, results))
+               for tag, kind in MARK_KINDS.items() for args, results in kind.marks(s1)}
+    new = [(kind, tag, args, results)
+           for tag, kind in MARK_KINDS.items() for args, results in kind.marks(s)
+           if (tag, args, results) not in carried]
+    namer: Dict[Tuple[str, str], int] = {}
+    for n, (kind, _tag, _args, results) in enumerate(new):
+        for name in zip(kind.results, results):
+            namer.setdefault(name, n)
+    # make each new mark once its arguments are made, in rounds since marks
+    # may chain; a new type or term is what the first mark naming it makes
+    made: Dict[int, tuple] = {}
     progress = True
-    while new_types and progress:
+    while progress:
         progress = False
-        for x in list(new_types):
-            if x == s.terminal:
-                phi_t[x] = ensure_terminal(big)
-                new_types.remove(x)
+        for n, (kind, tag, args, results) in enumerate(new):
+            if n not in made and all(a in phi[kind.args] for a in args):
+                out = _MARK_KINDS[tag](big, *(phi[kind.args][a] for a in args))
+                made[n] = out if isinstance(out, tuple) else (out,)
+                for sort, r, m in zip(kind.results, results, made[n]):
+                    if namer[sort, r] == n:
+                        phi[sort].setdefault(r, m)
                 progress = True
-                continue
-            for (y1, y2), (p, _1, _2) in s.products.items():
-                if p == x and y1 in phi_t and y2 in phi_t:
-                    phi_t[x] = ensure_product(big, phi_t[y1], phi_t[y2])[0]
-                    new_types.remove(x)
-                    progress = True
-                    break
-    if new_types:
+    if len(phi[TYPE]) < len(s.types) or len(phi[TERM]) < len(s.terms):
+        # a new type or term without a mark, or whose mark never becomes ready
         return _semantic_entailment_check(tau, MAX_CARRIER)
-    # the terminal and product types the target marks must be the ones
-    # derived from the source; on a mark the source lacks they are not
-    if (s.terminal is not None and ensure_terminal(big) != phi_t[s.terminal]) or \
-            any(ensure_product(big, phi_t[y1], phi_t[y2])[0] != phi_t[p]
-                for (y1, y2), (p, _1, _2) in s.products.items()):
-        return _semantic_entailment_check(tau, MAX_CARRIER)
-    # map new terms, in rounds since marks may chain; a term with several
-    # marks is made by the first of them
-    new_terms = [t for t in sorted(s.terms) if t not in inv_m]
-    mark_of: Dict[TermName, Tuple[_MarkKind, tuple, int]] = {}
-    for kind in _MARK_KINDS.values():
-        for args, marks in kind.sites(s):
-            for i, t in enumerate(marks):
-                mark_of.setdefault(t, (kind, args, i))
-    progress = True
-    while progress and new_terms:
-        progress = False
-        for t in [t for t in new_terms if t in mark_of]:
-            kind, args, i = mark_of[t]
-            phi = phi_t if kind.on_types else phi_m
-            if all(a in phi for a in args):
-                phi_m[t] = kind.ensure(big, *(phi[a] for a in args))[i]
-                new_terms.remove(t)
-                progress = True
-    if new_terms:
-        # a new term without a mark, or whose mark never becomes ready
-        return _semantic_entailment_check(tau, MAX_CARRIER)
-    # obligations: equations of s and marks of s that are not images of
-    # those of s1
+    # obligations: the equations of s that are not images of those of s1,
+    # and the term results of its new marks; a type result that is not the
+    # one made, as on a mark the source lacks, refutes a proof
     carried_eqs = {eqpair(tau.term_map[a], tau.term_map[b]) for (a, b) in s1.equations}
-    obligations = [(phi_m[a], phi_m[b]) for (a, b) in s.equations
+    obligations = [(phi[TERM][a], phi[TERM][b]) for (a, b) in s.equations
                    if (a, b) not in carried_eqs]
-    for kind in _MARK_KINDS.values():
-        phi, image = (phi_t, tau.type_map) if kind.on_types else (phi_m, tau.term_map)
-        carried = {(tuple(image[a] for a in args), tuple(tau.term_map[t] for t in marks))
-                   for args, marks in kind.sites(s1)}
-        for args, marks in kind.sites(s):
-            if (args, marks) not in carried:
-                made = kind.ensure(big, *(phi[a] for a in args))
-                obligations.extend(zip(made, (phi_m[t] for t in marks)))
+    for n, (kind, _tag, _args, results) in enumerate(new):
+        for sort, r, m in zip(kind.results, results, made[n]):
+            if sort == TERM:
+                obligations.append((m, phi[TERM][r]))
+            elif m != phi[TYPE][r]:
+                return _semantic_entailment_check(tau, MAX_CARRIER)
     uf = congruence_classes(big)
     if any(uf.find(a) != uf.find(b) for (a, b) in obligations):
         # widen the term universe before giving up on a proof

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Specification, TermName, TypeName
+from .core import TERM, TYPE, Specification, TermName, TypeName, mark_results
 from .decorate import DecoratedSpecification, undecorate
 from .errors import (IncomparableCarrier, InvalidAlpha, SearchSpaceTooLarge,
                      Unassigned)
@@ -133,14 +133,6 @@ def derived_carriers(s: Specification, base_carriers: Dict[TypeName, Sequence]) 
     if missing:
         raise Unassigned(f"no carrier for type(s) {', '.join(missing)}")
     return carriers
-
-
-def _mark_results(s: Specification) -> set:
-    """Terms whose tables a mark determines from other tables."""
-    out = set(s.identities.values()) | set(s.collapsings.values())
-    out |= s.projection_names()
-    out |= set(s.compositions.values()) | set(s.tuples.values())
-    return out
 
 
 _COMP, _COMP_G, _PAIR, _EQ, _IMG = range(5)
@@ -397,7 +389,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     if fixed is not None and any(set(v) != set(carriers[x])
                                  for x, v in fixed.carriers.items()):
         return None  # s forces another carrier on a type that fixed gives
-    marked = _mark_results(s)
+    marked = mark_results(s, TERM)  # the tables that a mark fills from others
     fixed_funcs = dict(fixed.functions) if fixed is not None else {}
     terms = sorted(s.terms)
     ranked = {x: tuple(_sorted_carrier(x, c)) for x, c in carriers.items()}
@@ -527,12 +519,13 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     ``canonical()`` (``_canonical_cells``), gets the least value that a
     first-hit search from the cells set so far can still complete to a
     model that ``accept`` takes; values from the witness's up need no
-    search.  ``check_model`` gates the one model found.
+    search.  The ``_model_check`` of the carriers gates the one model
+    found.
     """
     built = _model_cells(s, base_carriers, None, cap)
     if built is None:
         return None
-    cells, order, tables, model, _check = built
+    cells, order, tables, model, check = built
     val = cells.val
 
     def witness() -> Optional[List[int]]:
@@ -562,7 +555,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
             if not cells.assign([(cell, w[cell])]):
                 raise AssertionError("a witness cell conflicts with the cells set before it")
     m = model()
-    errs = check_model(s, m)
+    errs = check(m.functions)
     if errs:
         raise AssertionError(f"least model search produced a non-model: {errs[0]}")
     return m
@@ -575,9 +568,7 @@ class ModelHom:
 
 def base_types(s: Specification) -> List[TypeName]:
     """The types whose carriers are chosen: all but products and the terminal."""
-    derived = {p for (_k, (p, _1, _2)) in s.products.items()}
-    if s.terminal is not None:
-        derived.add(s.terminal)
+    derived = mark_results(s, TYPE)
     return sorted(x for x in s.types if x not in derived)
 
 

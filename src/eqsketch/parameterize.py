@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .core import (Specification, SpecMorphism, TermName, TypeName,
-                   fresh_name)
+from .core import (MARK_KINDS, TERM, TYPE, Specification, SpecMorphism,
+                   TermName, TypeName, fresh_name)
 from .decorate import (DecoratedSpecification, pure_part, undecorate,
                        validate_decorated)
 from .errors import PurityViolation
@@ -34,13 +34,16 @@ class ParameterizedSpecificationWithConstant:
 # ---------------------------------------------------------------------------
 # ensure-helpers: the one executable form of the six structural rules.
 # Each adds a derived feature to a mutable spec, reusing the existing mark
-# when the site is already filled.  On a match, each gives a spec
-# isomorphic to the pushout of ``inference.rule(tag)`` (for the tuple rule,
-# up to the projection laws that ``congruence_classes`` builds in).  Their
-# callers: ``inference.saturate`` and ``inference.is_entailment``,
-# ``parameterize``, ``parameterize_morphism``, ``ell``, ``check_ell_natural``
-# and the DSL's elaboration of composite expressions.  Fresh names are
-# taken against the spec itself, which is the live set of its names.
+# when the site is already filled, and returns the results of the mark of
+# its kind in ``core.MARK_KINDS`` (a lone result bare).  On a match, each
+# gives a spec isomorphic to the pushout of ``inference.rule(tag)`` (for
+# the tuple rule, up to the projection laws that ``congruence_classes``
+# builds in).  Their callers: ``inference.saturate``,
+# ``inference.is_entailment`` through its map ``_MARK_KINDS`` from each
+# kind to its helper, ``parameterize``, ``parameterize_morphism``,
+# ``_with_constant`` (for ``ell`` and ``check_ell_natural``) and the DSL's
+# elaboration of composite expressions.  Fresh names are taken against the
+# spec itself, which is the live set of its names.
 # ---------------------------------------------------------------------------
 
 def ensure_identity(s: Specification, x: TypeName) -> TermName:
@@ -367,13 +370,15 @@ def ell(d: DecoratedSpecification,
             term_map[f] = _with_constant(ext, a_const, base.terms[f].dom, par.lift[f])
     # preserve the structural marks of the source on their images: mark the
     # image site, or equate with the mark already there
-    for marks, own, on_terms in ((ext.compositions, base.compositions, True),
-                                 (ext.tuples, base.tuples, True),
-                                 (ext.identities, base.identities, False),
-                                 (ext.collapsings, base.collapsings, False)):
-        for site, c in own.items():
-            key = tuple(term_map[f] for f in site) if on_terms else site
-            ext.add_equation(marks.setdefault(key, term_map[c]), term_map[c])
+    image = {TYPE: type_map, TERM: term_map}
+    for kind in MARK_KINDS.values():
+        for args, results in kind.marks(base):
+            site, want = kind.image(image, args, results)
+            if kind.get(ext, site) is None:
+                kind.set(ext, site, want)
+            for sort, a, b in zip(kind.results, kind.get(ext, site), want):
+                if sort == TERM:
+                    ext.add_equation(a, b)
     for (t1, t2) in base.equations:
         ext.add_equation(term_map[t1], term_map[t2])
 

@@ -1,13 +1,22 @@
-import pytest
+import itertools
+import re
+from typing import Dict, List, Set, Tuple
 
-from eqsketch.core import (Specification, SpecMorphism, compose, coproduct,
-                           identity_morphism, iso_search, pushout,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqsketch import core
+from eqsketch.core import (MARK_KINDS, IsoResult, RuleTag, Specification,
+                           SpecMorphism, _UnionFind, compose, coproduct, eqpair,
+                           fresh_name, identity_morphism, iso_search, pushout,
                            pushout_universal_check, spec_equal, validate,
                            validate_morphism)
 from eqsketch.errors import SourceTargetMismatch
+from eqsketch.inference import STRUCTURAL_RULES, rule, saturate
 from eqsketch.yoneda import ElementaryPoint, elementary
 
-from conftest import CORPUS
+from conftest import CORPUS, small_specs
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -49,14 +58,31 @@ def test_coproduct_is_disjoint_union():
     assert validate_morphism(in2) == []
 
 
-def test_pushout_glues_terms_along_shared_type():
-    # two generic arrows glued at codomain/domain: 3 types, 2 terms
+def _glued_terms_span():
+    # two generic arrows glued at codomain/domain
     t1 = elementary(ElementaryPoint.TERM)
     t2 = elementary(ElementaryPoint.TERM)
     point = Specification()
     point.add_type("P")
     f = SpecMorphism(point, t1, {"P": "Y"}, {})
     g = SpecMorphism(point, t2, {"P": "X"}, {})
+    return f, g
+
+
+def _clashing_composites_span():
+    # both legs mark the composite of the same pair
+    cons = elementary(ElementaryPoint.CONS)
+    comp1 = elementary(ElementaryPoint.COMP)
+    comp2 = elementary(ElementaryPoint.COMP)
+    inc = {"X": "X", "Y": "Y", "Z": "Z"}
+    f = SpecMorphism(cons, comp1, inc, {"f": "f", "g": "g"})
+    g = SpecMorphism(cons, comp2, inc, {"f": "f", "g": "g"})
+    return f, g
+
+
+def test_pushout_glues_terms_along_shared_type():
+    # 3 types, 2 terms
+    f, g = _glued_terms_span()
     out, in1, in2 = pushout(f, g)
     assert len(out.types) == 3
     assert len(out.terms) == 2
@@ -73,12 +99,8 @@ def test_pushout_identity_span_is_isomorphic():
 
 
 def test_pushout_universal_property():
-    t1 = elementary(ElementaryPoint.TERM)
-    t2 = elementary(ElementaryPoint.TERM)
-    point = Specification()
-    point.add_type("P")
-    f = SpecMorphism(point, t1, {"P": "Y"}, {})
-    g = SpecMorphism(point, t2, {"P": "X"}, {})
+    f, g = _glued_terms_span()
+    t1, t2 = f.target, g.target
     # cocone into a chain spec gluing the same way
     chain = CORPUS["comp_chain"]()
     c1 = SpecMorphism(t1, chain, {"X": "X", "Y": "Y"}, {"f": "f"})
@@ -87,15 +109,8 @@ def test_pushout_universal_property():
 
 
 def test_pushout_merges_clashing_features():
-    # both legs mark the composite of the same pair: results are merged,
-    # not duplicated
-    cons = elementary(ElementaryPoint.CONS)
-    comp1 = elementary(ElementaryPoint.COMP)
-    comp2 = elementary(ElementaryPoint.COMP)
-    inc = {"X": "X", "Y": "Y", "Z": "Z"}
-    f = SpecMorphism(cons, comp1, inc, {"f": "f", "g": "g"})
-    g = SpecMorphism(cons, comp2, inc, {"f": "f", "g": "g"})
-    out, _1, _2 = pushout(f, g)
+    # results are merged, not duplicated
+    out, _1, _2 = pushout(*_clashing_composites_span())
     assert len(out.terms) == 3
     assert len(out.compositions) == 1
 
@@ -120,3 +135,318 @@ def test_iso_search_definitive_negative():
 def test_spec_equal_is_exact():
     assert spec_equal(CORPUS["endo"](), CORPUS["endo"]())
     assert not spec_equal(CORPUS["endo"](), CORPUS["single_type"]())
+
+
+def test_iso_search_precheck_counts_the_marks_of_each_kind(monkeypatch):
+    # monoid_core carries a mark of every kind; each copy drops one of them
+    # and keeps its results as a plain type or term, so only that kind's
+    # mark count tells the two apart
+    def no_bijections(*_args):
+        raise AssertionError("the precheck should have answered")
+
+    monkeypatch.setattr(core, "_all_term_bijections", no_bijections)
+    s = CORPUS["monoid_core"]()
+    for tag in MARK_KINDS:
+        dropped = s.copy()
+        if tag is RuleTag.TERMINAL_TYPE:
+            dropped.terminal = None
+        else:
+            marks = getattr(dropped, {RuleTag.IDENTITY: "identities",
+                                      RuleTag.COMPOSITION: "compositions",
+                                      RuleTag.BINARY_PRODUCT: "products",
+                                      RuleTag.BINARY_TUPLE: "tuples",
+                                      RuleTag.COLLAPSING: "collapsings"}[tag])
+            del marks[next(iter(marks))]
+        assert (dropped.types, dropped.terms) == (s.types, s.terms)
+        assert iso_search(s, dropped) == IsoResult(None, True), tag
+        assert iso_search(dropped, s) == IsoResult(None, True), tag
+
+
+# ---------------------------------------------------------------------------
+# Reference pushout and morphism check: verbatim copies of pushout and
+# validate_morphism as they were when each wrote the six kinds of mark out
+# by hand, kept as differential oracles for the versions that read the
+# table of mark kinds
+# ---------------------------------------------------------------------------
+
+def reference_validate_morphism(m: SpecMorphism) -> List[str]:
+    """Check graph-morphism, feature-preservation and equation-preservation."""
+    out: List[str] = []
+    s, t = m.source, m.target
+    for x in s.types:
+        if m.type_map.get(x) not in t.types:
+            out.append(f"type {x} not mapped to a target type")
+    for n, tm in s.terms.items():
+        img = m.term_map.get(n)
+        if img not in t.terms:
+            out.append(f"term {n} not mapped to a target term")
+            continue
+        ti = t.terms[img]
+        if ti.dom != m.type_map.get(tm.dom) or ti.cod != m.type_map.get(tm.cod):
+            out.append(f"term {n}: image {img} has wrong dom/cod")
+    if out:
+        return out
+    for x, i in s.identities.items():
+        if t.identities.get(m.type_map[x]) != m.term_map[i]:
+            out.append(f"identity mark at {x} not preserved")
+    for (f, g), c in s.compositions.items():
+        if t.compositions.get((m.term_map[f], m.term_map[g])) != m.term_map[c]:
+            out.append(f"composition mark ({f},{g}) not preserved")
+    for (y1, y2), (p, p1, p2) in s.products.items():
+        img = t.products.get((m.type_map[y1], m.type_map[y2]))
+        if img != (m.type_map[p], m.term_map[p1], m.term_map[p2]):
+            out.append(f"product mark ({y1},{y2}) not preserved")
+    for (f1, f2), tt in s.tuples.items():
+        if t.tuples.get((m.term_map[f1], m.term_map[f2])) != m.term_map[tt]:
+            out.append(f"tuple mark ({f1},{f2}) not preserved")
+    if s.terminal is not None and t.terminal != m.type_map.get(s.terminal):
+        out.append("terminal mark not preserved")
+    for x, c in s.collapsings.items():
+        if t.collapsings.get(m.type_map[x]) != m.term_map[c]:
+            out.append(f"collapsing mark at {x} not preserved")
+    for (t1, t2) in s.equations:
+        a, b = m.term_map[t1], m.term_map[t2]
+        if a != b and eqpair(a, b) not in t.equations:
+            out.append(f"equation ({t1},{t2}) not preserved")
+    return out
+
+
+def reference_pushout(f: SpecMorphism, g: SpecMorphism
+                      ) -> Tuple[Specification, SpecMorphism, SpecMorphism]:
+    """Pushout of the span  S1 <- S0 -> S2  in the category of specifications.
+
+    Merged sites that would receive two marks have their result terms
+    identified (the quotient is pushed further), so the "at most one mark
+    per site" invariant is kept and the universal property holds.
+    """
+    s0 = f.source
+    if not spec_equal(s0, g.source):
+        raise SourceTargetMismatch("pushout legs must share their source")
+    sides = {1: f.target, 2: g.target}
+    uf_t, uf_m = _UnionFind(), _UnionFind()
+    for side, sp in sides.items():
+        for x in sp.types:
+            uf_t.find((side, x))
+        for t in sp.terms:
+            uf_m.find((side, t))
+    for x in s0.types:
+        uf_t.union((1, f.type_map[x]), (2, g.type_map[x]))
+    for t in s0.terms:
+        uf_m.union((1, f.term_map[t]), (2, g.term_map[t]))
+
+    # merge marks at identified sites until stable
+    changed = True
+    while changed:
+        changed = False
+        first: Dict[object, object] = {}
+
+        def mark(uf, site, result) -> None:
+            """Identify result with the first result seen at its site."""
+            nonlocal changed
+            if uf.union(first.setdefault(site, result), result):
+                changed = True
+
+        def term_site(kind, side, u, v):
+            return kind, uf_m.find((side, u)), uf_m.find((side, v))
+
+        for side, sp in sides.items():
+            for x, i in sp.identities.items():
+                mark(uf_m, ("identity", uf_t.find((side, x))), (side, i))
+            for (u, v), c in sp.compositions.items():
+                mark(uf_m, term_site("compose", side, u, v), (side, c))
+            for (y1, y2), (p, p1, p2) in sp.products.items():
+                key = (uf_t.find((side, y1)), uf_t.find((side, y2)))
+                mark(uf_t, ("product", key), (side, p))
+                mark(uf_m, ("proj1", key), (side, p1))
+                mark(uf_m, ("proj2", key), (side, p2))
+            for (u, v), tt in sp.tuples.items():
+                mark(uf_m, term_site("tuple", side, u, v), (side, tt))
+            if sp.terminal is not None:
+                mark(uf_t, ("terminal",), (side, sp.terminal))
+            for x, c in sp.collapsings.items():
+                mark(uf_m, ("collapse", uf_t.find((side, x))), (side, c))
+
+    def name_classes(uf, items):
+        classes = uf.classes(items)
+        # deterministic: classes sorted by their sorted member names
+        ordered = sorted(classes.values(), key=lambda vs: sorted(n for _s, n in vs))
+        names: Dict[object, str] = {}
+        taken: Set[str] = set()
+        for vs in ordered:
+            base = min(n for _s, n in vs)
+            nm = fresh_name(base, taken)
+            taken.add(nm)
+            for v in vs:
+                names[uf.find(v)] = nm
+        return names
+
+    all_types = [(side, x) for side, sp in sides.items() for x in sp.types]
+    all_terms = [(side, t) for side, sp in sides.items() for t in sp.terms]
+    tname = name_classes(uf_t, all_types)
+    mname = name_classes(uf_m, all_terms)
+
+    def nt(side, x):
+        return tname[uf_t.find((side, x))]
+
+    def nm(side, t):
+        return mname[uf_m.find((side, t))]
+
+    out = Specification()
+    for side, sp in sides.items():
+        for x in sp.types:
+            out.add_type(nt(side, x))
+        for t in sp.terms.values():
+            out.add_term(nm(side, t.name), nt(side, t.dom), nt(side, t.cod))
+        for x, i in sp.identities.items():
+            out.identities[nt(side, x)] = nm(side, i)
+        for (u, v), c in sp.compositions.items():
+            out.compositions[(nm(side, u), nm(side, v))] = nm(side, c)
+        for (y1, y2), (p, p1, p2) in sp.products.items():
+            out.products[(nt(side, y1), nt(side, y2))] = (
+                nt(side, p), nm(side, p1), nm(side, p2))
+        for (u, v), t in sp.tuples.items():
+            out.tuples[(nm(side, u), nm(side, v))] = nm(side, t)
+        if sp.terminal is not None:
+            out.terminal = nt(side, sp.terminal)
+        for x, c in sp.collapsings.items():
+            out.collapsings[nt(side, x)] = nm(side, c)
+        for (t1, t2) in sp.equations:
+            out.add_equation(nm(side, t1), nm(side, t2))
+
+    in1 = SpecMorphism(sides[1], out,
+                       {x: nt(1, x) for x in sides[1].types},
+                       {t: nm(1, t) for t in sides[1].terms})
+    in2 = SpecMorphism(sides[2], out,
+                       {x: nt(2, x) for x in sides[2].types},
+                       {t: nm(2, t) for t in sides[2].terms})
+    return out, in1, in2
+
+
+def _assert_pushouts_agree(f, g):
+    got, want = pushout(f, g), reference_pushout(f, g)
+    assert spec_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert (a.source, a.target) == (b.source, b.target)
+        assert (a.type_map, a.term_map) == (b.type_map, b.term_map)
+
+
+def _maps(source, target):
+    """Every map of the types and terms of source into target that sends
+    each term to one whose dom and cod are the images of its own; the
+    rule matches are those whose marks are preserved too."""
+    xs, ts = sorted(source.types), sorted(source.terms)
+    for images in itertools.product(sorted(target.types), repeat=len(xs)):
+        tmap = dict(zip(xs, images))
+        options = [[u for u in sorted(target.terms)
+                    if (target.terms[u].dom, target.terms[u].cod)
+                    == (tmap[source.terms[t].dom], tmap[source.terms[t].cod])]
+                   for t in ts]
+        for images2 in itertools.product(*options):
+            yield SpecMorphism(source, target, tmap, dict(zip(ts, images2)))
+
+
+@pytest.mark.parametrize("tag", STRUCTURAL_RULES)
+def test_pushout_matches_reference_on_rule_matches(tag):
+    r = rule(tag)
+    matched = 0
+    for name, mk in CORPUS.items():
+        s = mk()
+        for match in _maps(r.hypothesis, s):
+            if not validate_morphism(match):
+                _assert_pushouts_agree(r.inclusion, match)
+                matched += 1
+    assert matched > 0
+
+
+def test_pushout_matches_reference_on_coproducts():
+    for a, b in itertools.product(sorted(CORPUS), repeat=2):
+        empty = Specification()
+        _assert_pushouts_agree(SpecMorphism(empty, CORPUS[a](), {}, {}),
+                               SpecMorphism(empty, CORPUS[b](), {}, {}))
+
+
+def test_pushout_matches_reference_on_the_spans_above():
+    monoid = identity_morphism(CORPUS["monoid_core"]())
+    for f, g in (_glued_terms_span(), (monoid, monoid), _clashing_composites_span()):
+        _assert_pushouts_agree(f, g)
+
+
+@st.composite
+def clashing_spans(draw):
+    """Two copies of the depth-1 saturation of a small spec, glued along
+    all types and along drawn terms of the small spec, each sent to a
+    drawn parallel term in the second copy: marks at sites that the
+    gluing identifies clash, and their merged results identify further
+    sites.  The second copy lists its marks backwards, so a merge often
+    waits for one that a later mark brings, a round later."""
+    small, _carriers = draw(small_specs())
+    s = saturate(small, 1).spec
+    glued = draw(st.lists(st.sampled_from(sorted(small.terms)), min_size=1, unique=True))
+    s0 = Specification(types=set(s.types))
+    for t in glued:
+        s0.add_term(t, s.terms[t].dom, s.terms[t].cod)
+    other = {t: draw(st.sampled_from([u for u in sorted(small.terms) if s.parallel(t, u)
+                                      and u != t] or [t]))
+             for t in glued}
+    s2 = s.copy()
+    s2.compositions = dict(reversed(s.compositions.items()))
+    s2.tuples = dict(reversed(s.tuples.items()))
+    types = {x: x for x in s.types}
+    return (SpecMorphism(s0, s, types, {t: t for t in glued}),
+            SpecMorphism(s0, s2, types, other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clashing_spans())
+def test_pushout_matches_reference_on_clashing_spans(span):
+    _assert_pushouts_agree(*span)
+
+
+def _tampered(s):
+    """Morphisms out of s: the identity into s, then broken copies of it
+    that each fire one kind of message of validate_morphism."""
+    ident = identity_morphism(s)
+    yield ident
+    for x in sorted(s.types):
+        yield SpecMorphism(s, s, {**ident.type_map, x: "?"}, ident.term_map)
+    for n in sorted(s.terms):
+        yield SpecMorphism(s, s, ident.type_map, {**ident.term_map, n: "?"})
+        for u in sorted(s.terms):
+            if not s.parallel(n, u):
+                yield SpecMorphism(s, s, ident.type_map, {**ident.term_map, n: u})
+                break
+    for marks in ("identities", "compositions", "products", "tuples", "collapsings"):
+        for site in getattr(s, marks):
+            dropped = s.copy()
+            del getattr(dropped, marks)[site]
+            yield SpecMorphism(s, dropped, ident.type_map, ident.term_map)
+    if s.terminal is not None:
+        dropped = s.copy()
+        dropped.terminal = None
+        yield SpecMorphism(s, dropped, ident.type_map, ident.term_map)
+    for eq in sorted(s.equations):
+        dropped = s.copy()
+        dropped.equations.discard(eq)
+        yield SpecMorphism(s, dropped, ident.type_map, ident.term_map)
+
+
+_MESSAGES = ("type .* not mapped", "term .* not mapped", "wrong dom/cod",
+             "identity mark at .* not preserved", r"composition mark \(.*\) not preserved",
+             r"product mark \(.*\) not preserved", r"tuple mark \(.*\) not preserved",
+             "^terminal mark not preserved$", "collapsing mark at .* not preserved",
+             r"equation \(.*\) not preserved")
+
+
+def test_validate_morphism_matches_reference():
+    specs = [mk() for mk in CORPUS.values()] + [saturate(CORPUS["monoid_core"](), 1).spec]
+    cases = [m for s in specs for m in _tampered(s)]
+    # maps of the rule figures, marked or not, into the corpus
+    for point in ElementaryPoint:
+        for mk in CORPUS.values():
+            cases.extend(itertools.islice(_maps(elementary(point), mk()), 500))
+    fired = set()
+    for m in cases:
+        got = validate_morphism(m)
+        assert got == reference_validate_morphism(m)
+        fired.update(p for p in _MESSAGES for line in got if re.search(p, line))
+    assert fired == set(_MESSAGES)

@@ -1,6 +1,7 @@
 import itertools
 import signal
 import time
+from typing import Callable, Iterable, NamedTuple, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,8 +18,7 @@ from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
                                 compose_fractions, congruence_classes,
                                 identity_fraction, is_entailment,
                                 match_morphism, rule, saturate, terms_equal,
-                                _MARK_KINDS, _find_countermodel,
-                                _semantic_entailment_check)
+                                _find_countermodel, _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
 from eqsketch.parameterize import (ensure_collapse, ensure_comp, ensure_identity,
                                    ensure_product, ensure_terminal, ensure_tuple)
@@ -602,12 +602,17 @@ def test_countermodel_search_stops_at_the_first_hit(monkeypatch):
         s.add_term(c, "X", "X")
         s.compositions[(f, g)] = c
     calls = []
+    build = eqsketch.models._model_check
 
-    def counting(spec, m):
-        calls.append(m)
-        return check_model(spec, m)
+    def counting_build(spec, carriers):
+        check = build(spec, carriers)
 
-    monkeypatch.setattr(eqsketch.models, "check_model", counting)
+        def counting(functions):
+            calls.append(functions)
+            return check(functions)
+        return counting
+
+    monkeypatch.setattr(eqsketch.models, "_model_check", counting_build)
     v = terms_equal(s, "wb", "wd", depth=2)
     assert v.state is TriState.DISTINCT_AT_BOUND
     assert len(calls) == 1
@@ -782,8 +787,36 @@ def test_projections_of_a_derived_product_are_obligations():
 # ---------------------------------------------------------------------------
 # Reference entailment check: a verbatim copy of is_entailment as it was
 # when unproven obligations went to a search of the term universe for a
-# separating model, kept as a differential oracle for the verdict states
+# separating model, kept as a differential oracle for the verdict states,
+# with the table of term marks it read then
 # ---------------------------------------------------------------------------
+
+class _MarkKind(NamedTuple):
+    """A kind of term mark: its sites in a spec as (arguments, marked
+    terms), whether the arguments are types or terms, and the ensure-helper
+    that makes the marked terms from mapped arguments."""
+    sites: Callable[[Specification], Iterable[Tuple[tuple, tuple]]]
+    on_types: bool
+    ensure: Callable[..., Tuple[str, ...]]
+
+
+_MARK_KINDS = {
+    RuleTag.IDENTITY: _MarkKind(
+        lambda s: (((x,), (i,)) for x, i in s.identities.items()),
+        True, lambda s, x: (ensure_identity(s, x),)),
+    RuleTag.COMPOSITION: _MarkKind(
+        lambda s: ((fg, (c,)) for fg, c in s.compositions.items()),
+        False, lambda s, f, g: (ensure_comp(s, f, g),)),
+    RuleTag.BINARY_PRODUCT: _MarkKind(
+        lambda s: ((key, (p1, p2)) for key, (_p, p1, p2) in s.products.items()),
+        True, lambda s, y1, y2: ensure_product(s, y1, y2)[1:]),
+    RuleTag.BINARY_TUPLE: _MarkKind(
+        lambda s: ((fg, (t,)) for fg, t in s.tuples.items()),
+        False, lambda s, f, g: (ensure_tuple(s, f, g),)),
+    RuleTag.COLLAPSING: _MarkKind(
+        lambda s: (((x,), (c,)) for x, c in s.collapsings.items()),
+        True, lambda s, x: (ensure_collapse(s, x),)),
+}
 
 _RECIPE_ORDER = (RuleTag.IDENTITY, RuleTag.COMPOSITION, RuleTag.BINARY_PRODUCT,
                  RuleTag.BINARY_TUPLE, RuleTag.COLLAPSING)

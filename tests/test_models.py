@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqsketch.core import Specification
+from eqsketch.core import TERM, RuleTag, Specification, mark_results
 from eqsketch.decorate import pure_part
 from eqsketch import models
 from eqsketch.errors import (EqsketchError, IncomparableCarrier, InvalidAlpha,
@@ -231,7 +231,8 @@ def _tampered(s, m):
     if s.terminal is not None:
         for u in ((), (UNIT_ELEMENT, 1), (0,)):
             out.append((f"terminal {u!r}", copy(carriers={**m.carriers, s.terminal: u})))
-    results = (list(s.identities.values()) + sorted(s.projection_names())
+    projections = sorted(mark_results(s, TERM, (RuleTag.BINARY_PRODUCT,)))
+    results = (list(s.identities.values()) + projections
                + list(s.compositions.values()) + list(s.tuples.values())
                + list(s.collapsings.values()) + [t for eq in sorted(s.equations) for t in eq])
     for t in results:
