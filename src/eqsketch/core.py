@@ -271,7 +271,7 @@ def validate(s: Specification) -> List[str]:
             t = s.terms[c]
             if t.dom != x or t.cod != s.terminal:
                 out.append(f"collapsing {c} is not {x} -> {s.terminal}")
-    for (t1, t2) in s.equations:
+    for (t1, t2) in sorted(s.equations):
         if t1 not in s.terms or t2 not in s.terms:
             out.append(f"equation ({t1},{t2}): unknown term")
         elif not s.parallel(t1, t2):
@@ -295,7 +295,7 @@ def validate_morphism(m: SpecMorphism) -> List[str]:
     """Check graph-morphism, feature-preservation and equation-preservation."""
     out: List[str] = []
     s, t = m.source, m.target
-    for x in s.types:
+    for x in sorted(s.types):
         if m.type_map.get(x) not in t.types:
             out.append(f"type {x} not mapped to a target type")
     for n, tm in s.terms.items():
@@ -315,7 +315,7 @@ def validate_morphism(m: SpecMorphism) -> List[str]:
             if kind.get(t, site) != want:
                 at = f" at {args[0]}" if len(args) == 1 else f" ({','.join(args)})" if args else ""
                 out.append(f"{kind.name} mark{at} not preserved")
-    for (t1, t2) in s.equations:
+    for (t1, t2) in sorted(s.equations):
         a, b = m.term_map[t1], m.term_map[t2]
         if a != b and eqpair(a, b) not in t.equations:
             out.append(f"equation ({t1},{t2}) not preserved")

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
                    TermName, TypeName, _UnionFind, eqpair, identity_morphism, pushout,
@@ -172,12 +172,20 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     cannot fit the cap is refused before it is built, with the
     ``BudgetExceeded`` that building it would raise.
     """
+    return next(_levels(s, (depth,), cap))
+
+
+def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Saturation]:
+    """One saturation of a copy of s, grown in place and yielded closed at
+    each ascending depth in turn: grown from the depth below, each least
+    fixpoint is ``saturate``'s up to names and overflows the cap as it would."""
     errs = validate(s)
     if errs:
         raise ValueError("saturate requires a valid specification: " + errs[0])
     out = s.copy()
-    trace: List[TraceStep] = []
-    depth_of: Dict[TermName, int] = {t: 0 for t in out.terms}
+    sat = Saturation(out, SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms}),
+                     [], {t: 0 for t in out.terms})
+    trace, depth_of = sat.trace, sat.depth_of
 
     def record(tag: RuleTag, match: Dict[str, str], n: TermName, depth: int) -> None:
         depth_of[n] = depth
@@ -188,55 +196,55 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     if out.terminal is None:
         trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (ensure_terminal(out),)))
     scanned: Set[TermName] = set()
-    changed = True
-    while changed:
-        changed = False
-        if len(out.terms) > cap:
-            raise BudgetExceeded(f"term universe exceeded {cap}")
-        for x in sorted(out.types):
-            if x not in out.identities:
-                record(RuleTag.IDENTITY, {"X": x}, ensure_identity(out, x), 0)
-                changed = True
-            if x not in out.collapsings:
-                record(RuleTag.COLLAPSING, {"X": x}, ensure_collapse(out, x), 0)
-                changed = True
-        # only terms below the depth bound take part in a pair
-        snapshot = sorted(t for t in out.terms if depth_of[t] < depth)
-        by_dom: Dict[str, List[TermName]] = {}
-        new_by_dom: Dict[str, List[TermName]] = {}
-        for t in snapshot:
-            by_dom.setdefault(out.terms[t].dom, []).append(t)
-            if t not in scanned:
-                new_by_dom.setdefault(out.terms[t].dom, []).append(t)
-        partners = [(f, by_dom if f not in scanned else new_by_dom) for f in snapshot]
-        scanned.update(snapshot)
-        # each loop below makes a term for each of its unmarked pairs, of
-        # which a round has at most len(snapshot) ** 2: a loop that cannot
-        # fit the cap raises before it builds any of them
-        most_pairs = len(snapshot) ** 2
-        if most_pairs > cap - len(out.terms) and (
-                sum(len(index.get(out.terms[f].cod, ())) for f, index in partners)
-                - len(out.compositions) > cap - len(out.terms)):
-            raise BudgetExceeded(f"term universe exceeded {cap}")
-        for f, index in partners:
-            for g in index.get(out.terms[f].cod, ()):
-                if (f, g) not in out.compositions:
-                    record(RuleTag.COMPOSITION, {"f": f, "g": g}, ensure_comp(out, f, g),
-                           max(depth_of[f], depth_of[g]) + 1)
+    for depth in depths:
+        changed = True
+        while changed:
+            changed = False
+            if len(out.terms) > cap:
+                raise BudgetExceeded(f"term universe exceeded {cap}")
+            for x in sorted(out.types):
+                if x not in out.identities:
+                    record(RuleTag.IDENTITY, {"X": x}, ensure_identity(out, x), 0)
                     changed = True
-        if most_pairs > cap - len(out.terms) and (
-                _tuple_pairs(out, by_dom, new_by_dom) - len(out.tuples) > cap - len(out.terms)):
-            raise BudgetExceeded(f"term universe exceeded {cap}")
-        for f, index in partners:
-            cod_f = out.terms[f].cod
-            for g in index.get(out.terms[f].dom, ()):
-                key = (cod_f, out.terms[g].cod)
-                if key in out.products and (f, g) not in out.tuples:
-                    record(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, ensure_tuple(out, f, g),
-                           max(depth_of[f], depth_of[g]) + 1)
+                if x not in out.collapsings:
+                    record(RuleTag.COLLAPSING, {"X": x}, ensure_collapse(out, x), 0)
                     changed = True
-    m = SpecMorphism(s, out, {x: x for x in s.types}, {t: t for t in s.terms})
-    return Saturation(out, m, trace, depth_of)
+            # only terms below the depth bound take part in a pair
+            snapshot = sorted(t for t in out.terms if depth_of[t] < depth)
+            by_dom: Dict[str, List[TermName]] = {}
+            new_by_dom: Dict[str, List[TermName]] = {}
+            for t in snapshot:
+                by_dom.setdefault(out.terms[t].dom, []).append(t)
+                if t not in scanned:
+                    new_by_dom.setdefault(out.terms[t].dom, []).append(t)
+            partners = [(f, by_dom if f not in scanned else new_by_dom) for f in snapshot]
+            scanned.update(snapshot)
+            # each loop below makes a term for each of its unmarked pairs, of
+            # which a round has at most len(snapshot) ** 2: a loop that cannot
+            # fit the cap raises before it builds any of them
+            most_pairs = len(snapshot) ** 2
+            if most_pairs > cap - len(out.terms) and (
+                    sum(len(index.get(out.terms[f].cod, ())) for f, index in partners)
+                    - len(out.compositions) > cap - len(out.terms)):
+                raise BudgetExceeded(f"term universe exceeded {cap}")
+            for f, index in partners:
+                for g in index.get(out.terms[f].cod, ()):
+                    if (f, g) not in out.compositions:
+                        record(RuleTag.COMPOSITION, {"f": f, "g": g}, ensure_comp(out, f, g),
+                               max(depth_of[f], depth_of[g]) + 1)
+                        changed = True
+            if most_pairs > cap - len(out.terms) and (
+                    _tuple_pairs(out, by_dom, new_by_dom) - len(out.tuples) > cap - len(out.terms)):
+                raise BudgetExceeded(f"term universe exceeded {cap}")
+            for f, index in partners:
+                cod_f = out.terms[f].cod
+                for g in index.get(out.terms[f].dom, ()):
+                    key = (cod_f, out.terms[g].cod)
+                    if key in out.products and (f, g) not in out.tuples:
+                        record(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, ensure_tuple(out, f, g),
+                               max(depth_of[f], depth_of[g]) + 1)
+                        changed = True
+        yield sat
 
 
 def _tuple_pairs(s: Specification, by_dom: Dict[str, List[TermName]],
@@ -356,8 +364,10 @@ SAT_CAP = 800
 
 
 def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Verdict:
-    """Decide equality of two parallel terms in the presented theory, up
-    to the saturation depth; inequality is witnessed by a finite model.
+    """Decide equality of two parallel terms in the presented theory by
+    congruence closure on one term universe grown from s level by level
+    up to the depth, a level over ``SAT_CAP`` ending the proof search;
+    inequality is witnessed by a finite model.
 
     The countermodel is the ``canonical()``-least model separating the
     terms on the least carrier choice (sizes 1..MAX_CARRIER per base
@@ -368,23 +378,25 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Ver
         raise NotParallel(f"unknown term {t1 if t1 not in s.terms else t2}")
     if not s.parallel(t1, t2):
         raise NotParallel(f"{t1} and {t2} are not parallel")
-    if t1 == t2:
+    if t1 == t2 or _proved(s, [(t1, t2)], range(depth + 1), SAT_CAP):
         return Verdict(TriState.EQUAL)
-    # widen the universe one level at a time: most proofs close early, and
-    # the universe grows exponentially with the level, so a blown budget
-    # falls through to the semantic check instead
-    for level in range(depth + 1):
-        try:
-            sat = saturate(s, level, cap=SAT_CAP)
-        except BudgetExceeded:
-            break
-        uf = congruence_classes(sat.spec)
-        if uf.find(t1) == uf.find(t2):
-            return Verdict(TriState.EQUAL)
     cm = _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP)
     if cm is not None:
         return Verdict(TriState.DISTINCT_AT_BOUND, cm)
     return Verdict(TriState.UNKNOWN)
+
+
+def _proved(s: Specification, pairs: List[tuple], levels: range, cap: int) -> bool:
+    """Does the congruence closure of some level of one saturation of s,
+    grown level by level, join each pair?  A level over the cap ends it."""
+    try:
+        for sat in _levels(s, levels, cap):
+            uf = congruence_classes(sat.spec)
+            if all(uf.find(a) == uf.find(b) for (a, b) in pairs):
+                return True
+    except BudgetExceeded:
+        pass
+    return False
 
 
 def _carrier_choices(names: List[TypeName], max_carrier: int, least: int = 1):
@@ -432,7 +444,8 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     and term of the target is made from the source by the first mark that
     names it, each new mark makes the types it names, and every new
     equation and term result of a new mark holds in the congruence
-    closure of the universe so made, widened by saturation.  Otherwise
+    closure of the universe so made, or of one saturation of it grown
+    level by level to depth min(depth, 2) within 4,000 terms.  Otherwise
     the countermodel is the ``canonical()``-least model of the source,
     on the least carrier choice that has one, without exactly one
     extension along tau (``_semantic_entailment_check``); it gives
@@ -487,16 +500,8 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
             elif m != phi[TYPE][r]:
                 return _semantic_entailment_check(tau, MAX_CARRIER)
     uf = congruence_classes(big)
-    if any(uf.find(a) != uf.find(b) for (a, b) in obligations):
-        # widen the term universe before giving up on a proof
-        for dd in range(min(depth, 2), 0, -1):
-            try:
-                big = saturate(big, dd).spec
-            except BudgetExceeded:
-                continue
-            uf = congruence_classes(big)
-            break
-    if all(uf.find(a) == uf.find(b) for (a, b) in obligations):
+    if all(uf.find(a) == uf.find(b) for (a, b) in obligations) or \
+            _proved(big, obligations, range(1, min(depth, 2) + 1), 4000):
         return Verdict(TriState.EQUAL)
     return _semantic_entailment_check(tau, MAX_CARRIER)
 

@@ -5,11 +5,17 @@ verbose test listing doubles as the pass/fail report.
 """
 import io
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import eqsketch
 from eqsketch.cli import main as cli_main
 from eqsketch.core import (Specification, SpecMorphism, iso_search,
                            spec_equal, validate, validate_morphism)
@@ -265,14 +271,14 @@ term s : X -> X
 """
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def _criterion_9_commands(tmp_path):
     p = tmp_path / "endo.spec"
     p.write_text(ENDO_TEXT)
     small = tmp_path / "small.spec"
     small.write_text("type X\nterm u : X -> X\n")
     big = tmp_path / "big.spec"
     big.write_text("type X\nterm u : X -> X\ncompose uu = u . u\n")
-    commands = [
+    return [
         ["validate", str(p)],
         ["meta-check", str(p)],
         ["saturate", str(small), "--depth", "1", "--trace"],
@@ -284,6 +290,10 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["terminal", str(p), "--X=2", "--bound", "1"],
         ["exact", str(p), "--X=2"],
     ]
+
+
+def test_criterion_9_cli_determinism(tmp_path):
+    commands = _criterion_9_commands(tmp_path)
     for argv in commands:
         outs = []
         for _ in range(3):
@@ -293,3 +303,51 @@ def test_criterion_9_cli_determinism(tmp_path):
             outs.append((rc, buf.getvalue()))
         assert outs[0] == outs[1] == outs[2], argv
     print(f"PASS criterion 9: {len(commands)} CLI commands byte-identical over 3 runs")
+
+
+# runs each command of argv[1] through the CLI, then validates a spec with
+# two equations between terms that are not parallel, and prints every
+# exit code, stdout and stderr as JSON
+_UNDER_SEED = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from eqsketch.cli import main
+from eqsketch.core import Specification, validate
+outs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        outs.append([main(argv), out.getvalue(), err.getvalue()])
+s = Specification()
+for x in ("X", "Y"):
+    s.add_type(x)
+for t, dom, cod in (("f", "X", "Y"), ("g", "Y", "X"), ("h", "X", "X")):
+    s.add_term(t, dom, cod)
+s.equations |= {("f", "g"), ("g", "h")}
+outs.append(validate(s))
+print(json.dumps(outs))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # validate_morphism's and validate's errors followed the order of the
+    # spec's sets: seeds 1 and 8 listed the unmapped types Z, Y and Y, Z,
+    # and the equations (g,h), (f,g) and (f,g), (g,h)
+    source, target = tmp_path / "source.spec", tmp_path / "target.spec"
+    source.write_text("type X\ntype Y\ntype Z\nterm a : X -> Y\n")
+    target.write_text("type X\n")
+    commands = _criterion_9_commands(tmp_path) + [["entail", str(source), str(target)]]
+    src = str(Path(eqsketch.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", _UNDER_SEED, json.dumps(commands)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert res.returncode == 0, res.stderr
+        outs.append(json.loads(res.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0][-2][:2] == [1, "inclusion: type Y not mapped to a target type; "
+                                  "type Z not mapped to a target type; "
+                                  "term a not mapped to a target term\n"]
+    assert outs[0][-1] == ["equation (f,g): terms not parallel",
+                           "equation (g,h): terms not parallel"]

@@ -166,14 +166,16 @@ def test_iso_search_precheck_counts_the_marks_of_each_kind(monkeypatch):
 # Reference pushout and morphism check: verbatim copies of pushout and
 # validate_morphism as they were when each wrote the six kinds of mark out
 # by hand, kept as differential oracles for the versions that read the
-# table of mark kinds
+# table of mark kinds; the morphism check visits the source's types and
+# equations in sorted order, as validate_morphism does, so that its list
+# of errors does not depend on the hash seed
 # ---------------------------------------------------------------------------
 
 def reference_validate_morphism(m: SpecMorphism) -> List[str]:
     """Check graph-morphism, feature-preservation and equation-preservation."""
     out: List[str] = []
     s, t = m.source, m.target
-    for x in s.types:
+    for x in sorted(s.types):
         if m.type_map.get(x) not in t.types:
             out.append(f"type {x} not mapped to a target type")
     for n, tm in s.terms.items():
@@ -204,7 +206,7 @@ def reference_validate_morphism(m: SpecMorphism) -> List[str]:
     for x, c in s.collapsings.items():
         if t.collapsings.get(m.type_map[x]) != m.term_map[c]:
             out.append(f"collapsing mark at {x} not preserved")
-    for (t1, t2) in s.equations:
+    for (t1, t2) in sorted(s.equations):
         a, b = m.term_map[t1], m.term_map[t2]
         if a != b and eqpair(a, b) not in t.equations:
             out.append(f"equation ({t1},{t2}) not preserved")

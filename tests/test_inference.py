@@ -1,6 +1,7 @@
 import itertools
 import signal
 import time
+from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Tuple
 
 import pytest
@@ -10,15 +11,15 @@ from hypothesis import strategies as st
 import eqsketch.inference
 import eqsketch.models
 from eqsketch import dsl
-from eqsketch.core import (Specification, SpecMorphism, _UnionFind, eqpair, fresh_name,
-                           iso_search, spec_equal, validate, validate_morphism)
+from eqsketch.core import (MARK_KINDS, Specification, SpecMorphism, _UnionFind, eqpair,
+                           fresh_name, iso_search, spec_equal, validate, validate_morphism)
 from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
-from eqsketch.inference import (STRUCTURAL_RULES, Fraction, RuleTag, Saturation,
-                                TraceStep, TriState, Verdict, apply_rule,
-                                compose_fractions, congruence_classes,
-                                identity_fraction, is_entailment,
+from eqsketch.inference import (COUNTERMODEL_CAP, MAX_CARRIER, SAT_CAP, STRUCTURAL_RULES,
+                                Fraction, RuleTag, Saturation, TraceStep, TriState,
+                                Verdict, apply_rule, compose_fractions,
+                                congruence_classes, identity_fraction, is_entailment,
                                 match_morphism, rule, saturate, terms_equal,
-                                _find_countermodel, _semantic_entailment_check)
+                                _find_countermodel, _levels, _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
 from eqsketch.parameterize import (ensure_collapse, ensure_comp, ensure_identity,
                                    ensure_product, ensure_terminal, ensure_tuple)
@@ -528,6 +529,153 @@ def test_saturate_and_closure_scale_to_depth_three():
 
 
 # ---------------------------------------------------------------------------
+# Reference terms_equal: a fresh saturation at each level, kept as a
+# differential oracle for the one universe that terms_equal grows
+# ---------------------------------------------------------------------------
+
+def reference_terms_equal(s, t1, t2, depth):
+    if t1 not in s.terms or t2 not in s.terms:
+        raise NotParallel(f"unknown term {t1 if t1 not in s.terms else t2}")
+    if not s.parallel(t1, t2):
+        raise NotParallel(f"{t1} and {t2} are not parallel")
+    if t1 == t2:
+        return Verdict(TriState.EQUAL)
+    # widen the universe one level at a time: most proofs close early, and
+    # the universe grows exponentially with the level, so a blown budget
+    # falls through to the semantic check instead
+    for level in range(depth + 1):
+        try:
+            sat = saturate(s, level, cap=SAT_CAP)
+        except BudgetExceeded:
+            break
+        uf = congruence_classes(sat.spec)
+        if uf.find(t1) == uf.find(t2):
+            return Verdict(TriState.EQUAL)
+    cm = _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP)
+    if cm is not None:
+        return Verdict(TriState.DISTINCT_AT_BOUND, cm)
+    return Verdict(TriState.UNKNOWN)
+
+
+def _verdict_key(v):
+    return v.state, None if v.countermodel is None else v.countermodel.canonical()
+
+
+def _assert_terms_equal_matches_reference(s, pairs, depths=range(4)):
+    for (a, b), depth in itertools.product(pairs, depths):
+        assert _verdict_key(terms_equal(s, a, b, depth)) == \
+            _verdict_key(reference_terms_equal(s, a, b, depth)), (a, b, depth)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_terms_equal_matches_reference(name):
+    # the spec's own pairs, and pairs of its depth-1 saturation, whose
+    # universe the levels outgrow sooner
+    s = REFERENCE_INPUTS[name]()
+    _assert_terms_equal_matches_reference(s, _parallel_pairs(s))
+    sat = saturate(s, 1).spec
+    pairs = _parallel_pairs(sat)
+    _assert_terms_equal_matches_reference(sat, pairs[::max(1, len(pairs) // 8)][:8])
+
+
+def _words(k, *words):
+    """k maps s0..s(k-1) : X -> X and a marked composite for each word,
+    applying its first letter first, one step at a time."""
+    s = _endos(*(f"s{i}" for i in range(k)))
+    ends = []
+    for n, word in enumerate(words):
+        cur = f"s{word[0]}"
+        for i, letter in enumerate(word[1:]):
+            s.add_term(f"w{n}_{i}", "X", "X")
+            s.compositions[(cur, f"s{letter}")] = cur = f"w{n}_{i}"
+        ends.append(cur)
+    return s, ends
+
+
+# words of length 3 over k generators with different first letters, as in
+# the benchmark's refute workload, and the distinct pairs of monoid_core
+OVERFLOWING_PAIRS = {
+    **{f"words_k{k}_{i}": (lambda k=k, w=w: _words(k, *w))
+       for k in (2, 3, 4)
+       for i, w in enumerate((((0, 1, 0), (1, 0, 0)), ((0, 0, 1), (k - 1, 1, 0)),
+                              ((1, k - 1, 0), (0, 1, k - 1))))},
+    "monoid_core": lambda: (CORPUS["monoid_core"](),
+                            ("e_c", "id_M", "lpair", "rpair", "mul", "p1", "p2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_PAIRS))
+def test_terms_equal_matches_reference_where_level_two_overflows(name):
+    s, terms = OVERFLOWING_PAIRS[name]()
+    with pytest.raises(BudgetExceeded):
+        saturate(s, 2, cap=SAT_CAP)
+    _assert_terms_equal_matches_reference(
+        s, [(a, b) for a, b in itertools.combinations(terms, 2) if s.parallel(a, b)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs(), st.data())
+def test_terms_equal_matches_reference_on_generated_specs(case, data):
+    s = data.draw(st.sampled_from([case[0], saturate(case[0], 1).spec]))
+    pairs = _parallel_pairs(s)
+    if pairs:
+        _assert_terms_equal_matches_reference(s, [data.draw(st.sampled_from(pairs))])
+
+
+def _walk(s, level, cap):
+    """The level walk's saturation closed at the level."""
+    for sat in _levels(s, range(level + 1), cap):
+        pass
+    return sat
+
+
+def _shape(sat):
+    """What a saturation's universe is, up to names."""
+    return (len(sat.spec.types), len(sat.spec.terms),
+            {tag: len(kind.marks(sat.spec)) for tag, kind in MARK_KINDS.items()},
+            Counter(sat.depth_of.values()))
+
+
+def _overflows(fn, *args):
+    try:
+        fn(*args)
+    except BudgetExceeded as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_level_walk_matches_saturate_at_each_level(name):
+    s, cap = CORPUS[name](), 4000
+    for level in range(4):
+        want = _overflows(saturate, s, level, cap)
+        assert _overflows(_walk, s, level, cap) == want
+        if want is not None:
+            continue
+        assert _shape(_walk(s, level, cap)) == _shape(saturate(s, level, cap))
+        n = len(saturate(s, level, cap).spec.terms)
+        for c in (n - 1, n, n + 1):
+            assert _overflows(_walk, s, level, c) == _overflows(saturate, s, level, c) == \
+                (f"term universe exceeded {c}" if c < n else None)
+
+
+def test_terms_equal_builds_each_composite_once(monkeypatch):
+    # the words s0.s1.s0 and s1.s0.s0, whose level 2 overflows SAT_CAP:
+    # saturating afresh at each level built the 58 composites of level 1
+    # a second time, 116 calls in all, before level 2 was refused
+    s, (a, b) = _words(2, (0, 1, 0), (1, 0, 0))
+    walk = _levels(s, range(4), SAT_CAP)
+    grown = next(walk)  # grown in place by the levels that follow
+    with pytest.raises(BudgetExceeded):
+        for _ in walk:
+            pass
+    added = len(grown.spec.compositions) - len(s.compositions)
+    calls = _count_helper_calls(monkeypatch)
+    assert terms_equal(s, a, b, 3).state is TriState.DISTINCT_AT_BOUND
+    assert len(calls["ensure_comp"]) == added == 58
+
+
+# ---------------------------------------------------------------------------
 # Reference countermodel search: enumerate every model of a carrier choice,
 # sort by canonical() and scan, kept as a differential oracle
 # ---------------------------------------------------------------------------
@@ -941,9 +1089,9 @@ PROBE_SOURCES = {**CORPUS, **{f"decorated-{name}": (lambda mk=mk: mk().base)
 
 @pytest.mark.parametrize("name", sorted(PROBE_SOURCES))
 def test_entailment_verdicts_match_reference(name):
-    for tau in _saturated_targets(PROBE_SOURCES[name]()):
-        v = is_entailment(tau, depth=2)
-        assert v.state is reference_is_entailment(tau, depth=2).state
+    for tau, depth in itertools.product(_saturated_targets(PROBE_SOURCES[name]()), range(4)):
+        v = is_entailment(tau, depth=depth)
+        assert v.state is reference_is_entailment(tau, depth=depth).state, depth
         if v.state is TriState.DISTINCT_AT_BOUND:
             _assert_refutes(tau, v)
 
