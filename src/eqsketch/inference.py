@@ -20,8 +20,8 @@ from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
                    TermName, TypeName, _UnionFind, eqpair, identity_morphism, pushout,
                    spec_equal, validate, validate_morphism)
 from .errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
-from .parameterize import (ensure_collapse, ensure_comp, ensure_identity,
-                           ensure_product, ensure_terminal, ensure_tuple)
+from .parameterize import (_make_marks, ensure_collapse, ensure_comp,
+                           ensure_identity, ensure_terminal, ensure_tuple)
 from .yoneda import ElementaryPoint, elementary
 
 
@@ -431,12 +431,6 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
 # Entailment checking
 # ---------------------------------------------------------------------------
 
-# the ensure-helper that makes the results of each kind of mark
-_MARK_KINDS = {RuleTag.IDENTITY: ensure_identity, RuleTag.COMPOSITION: ensure_comp,
-               RuleTag.BINARY_PRODUCT: ensure_product, RuleTag.BINARY_TUPLE: ensure_tuple,
-               RuleTag.TERMINAL_TYPE: ensure_terminal, RuleTag.COLLAPSING: ensure_collapse}
-
-
 def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     """Is the extra content of the target derivable from the source?
 
@@ -463,27 +457,11 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     phi = {sort: {v: k for k, v in image[sort].items()} for sort in image}  # into big
     carried = {(tag, *kind.image(image, args, results))
                for tag, kind in MARK_KINDS.items() for args, results in kind.marks(s1)}
-    new = [(kind, tag, args, results)
+    new = [(tag, args, results)
            for tag, kind in MARK_KINDS.items() for args, results in kind.marks(s)
            if (tag, args, results) not in carried]
-    namer: Dict[Tuple[str, str], int] = {}
-    for n, (kind, _tag, _args, results) in enumerate(new):
-        for name in zip(kind.results, results):
-            namer.setdefault(name, n)
-    # make each new mark once its arguments are made, in rounds since marks
-    # may chain; a new type or term is what the first mark naming it makes
-    made: Dict[int, tuple] = {}
-    progress = True
-    while progress:
-        progress = False
-        for n, (kind, tag, args, results) in enumerate(new):
-            if n not in made and all(a in phi[kind.args] for a in args):
-                out = _MARK_KINDS[tag](big, *(phi[kind.args][a] for a in args))
-                made[n] = out if isinstance(out, tuple) else (out,)
-                for sort, r, m in zip(kind.results, results, made[n]):
-                    if namer[sort, r] == n:
-                        phi[sort].setdefault(r, m)
-                progress = True
+    # a new type or term is what the first new mark naming it makes
+    made = _make_marks(new, phi, big)
     if len(phi[TYPE]) < len(s.types) or len(phi[TERM]) < len(s.terms):
         # a new type or term without a mark, or whose mark never becomes ready
         return _semantic_entailment_check(tau, MAX_CARRIER)
@@ -493,8 +471,8 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     carried_eqs = {eqpair(tau.term_map[a], tau.term_map[b]) for (a, b) in s1.equations}
     obligations = [(phi[TERM][a], phi[TERM][b]) for (a, b) in s.equations
                    if (a, b) not in carried_eqs]
-    for n, (kind, _tag, _args, results) in enumerate(new):
-        for sort, r, m in zip(kind.results, results, made[n]):
+    for (tag, _args, results), out in zip(new, made):
+        for sort, r, m in zip(MARK_KINDS[tag].results, results, out):
             if sort == TERM:
                 obligations.append((m, phi[TERM][r]))
             elif m != phi[TYPE][r]:

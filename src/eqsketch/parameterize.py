@@ -10,10 +10,10 @@ projections of the on-demand product A*X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import (MARK_KINDS, TERM, TYPE, Specification, SpecMorphism,
-                   TermName, TypeName, fresh_name)
+from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification,
+                   SpecMorphism, TermName, TypeName, fresh_name)
 from .decorate import (DecoratedSpecification, pure_part, undecorate,
                        validate_decorated)
 from .errors import PurityViolation
@@ -38,12 +38,13 @@ class ParameterizedSpecificationWithConstant:
 # its kind in ``core.MARK_KINDS`` (a lone result bare).  On a match, each
 # gives a spec isomorphic to the pushout of ``inference.rule(tag)`` (for
 # the tuple rule, up to the projection laws that ``congruence_classes``
-# builds in).  Their callers: ``inference.saturate``,
-# ``inference.is_entailment`` through its map ``_MARK_KINDS`` from each
-# kind to its helper, ``parameterize``, ``parameterize_morphism``,
-# ``_with_constant`` (for ``ell`` and ``check_ell_natural``) and the DSL's
-# elaboration of composite expressions.  Fresh names are taken against the
-# spec itself, which is the live set of its names.
+# builds in).  Their callers: ``inference.saturate``, ``_make_marks``
+# through its map ``_ENSURE`` from each kind to its helper (for
+# ``inference.is_entailment`` and ``parameterize_morphism``),
+# ``parameterize``, ``_with_constant`` (for ``ell`` and
+# ``check_ell_natural``) and the DSL's elaboration of composite
+# expressions.  Fresh names are taken against the spec itself, which is
+# the live set of its names.
 # ---------------------------------------------------------------------------
 
 def ensure_identity(s: Specification, x: TypeName) -> TermName:
@@ -109,6 +110,40 @@ def ensure_tuple(s: Specification, f: TermName, g: TermName) -> TermName:
     return n
 
 
+# the ensure-helper that makes the results of each kind of mark
+_ENSURE = {RuleTag.IDENTITY: ensure_identity, RuleTag.COMPOSITION: ensure_comp,
+           RuleTag.BINARY_PRODUCT: ensure_product, RuleTag.BINARY_TUPLE: ensure_tuple,
+           RuleTag.TERMINAL_TYPE: ensure_terminal, RuleTag.COLLAPSING: ensure_collapse}
+
+
+def _make_marks(marks: List[Tuple[RuleTag, tuple, tuple]],
+                phi: Dict[str, Dict[str, str]], target: Specification
+                ) -> List[Optional[tuple]]:
+    """Make each mark (tag, arguments, results) in ``target`` once ``phi``,
+    a map of each sort into ``target``, maps its arguments: in rounds,
+    since marks may chain.  A result that ``phi`` lacks is mapped to what
+    the first mark naming it makes.  Returns the results each mark made,
+    None for a mark whose arguments were never mapped."""
+    namer: Dict[Tuple[str, str], int] = {}
+    for n, (tag, _args, results) in enumerate(marks):
+        for name in zip(MARK_KINDS[tag].results, results):
+            namer.setdefault(name, n)
+    made: List[Optional[tuple]] = [None] * len(marks)
+    progress = True
+    while progress:
+        progress = False
+        for n, (tag, args, results) in enumerate(marks):
+            kind = MARK_KINDS[tag]
+            if made[n] is None and all(a in phi[kind.args] for a in args):
+                out = _ENSURE[tag](target, *(phi[kind.args][a] for a in args))
+                made[n] = out if isinstance(out, tuple) else (out,)
+                for sort, r, m in zip(kind.results, results, made[n]):
+                    if namer[sort, r] == n:
+                        phi[sort].setdefault(r, m)
+                progress = True
+    return made
+
+
 # ---------------------------------------------------------------------------
 # The embeddings
 # ---------------------------------------------------------------------------
@@ -142,7 +177,6 @@ class Parameterization:
     source: DecoratedSpecification
     spec: ParameterizedSpecification
     lift: Dict[TermName, TermName]
-    aprods: Dict[TypeName, Tuple[TypeName, TermName, TermName]]
 
     def __iter__(self) -> Iterator:
         # supports the two-view calling convention: spec, lift = parameterize(d)
@@ -150,25 +184,20 @@ class Parameterization:
         yield self.lift
 
 
-def _aprod(spec: Specification, a: TypeName, x: TypeName,
-           aprods: Dict[TypeName, Tuple[TypeName, TermName, TermName]]
+def _aprod(spec: Specification, a: TypeName, x: TypeName
            ) -> Tuple[TypeName, TermName, TermName]:
-    if x not in aprods:
-        aprods[x] = ensure_product(spec, a, x,
-                                   (f"{a}*{x}", f"proj_{x}", f"eps_{x}"))
-    return aprods[x]
+    """A*X with its projections proj_X and eps_X."""
+    return ensure_product(spec, a, x, (f"{a}*{x}", f"proj_{x}", f"eps_{x}"))
 
 
 def _sharp(spec: Specification, a: TypeName, d: DecoratedSpecification,
-           lift: Dict[TermName, TermName],
-           aprods: Dict[TypeName, Tuple[TypeName, TermName, TermName]],
-           t: TermName) -> TermName:
+           lift: Dict[TermName, TermName], t: TermName) -> TermName:
     """The lift of a term of the decorated base: f' when general,
     f . eps_X when pure."""
     if t in lift:
         return lift[t]
     dom = d.base.terms[t].dom
-    _p, _proj, eps = _aprod(spec, a, dom, aprods)
+    _p, _proj, eps = _aprod(spec, a, dom)
     c = ensure_comp(spec, eps, t)
     lift[t] = c
     return c
@@ -190,25 +219,24 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
     a = fresh_name("A", base)
     p.add_type(a)
     lift: Dict[TermName, TermName] = {}
-    aprods: Dict[TypeName, Tuple[TypeName, TermName, TermName]] = {}
     for f in sorted(d.general_terms()):
         dom, cod = base.terms[f].dom, base.terms[f].cod
-        prod, _proj, _eps = _aprod(p, a, dom, aprods)
+        prod, _proj, _eps = _aprod(p, a, dom)
         prime = fresh_name(f + "'", p)
         p.add_term(prime, prod, cod)
         lift[f] = prime
 
     def sharp(t: TermName) -> TermName:
-        return _sharp(p, a, d, lift, aprods, t)
+        return _sharp(p, a, d, lift, t)
 
     for (f, g), c in sorted(base.compositions.items()):
         if d.is_pure(f) and d.is_pure(g) and d.is_pure(c):
             continue
         x = base.terms[f].dom
         y = base.terms[g].dom
-        _px, proj_x, _epsx = _aprod(p, a, x, aprods)
+        _px, proj_x, _epsx = _aprod(p, a, x)
         fs, gs = sharp(f), sharp(g)
-        _aprod(p, a, y, aprods)
+        _aprod(p, a, y)
         w = ensure_tuple(p, proj_x, fs)   # <proj_X, f#>: A*X -> A*Y
         cs = sharp(c)
         if (w, gs) not in p.compositions and cs not in p.compositions.values():
@@ -228,7 +256,7 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
         if d.is_pure(t1) and d.is_pure(t2):
             continue
         p.add_equation(sharp(t1), sharp(t2))
-    return Parameterization(d, ParameterizedSpecification(p, a), lift, aprods)
+    return Parameterization(d, ParameterizedSpecification(p, a), lift)
 
 
 def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification,
@@ -244,48 +272,25 @@ def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification
     par2 = par2 or parameterize(d2)
     p1 = par1.spec.base
     p2 = par2.spec.base.copy()
-    a2 = par2.spec.parameter_type
-    aprods2 = dict(par2.aprods)
-    lift2 = dict(par2.lift)
+    a1, a2 = par1.spec.parameter_type, par2.spec.parameter_type
     type_map: Dict[TypeName, TypeName] = {x: u.type_map[x] for x in d1.base.types}
-    type_map[par1.spec.parameter_type] = a2
-    term_map: Dict[TermName, TermName] = {}
-    for t in d1.base.terms:
-        if d1.is_pure(t):
-            term_map[t] = u.term_map[t]
-    for x, (prod, proj, eps) in par1.aprods.items():
-        ux = u.type_map[x]
-        prod2, proj2, eps2 = _aprod(p2, a2, ux, aprods2)
-        type_map[prod] = prod2
-        term_map[proj] = proj2
-        term_map[eps] = eps2
-    for f in d1.general_terms():
-        term_map[par1.lift[f]] = _sharp(p2, a2, d2, lift2, aprods2, u.term_map[f])
-    # sharps of pure terms of d1 that were materialized in p1
+    type_map[a1] = a2
+    term_map: Dict[TermName, TermName] = {t: u.term_map[t] for t in d1.base.terms
+                                          if d1.is_pure(t)}
+    # A*X goes to A*u(X) and every lift f# to u(f)#, so that proj_X, eps_X
+    # and the lifts keep their names in the target
+    for (y, x), (prod, proj, eps) in p1.products.items():
+        if y == a1:
+            type_map[prod], term_map[proj], term_map[eps] = _aprod(p2, a2, type_map[x])
+    lift2 = dict(par2.lift)
     for f, fs in par1.lift.items():
-        if fs in term_map or f not in d1.base.terms:
-            continue
-        term_map[fs] = _sharp(p2, a2, d2, lift2, aprods2, u.term_map[f])
-    # remaining derived terms of p1 (pair tuples, glue composites) by recipe
-    progress = True
-    while progress:
-        progress = False
-        for (f, g), c in p1.compositions.items():
-            if c not in term_map and f in term_map and g in term_map:
-                term_map[c] = ensure_comp(p2, term_map[f], term_map[g])
-                progress = True
-        for (f, g), t in p1.tuples.items():
-            if t not in term_map and f in term_map and g in term_map:
-                term_map[t] = ensure_tuple(p2, term_map[f], term_map[g])
-                progress = True
-    for x in p1.types:
-        if x not in type_map:
-            for (y1, y2), (prod, p1n, p2n) in p1.products.items():
-                if prod == x and y1 in type_map and y2 in type_map:
-                    q, q1, q2 = ensure_product(p2, type_map[y1], type_map[y2])
-                    type_map[x] = q
-                    term_map.setdefault(p1n, q1)
-                    term_map.setdefault(p2n, q2)
+        term_map[fs] = _sharp(p2, a2, d2, lift2, u.term_map[f])
+    # the rest of p1 (pair tuples, glue composites) from its marks
+    phi = {TYPE: type_map, TERM: term_map}
+    _make_marks([(tag, args, results) for tag, kind in MARK_KINDS.items()
+                 for args, results in kind.marks(p1)
+                 if any(r not in phi[sort] for sort, r in zip(kind.results, results))],
+                phi, p2)
     return SpecMorphism(p1, p2, type_map, term_map)
 
 
@@ -403,7 +408,6 @@ def check_ell_natural(d1: DecoratedSpecification, d2: DecoratedSpecification,
     e2 = ell(d2, par=par2)
     ext = e2.target.copy()
     a2 = par2.spec.parameter_type
-    aprods2 = dict(par2.aprods)
     lift2 = dict(par2.lift)
     for f in sorted(d1.base.terms):
         uf = u.term_map[f]
@@ -411,10 +415,8 @@ def check_ell_natural(d1: DecoratedSpecification, d2: DecoratedSpecification,
         if d1.is_pure(f):
             path_b = uf                      # both legs act as the identity
         else:
-            x2 = u.type_map[d1.base.terms[f].dom]
-            _aprod(ext, a2, x2, aprods2)
-            fs = _sharp(ext, a2, d2, lift2, aprods2, uf)
-            path_b = _with_constant(ext, e2.constant, x2, fs)
+            fs = _sharp(ext, a2, d2, lift2, uf)
+            path_b = _with_constant(ext, e2.constant, u.type_map[d1.base.terms[f].dom], fs)
         if path_a == path_b:
             continue
         if terms_equal(ext, path_a, path_b, depth).state is not TriState.EQUAL:

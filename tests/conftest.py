@@ -5,9 +5,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from eqsketch.core import Specification, validate
+from eqsketch.core import Specification, SpecMorphism, validate
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
-                               validate_decorated)
+                               purify, validate_decorated)
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -173,6 +173,61 @@ DECORATED = {
     "idempotent": idempotent_decorated,
     "two_ops": two_ops_decorated,
 }
+
+
+def _renamed_endo():
+    s = Specification()
+    s.add_type("Y")
+    s.add_type("V")
+    s.terminal = "V"
+    s.add_term("c", "V", "Y")
+    s.add_term("t", "Y", "Y")
+    return s
+
+
+def criterion_5_cases():
+    """The morphisms u: d1 -> d2 of acceptance criterion 5, as
+    (label, d1, d2, u)."""
+    endo = DECORATED["endo"]()
+    idem = DECORATED["idempotent"]()
+    ops = DECORATED["two_ops"]()
+    ren = DecoratedSpecification(_renamed_endo(), {"c"})
+    ren_pure = DecoratedSpecification(_renamed_endo(), {"c", "t"})
+    endo_big = DECORATED["endo"]()
+    endo_big.base.add_term("s2", "X", "X")
+
+    def ident(d):
+        return SpecMorphism(d.base, d.base, {x: x for x in d.base.types},
+                            {t: t for t in d.base.terms})
+
+    endo_to_ren = {"type": {"X": "Y", "U": "V"}, "term": {"e": "c", "s": "t"}}
+    return [
+        ("identity endo", endo, endo, ident(endo)),
+        ("identity idempotent", idem, idem, ident(idem)),
+        ("identity two_ops", ops, ops, ident(ops)),
+        ("renaming", endo, ren,
+         SpecMorphism(endo.base, ren.base, endo_to_ren["type"],
+                      endo_to_ren["term"])),
+        ("renaming then purity increase", endo, ren_pure,
+         SpecMorphism(endo.base, ren_pure.base, endo_to_ren["type"],
+                      endo_to_ren["term"])),
+        ("purity increase in place", endo, purify(CORPUS["endo"]()),
+         ident(endo)),
+        ("two_ops swap", ops, ops,
+         SpecMorphism(ops.base, ops.base, {"X": "X"}, {"f": "g", "g": "f"})),
+        ("two_ops one pure", ops,
+         DecoratedSpecification(DECORATED["two_ops"]().base, {"f"}),
+         ident(ops)),
+        ("two_ops collapse onto endo", ops, endo,
+         SpecMorphism(ops.base, endo.base, {"X": "X"}, {"f": "s", "g": "s"})),
+        ("embedding into larger", endo, endo_big,
+         SpecMorphism(endo.base, endo_big.base,
+                      {x: x for x in endo.base.types},
+                      {t: t for t in endo.base.terms})),
+        ("two_ops make both pure", ops,
+         DecoratedSpecification(DECORATED["two_ops"]().base, {"f", "g"}),
+         ident(ops)),
+    ]
 
 
 @st.composite

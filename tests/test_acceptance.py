@@ -19,7 +19,7 @@ import eqsketch
 from eqsketch.cli import main as cli_main
 from eqsketch.core import (Specification, SpecMorphism, iso_search,
                            spec_equal, validate, validate_morphism)
-from eqsketch.decorate import DecoratedSpecification, purify, undecorate
+from eqsketch.decorate import purify, undecorate
 from eqsketch.errors import SearchSpaceTooLarge
 from eqsketch.inference import (STRUCTURAL_RULES, TriState, is_entailment,
                                 rule, apply_rule, terms_equal)
@@ -33,7 +33,7 @@ from eqsketch.parameterize import (check_ell_natural,
 from eqsketch.sketch import (check_realization, equational_sketch,
                              realization_to_spec, spec_to_realization)
 
-from conftest import CORPUS, DECORATED
+from conftest import CORPUS, DECORATED, criterion_5_cases
 
 
 def _elapsed(t0, limit):
@@ -120,58 +120,9 @@ def test_criterion_4_param_restricts_to_embedding():
     print("PASS criterion 4: parameterizing the all-pure decoration matches the plain embedding")
 
 
-def _renamed_endo():
-    s = Specification()
-    s.add_type("Y")
-    s.add_type("V")
-    s.terminal = "V"
-    s.add_term("c", "V", "Y")
-    s.add_term("t", "Y", "Y")
-    return s
-
-
 def test_criterion_5_ell_naturality():
     t0 = time.time()
-    endo = DECORATED["endo"]()
-    idem = DECORATED["idempotent"]()
-    ops = DECORATED["two_ops"]()
-    ren = DecoratedSpecification(_renamed_endo(), {"c"})
-    ren_pure = DecoratedSpecification(_renamed_endo(), {"c", "t"})
-    endo_big = DECORATED["endo"]()
-    endo_big.base.add_term("s2", "X", "X")
-
-    def ident(d):
-        return SpecMorphism(d.base, d.base, {x: x for x in d.base.types},
-                            {t: t for t in d.base.terms})
-
-    endo_to_ren = {"type": {"X": "Y", "U": "V"}, "term": {"e": "c", "s": "t"}}
-    cases = [
-        ("identity endo", endo, endo, ident(endo)),
-        ("identity idempotent", idem, idem, ident(idem)),
-        ("identity two_ops", ops, ops, ident(ops)),
-        ("renaming", endo, ren,
-         SpecMorphism(endo.base, ren.base, endo_to_ren["type"],
-                      endo_to_ren["term"])),
-        ("renaming then purity increase", endo, ren_pure,
-         SpecMorphism(endo.base, ren_pure.base, endo_to_ren["type"],
-                      endo_to_ren["term"])),
-        ("purity increase in place", endo, purify(CORPUS["endo"]()),
-         ident(endo)),
-        ("two_ops swap", ops, ops,
-         SpecMorphism(ops.base, ops.base, {"X": "X"}, {"f": "g", "g": "f"})),
-        ("two_ops one pure", ops,
-         DecoratedSpecification(DECORATED["two_ops"]().base, {"f"}),
-         ident(ops)),
-        ("two_ops collapse onto endo", ops, endo,
-         SpecMorphism(ops.base, endo.base, {"X": "X"}, {"f": "s", "g": "s"})),
-        ("embedding into larger", endo, endo_big,
-         SpecMorphism(endo.base, endo_big.base,
-                      {x: x for x in endo.base.types},
-                      {t: t for t in endo.base.terms})),
-        ("two_ops make both pure", ops,
-         DecoratedSpecification(DECORATED["two_ops"]().base, {"f", "g"}),
-         ident(ops)),
-    ]
+    cases = criterion_5_cases()
     assert len(cases) >= 10
     for label, d1, d2, u in cases:
         assert validate_morphism(u) == [], label

@@ -1,4 +1,4 @@
-from eqsketch.core import spec_equal, validate
+from eqsketch.core import Specification, spec_equal, validate
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
                                pure_part, purify, undecorate,
                                validate_decorated)
@@ -55,3 +55,32 @@ def test_pure_part_keeps_types():
     p = pure_part(d)
     assert p.types == d.base.types
     assert p.terms == {}
+
+
+def test_validate_decorated_names_each_broken_rule():
+    s = Specification()
+    for x in ("X", "P"):
+        s.add_type(x)
+    s.add_type("U")
+    s.terminal = "U"
+    for t, dom, cod in (("p1", "P", "X"), ("p2", "P", "X"), ("id_X", "X", "X"),
+                        ("tu_X", "X", "U"), ("f", "X", "X"), ("g", "X", "X"),
+                        ("c", "X", "X"), ("t", "X", "P")):
+        s.add_term(t, dom, cod)
+    s.products[("X", "X")] = ("P", "p1", "p2")
+    s.identities["X"] = "id_X"
+    s.collapsings["X"] = "tu_X"
+    s.compositions[("f", "g")] = "c"
+    s.tuples[("f", "g")] = "t"
+    every = set(s.terms)
+    assert validate_decorated(DecoratedSpecification(s, every)) == []
+    cases = [
+        (every | {"ghost"}, "pure mark on unknown term ghost"),
+        (every - {"id_X"}, "identity id_X must be pure"),
+        (every - {"p1"}, "projection p1 must be pure"),
+        (every - {"tu_X"}, "collapsing tu_X must be pure"),
+        (every - {"c"}, "composite c of pure terms must be pure"),
+        (every - {"t"}, "tuple t of pure terms must be pure"),
+    ]
+    for pure, message in cases:
+        assert validate_decorated(DecoratedSpecification(s, pure)) == [message]

@@ -1,15 +1,21 @@
-import pytest
+from typing import Dict
 
-from eqsketch.core import SpecMorphism, iso_search, spec_equal, validate
-from eqsketch.decorate import DecoratedSpecification, purify, undecorate
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from eqsketch.core import (MARK_KINDS, Specification, SpecMorphism, eqpair,
+                           iso_search, spec_equal, validate, validate_morphism)
+from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
+                               purify, undecorate)
 from eqsketch.errors import PurityViolation
 from eqsketch.inference import TriState, is_entailment, terms_equal
-from eqsketch.parameterize import (check_ell_natural,
+from eqsketch.parameterize import (_ENSURE, check_ell_natural,
                                    check_param_restricts_to_embed, ell,
-                                   embed_A, embed_a, parameterize,
+                                   embed_A, embed_a, ensure_comp,
+                                   ensure_product, ensure_tuple, parameterize,
                                    parameterize_morphism)
 
-from conftest import CORPUS, DECORATED
+from conftest import CORPUS, DECORATED, criterion_5_cases, small_decorated_specs
 
 
 def test_embed_A_adds_one_fresh_type():
@@ -152,3 +158,157 @@ def test_check_ell_natural_identity():
         u = SpecMorphism(d.base, d.base, {x: x for x in d.base.types},
                          {t: t for t in d.base.terms})
         assert check_ell_natural(d, d, u), name
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_parameterize_invariants_on_generated_specs(d):
+    par = parameterize(d)
+    p, a = par.spec.base, par.spec.parameter_type
+    assert validate(p) == []
+    for f in d.general_terms():
+        lifted = p.terms[par.lift[f]]
+        assert lifted.dom == p.products[(a, d.base.terms[f].dom)][0]
+        assert lifted.cod == d.base.terms[f].cod
+    res = ell(d, par=par)
+    assert validate_morphism(res.morphism) == []
+    assert validate_morphism(res.extension) == []
+
+
+def test_ensure_helpers_reuse_every_existing_mark():
+    for name, mk in CORPUS.items():
+        s = mk()
+        for tag, kind in MARK_KINDS.items():
+            for args, results in kind.marks(s):
+                t = s.copy()
+                out = _ENSURE[tag](t, *args)
+                assert (out if isinstance(out, tuple) else (out,)) == results, (name, tag)
+                assert spec_equal(t, s), (name, tag)
+
+
+# ---------------------------------------------------------------------------
+# Reference parameterize_morphism: a verbatim copy of the function as it
+# was when it kept its own table of the A*X products and mapped the
+# derived terms of its source by one loop per kind, kept as a
+# differential oracle
+# ---------------------------------------------------------------------------
+
+def _reference_aprod(spec, a, x, aprods):
+    if x not in aprods:
+        aprods[x] = ensure_product(spec, a, x,
+                                   (f"{a}*{x}", f"proj_{x}", f"eps_{x}"))
+    return aprods[x]
+
+
+def _reference_sharp(spec, a, d, lift, aprods, t):
+    if t in lift:
+        return lift[t]
+    dom = d.base.terms[t].dom
+    _p, _proj, eps = _reference_aprod(spec, a, dom, aprods)
+    c = ensure_comp(spec, eps, t)
+    lift[t] = c
+    return c
+
+
+def _aprods(par) -> Dict[str, tuple]:
+    """The A*X products of a parameterization, by X."""
+    a = par.spec.parameter_type
+    return {x: v for (y, x), v in par.spec.base.products.items() if y == a}
+
+
+def reference_parameterize_morphism(d1, d2, u, par1=None, par2=None):
+    for t in d1.base.terms:
+        if d1.is_pure(t) and not d2.is_pure(u.term_map[t]):
+            raise PurityViolation(f"{t} is pure but its image {u.term_map[t]} is not")
+    par1 = par1 or parameterize(d1)
+    par2 = par2 or parameterize(d2)
+    p1 = par1.spec.base
+    p2 = par2.spec.base.copy()
+    a2 = par2.spec.parameter_type
+    aprods2 = _aprods(par2)
+    lift2 = dict(par2.lift)
+    type_map = {x: u.type_map[x] for x in d1.base.types}
+    type_map[par1.spec.parameter_type] = a2
+    term_map = {}
+    for t in d1.base.terms:
+        if d1.is_pure(t):
+            term_map[t] = u.term_map[t]
+    for x, (prod, proj, eps) in _aprods(par1).items():
+        ux = u.type_map[x]
+        prod2, proj2, eps2 = _reference_aprod(p2, a2, ux, aprods2)
+        type_map[prod] = prod2
+        term_map[proj] = proj2
+        term_map[eps] = eps2
+    for f in d1.general_terms():
+        term_map[par1.lift[f]] = _reference_sharp(p2, a2, d2, lift2, aprods2, u.term_map[f])
+    # sharps of pure terms of d1 that were materialized in p1
+    for f, fs in par1.lift.items():
+        if fs in term_map or f not in d1.base.terms:
+            continue
+        term_map[fs] = _reference_sharp(p2, a2, d2, lift2, aprods2, u.term_map[f])
+    # remaining derived terms of p1 (pair tuples, glue composites) by recipe
+    progress = True
+    while progress:
+        progress = False
+        for (f, g), c in p1.compositions.items():
+            if c not in term_map and f in term_map and g in term_map:
+                term_map[c] = ensure_comp(p2, term_map[f], term_map[g])
+                progress = True
+        for (f, g), t in p1.tuples.items():
+            if t not in term_map and f in term_map and g in term_map:
+                term_map[t] = ensure_tuple(p2, term_map[f], term_map[g])
+                progress = True
+    for x in p1.types:
+        if x not in type_map:
+            for (y1, y2), (prod, p1n, p2n) in p1.products.items():
+                if prod == x and y1 in type_map and y2 in type_map:
+                    q, q1, q2 = ensure_product(p2, type_map[y1], type_map[y2])
+                    type_map[x] = q
+                    term_map.setdefault(p1n, q1)
+                    term_map.setdefault(p2n, q2)
+    return SpecMorphism(p1, p2, type_map, term_map)
+
+
+def _assert_same_morphism(d1, d2, u, label):
+    got = parameterize_morphism(d1, d2, u)
+    want = reference_parameterize_morphism(d1, d2, u)
+    assert got.type_map == want.type_map, label
+    assert got.term_map == want.term_map, label
+    assert spec_equal(got.source, want.source), label
+    assert spec_equal(got.target, want.target), label
+
+
+def test_parameterize_morphism_matches_reference_on_criterion_5():
+    for label, d1, d2, u in criterion_5_cases():
+        _assert_same_morphism(d1, d2, u, label)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_parameterize_morphism_matches_reference_on_generated_specs(d):
+    s = d.base
+    all_pure, _ = decoration_closure(DecoratedSpecification(s, set(s.terms)))
+    for d2 in (d, all_pure):
+        u = SpecMorphism(s, d2.base, {x: x for x in s.types}, {t: t for t in s.terms})
+        _assert_same_morphism(d, d2, u, sorted(d2.pure_terms))
+
+
+def test_parameterize_equates_a_second_tuple_mark_on_a_taken_result():
+    s = Specification()
+    for x in ("X", "Y", "P"):
+        s.add_type(x)
+    for t, dom, cod in (("p1", "P", "X"), ("p2", "P", "Y"), ("f", "X", "X"),
+                        ("g", "X", "Y"), ("h", "X", "X"), ("k", "X", "Y"),
+                        ("t", "X", "P")):
+        s.add_term(t, dom, cod)
+    s.products[("X", "Y")] = ("P", "p1", "p2")
+    s.tuples[("f", "g")] = "t"
+    s.tuples[("h", "k")] = "t"
+    par = parameterize(DecoratedSpecification(s, {"p1", "p2"}))
+    p, lift = par.spec.base, par.lift
+    assert validate(p) == []
+    # the first mark takes t'; the second gets a fresh tuple equated with it
+    assert p.tuples[(lift["f"], lift["g"])] == lift["t"]
+    second = p.tuples[(lift["h"], lift["k"])]
+    assert second not in s.terms and second not in lift.values()
+    assert p.equations == {eqpair(second, lift["t"])}
