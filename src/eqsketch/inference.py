@@ -172,13 +172,15 @@ def saturate(s: Specification, depth: int, cap: int = 4000) -> Saturation:
     cannot fit the cap is refused before it is built, with the
     ``BudgetExceeded`` that building it would raise.
     """
-    return next(_levels(s, (depth,), cap))
+    return next(_levels(s, (depth,), cap, traced=True))
 
 
-def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Saturation]:
+def _levels(s: Specification, depths: Iterable[int], cap: int,
+            traced: bool = False) -> Iterator[Saturation]:
     """One saturation of a copy of s, grown in place and yielded closed at
     each ascending depth in turn: grown from the depth below, each least
-    fixpoint is ``saturate``'s up to names and overflows the cap as it would."""
+    fixpoint is ``saturate``'s up to names and overflows the cap as it would.
+    The trace is kept only when ``traced``."""
     errs = validate(s)
     if errs:
         raise ValueError("saturate requires a valid specification: " + errs[0])
@@ -187,14 +189,19 @@ def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Satur
                      [], {t: 0 for t in out.terms})
     trace, depth_of = sat.trace, sat.depth_of
 
-    def record(tag: RuleTag, match: Dict[str, str], n: TermName, depth: int) -> None:
+    def record(tag: RuleTag, n: TermName, depth: int, *binds: str) -> None:
+        """Note the term n that the rule made from a type X or terms f, g."""
         depth_of[n] = depth
-        trace.append(TraceStep(tag, match, (n,)))
+        if traced:
+            trace.append(TraceStep(tag, dict(zip(("X",) if len(binds) == 1 else ("f", "g"),
+                                                 binds)), (n,)))
         if len(out.terms) > cap:
             raise BudgetExceeded(f"term universe exceeded {cap}")
 
     if out.terminal is None:
-        trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (ensure_terminal(out),)))
+        u = ensure_terminal(out)
+        if traced:
+            trace.append(TraceStep(RuleTag.TERMINAL_TYPE, {}, (u,)))
     scanned: Set[TermName] = set()
     for depth in depths:
         changed = True
@@ -204,10 +211,10 @@ def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Satur
                 raise BudgetExceeded(f"term universe exceeded {cap}")
             for x in sorted(out.types):
                 if x not in out.identities:
-                    record(RuleTag.IDENTITY, {"X": x}, ensure_identity(out, x), 0)
+                    record(RuleTag.IDENTITY, ensure_identity(out, x), 0, x)
                     changed = True
                 if x not in out.collapsings:
-                    record(RuleTag.COLLAPSING, {"X": x}, ensure_collapse(out, x), 0)
+                    record(RuleTag.COLLAPSING, ensure_collapse(out, x), 0, x)
                     changed = True
             # only terms below the depth bound take part in a pair
             snapshot = sorted(t for t in out.terms if depth_of[t] < depth)
@@ -230,8 +237,8 @@ def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Satur
             for f, index in partners:
                 for g in index.get(out.terms[f].cod, ()):
                     if (f, g) not in out.compositions:
-                        record(RuleTag.COMPOSITION, {"f": f, "g": g}, ensure_comp(out, f, g),
-                               max(depth_of[f], depth_of[g]) + 1)
+                        record(RuleTag.COMPOSITION, ensure_comp(out, f, g),
+                               max(depth_of[f], depth_of[g]) + 1, f, g)
                         changed = True
             if most_pairs > cap - len(out.terms) and (
                     _tuple_pairs(out, by_dom, new_by_dom) - len(out.tuples) > cap - len(out.terms)):
@@ -241,8 +248,8 @@ def _levels(s: Specification, depths: Iterable[int], cap: int) -> Iterator[Satur
                 for g in index.get(out.terms[f].dom, ()):
                     key = (cod_f, out.terms[g].cod)
                     if key in out.products and (f, g) not in out.tuples:
-                        record(RuleTag.BINARY_TUPLE, {"f": f, "g": g}, ensure_tuple(out, f, g),
-                               max(depth_of[f], depth_of[g]) + 1)
+                        record(RuleTag.BINARY_TUPLE, ensure_tuple(out, f, g),
+                               max(depth_of[f], depth_of[g]) + 1, f, g)
                         changed = True
         yield sat
 
@@ -278,6 +285,15 @@ def congruence_classes(s: Specification) -> _UnionFind:
     Unions made during a round are seen by the next one, and a round
     without a union ends the closure.
     """
+    for uf in _closure_rounds(s):
+        pass
+    return uf
+
+
+def _closure_rounds(s: Specification) -> Iterator[_UnionFind]:
+    """``congruence_classes``' one union-find, yielded once its unions of
+    the equations and of the maps into the terminal type are made, and
+    again after each round; the last yield is the closure."""
     uf = _UnionFind()
     for t in s.terms:
         uf.find(t)
@@ -290,6 +306,7 @@ def congruence_classes(s: Specification) -> _UnionFind:
             if t.cod == s.terminal:
                 uf.union(into_unit.setdefault(t.dom, t.name), t.name)
     prod_of = {p: key for key, (p, _1, _2) in s.products.items()}
+    yield uf
     changed = True
     while changed:
         changed = False
@@ -352,7 +369,7 @@ def congruence_classes(s: Specification) -> _UnionFind:
             t = tup.get((a, b))
             if t is not None:
                 unify(t, h.name)
-    return uf
+        yield uf
 
 
 # the carrier bound (1..MAX_CARRIER per base type) of every countermodel
@@ -364,39 +381,50 @@ SAT_CAP = 800
 
 
 def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Verdict:
-    """Decide equality of two parallel terms in the presented theory by
-    congruence closure on one term universe grown from s level by level
-    up to the depth, a level over ``SAT_CAP`` ending the proof search;
-    inequality is witnessed by a finite model.
+    """Decide equality of two parallel terms in the presented theory:
+    congruence closure on s saturated to level 0, then a search for a
+    finite model that separates them, then closure on the same term
+    universe grown from level 0 level by level up to the depth, a level
+    over ``SAT_CAP`` ending the proof search.
 
-    The countermodel is the ``canonical()``-least model separating the
-    terms on the least carrier choice (sizes 1..MAX_CARRIER per base
-    type, in ``itertools.product`` order) that has one; the search stops
-    at that model instead of listing all of them.  A choice whose free
-    tables exceed ``COUNTERMODEL_CAP`` is skipped."""
+    Every law of the closure holds in each model, so a pair that a model
+    separates is proved at no level: the search comes before the levels
+    that cost the most and decides the same.  The countermodel is the
+    ``canonical()``-least model separating the terms on the least carrier
+    choice (sizes 1..MAX_CARRIER per base type, in ``itertools.product``
+    order) that has one; the search stops at that model instead of
+    listing all of them.  A choice whose free tables exceed
+    ``COUNTERMODEL_CAP`` is skipped."""
     if t1 not in s.terms or t2 not in s.terms:
         raise NotParallel(f"unknown term {t1 if t1 not in s.terms else t2}")
     if not s.parallel(t1, t2):
         raise NotParallel(f"{t1} and {t2} are not parallel")
-    if t1 == t2 or _proved(s, [(t1, t2)], range(depth + 1), SAT_CAP):
+    if t1 == t2:
+        return Verdict(TriState.EQUAL)
+    walk = _levels(s, range(depth + 1), SAT_CAP)
+    if _proved(itertools.islice(walk, 1), [(t1, t2)]):
         return Verdict(TriState.EQUAL)
     cm = _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP)
     if cm is not None:
         return Verdict(TriState.DISTINCT_AT_BOUND, cm)
+    if _proved(walk, [(t1, t2)]):
+        return Verdict(TriState.EQUAL)
     return Verdict(TriState.UNKNOWN)
 
 
-def _proved(s: Specification, pairs: List[tuple], levels: range, cap: int) -> bool:
-    """Does the congruence closure of some level of one saturation of s,
-    grown level by level, join each pair?  A level over the cap ends it."""
+def _proved(walk: Iterator[Saturation], pairs: List[tuple]) -> bool:
+    """Does the congruence closure of some level of the walk join each
+    pair?  The walk stops at that level, each closure at the first round
+    that joins them all, and a level over its cap ends the walk."""
     try:
-        for sat in _levels(s, levels, cap):
-            uf = congruence_classes(sat.spec)
-            if all(uf.find(a) == uf.find(b) for (a, b) in pairs):
-                return True
+        return any(_joins(sat.spec, pairs) for sat in walk)
     except BudgetExceeded:
-        pass
-    return False
+        return False
+
+
+def _joins(s: Specification, pairs: List[tuple]) -> bool:
+    """Does a round of the congruence closure of s join each pair?"""
+    return any(all(uf.find(a) == uf.find(b) for (a, b) in pairs) for uf in _closure_rounds(s))
 
 
 def _carrier_choices(names: List[TypeName], max_carrier: int, least: int = 1):
@@ -410,14 +438,18 @@ def _carrier_choices(names: List[TypeName], max_carrier: int, least: int = 1):
 def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
                        max_carrier: int, cap: int):
     """The ``canonical()``-least model separating t1 and t2 on the first
-    carrier choice that has one, or None; a choice over ``cap`` is skipped."""
+    carrier choice that has one, or None.  A choice over ``cap`` is
+    skipped, and so is one that gives their codomain a single element,
+    where no model separates them."""
     from .models import _least_model, base_types
-    dom = s.terms[t1].dom
+    dom, cod = s.terms[t1].dom, s.terms[t1].cod
 
     def separates(m) -> bool:
         return any(m.apply(t1, v) != m.apply(t2, v) for v in m.carriers[dom])
 
     for carriers in _carrier_choices(base_types(s), max_carrier):
+        if _carrier_sizes(s, carriers).get(cod) == 1:
+            continue
         try:
             m = _least_model(s, carriers, separates, cap)
         except SearchSpaceTooLarge:
@@ -425,6 +457,22 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
         if m is not None:
             return m
     return None
+
+
+def _carrier_sizes(s: Specification, base_carriers: Dict[TypeName, tuple]) -> Dict[TypeName, int]:
+    """The size of each carrier that ``models.derived_carriers`` gives, or
+    of none when it would leave a type without one."""
+    size = {x: len(c) for x, c in base_carriers.items()}
+    if s.terminal is not None:
+        size[s.terminal] = 1
+    changed = True
+    while changed:
+        changed = False
+        for (y1, y2), (p, _1, _2) in s.products.items():
+            if p not in size and y1 in size and y2 in size:
+                size[p] = size[y1] * size[y2]
+                changed = True
+    return size if len(size) == len(s.types) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +525,8 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
                 obligations.append((m, phi[TERM][r]))
             elif m != phi[TYPE][r]:
                 return _semantic_entailment_check(tau, MAX_CARRIER)
-    uf = congruence_classes(big)
-    if all(uf.find(a) == uf.find(b) for (a, b) in obligations) or \
-            _proved(big, obligations, range(1, min(depth, 2) + 1), 4000):
+    if _joins(big, obligations) or \
+            _proved(_levels(big, range(1, min(depth, 2) + 1), 4000), obligations):
         return Verdict(TriState.EQUAL)
     return _semantic_entailment_check(tau, MAX_CARRIER)
 

@@ -3,13 +3,13 @@ from typing import Dict
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from eqsketch.core import (MARK_KINDS, Specification, SpecMorphism, eqpair,
-                           iso_search, spec_equal, validate, validate_morphism)
+from eqsketch.core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
+                           eqpair, iso_search, spec_equal, validate, validate_morphism)
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
                                purify, undecorate)
 from eqsketch.errors import PurityViolation
 from eqsketch.inference import TriState, is_entailment, terms_equal
-from eqsketch.parameterize import (_ENSURE, check_ell_natural,
+from eqsketch.parameterize import (_ENSURE, _make_marks, check_ell_natural,
                                    check_param_restricts_to_embed, ell,
                                    embed_A, embed_a, ensure_comp,
                                    ensure_product, ensure_tuple, parameterize,
@@ -184,6 +184,22 @@ def test_ensure_helpers_reuse_every_existing_mark():
                 out = _ENSURE[tag](t, *args)
                 assert (out if isinstance(out, tuple) else (out,)) == results, (name, tag)
                 assert spec_equal(t, s), (name, tag)
+
+
+def test_make_marks_maps_a_result_to_its_first_namer():
+    # r is named first by a mark that waits a round for h, and second by
+    # one made at once; q by two marks made in the same round
+    target = Specification()
+    target.add_type("X")
+    for f in ("f", "g"):
+        target.add_term(f, "X", "X")
+    phi = {TYPE: {"X": "X"}, TERM: {"f": "f", "g": "g"}}
+    comp = RuleTag.COMPOSITION
+    made = _make_marks([(comp, ("f", "h"), ("r",)), (comp, ("f", "g"), ("r",)),
+                        (comp, ("g", "g"), ("h",)), (comp, ("g", "f"), ("q",)),
+                        (comp, ("f", "f"), ("q",))], phi, target)
+    assert len({m for m, in made}) == 5
+    assert [phi[TERM][r] for r in ("r", "h", "q")] == [made[0][0], made[2][0], made[3][0]]
 
 
 # ---------------------------------------------------------------------------
