@@ -11,7 +11,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dsl
-from .core import Specification, SpecMorphism, iso_search, validate, validate_morphism
+from .core import Specification, SpecMorphism, validate, validate_morphism
 from .decorate import pure_part, undecorate, validate_decorated
 from .errors import (BudgetExceeded, EqsketchError, SearchSpaceTooLarge,
                      SyntaxError_)
@@ -162,13 +162,13 @@ def _dispatch(args, carriers: Dict[str, int], out: _Out) -> int:
             r = spec_to_realization(doc.spec)
             viol = check_realization(sk, r)
             back = realization_to_spec(r)
-            # the sketch does not encode equations, so neither does the round trip
+            # the sketch does not encode equations, so neither does the
+            # round trip; it keeps every other name
             plain = doc.spec.copy()
             plain.equations = set()
-            iso = iso_search(plain, back)
-            ok = not viol and bool(iso)
+            ok = not viol and plain == back
             out.line(f"realization {path}", "ok" if ok else
-                     "; ".join(viol) or "round-trip not isomorphic")
+                     "; ".join(viol) or "round-trip differs")
             rc = rc or (0 if ok else 1)
         return rc
 

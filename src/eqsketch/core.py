@@ -12,10 +12,9 @@ specification stores its marks; the other code reads them through it.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import SourceTargetMismatch
 
@@ -488,77 +487,79 @@ class IsoResult:
         return self.iso is not None
 
 
-def iso_search(s1: Specification, s2: Specification, budget: int = 200000,
-               pin_types: Optional[Dict[TypeName, TypeName]] = None) -> IsoResult:
-    """Backtracking search for an isomorphism of specifications.
+def iso_search(s1: Specification, s2: Specification, budget: int = 200000) -> IsoResult:
+    """Search for an isomorphism by colour refinement and individualisation.
 
-    Returns the witnessing morphism when found.  When the budget runs out
-    before the search space is exhausted the absence is reported as not
-    definitive.  `pin_types` forces part of the type bijection.
+    The types and terms of both sides are coloured together, first by
+    sort, then round by round by the colours of each relation they are
+    in, by its key and their position: a term with its dom and cod, each
+    mark, and each equation in both orders.  A class with more members
+    on one side refutes.  Each node tries the bijection pairing each
+    class's members in sorted order (its inverse then keeps marks and
+    equations too, as the sides have as many of each kind), then gives
+    the least s1 element of the smallest split class a colour of its own
+    with each s2 member of that class in turn, one node of ``budget``
+    each.  Past the budget the absence is reported as not definitive.
     """
-    pin_types = pin_types or {}
-    if (len(s1.types) != len(s2.types) or len(s1.terms) != len(s2.terms)
-            or len(s1.equations) != len(s2.equations)
-            or any(len(kind.marks(s1)) != len(kind.marks(s2)) for kind in MARK_KINDS.values())):
-        return IsoResult(None, True)
-    types1 = sorted(s1.types)
+    elems = [(side, sort, n) for side, s in enumerate((s1, s2))
+             for sort, names in ((TYPE, s.types), (TERM, s.terms)) for n in sorted(names)]
+    index = {e: i for i, e in enumerate(elems)}
+    n1 = len(s1.types) + len(s1.terms)
+    # each element's (relation key, its position, the relation's elements)
+    incid: List[List[Tuple[int, int, Tuple[int, ...]]]] = [[] for _ in elems]
+    for side, s in enumerate((s1, s2)):
+        rels = [(0, ((TERM, t.name), (TYPE, t.dom), (TYPE, t.cod))) for t in s.terms.values()]
+        for key, kind in enumerate(MARK_KINDS.values(), 1):
+            rels += [(key, tuple((kind.args, a) for a in args) + tuple(zip(kind.results, results)))
+                     for args, results in kind.marks(s)]
+        rels += [(7, ((TERM, a), (TERM, b))) for pair in s.equations for a, b in (pair, pair[::-1])]
+        for key, names in rels:
+            ids = tuple(index[(side,) + name] for name in names)
+            for pos, i in enumerate(ids):
+                incid[i].append((key, pos, ids))
+
+    def refine(colour: List[int]) -> Optional[List[int]]:
+        """The stable refinement of a colouring, or None when it refutes."""
+        classes = len(set(colour))
+        while True:
+            seen: Dict[tuple, int] = {}
+            colour = [seen.setdefault((c, tuple(sorted((key, pos, tuple(colour[j] for j in ids))
+                                                       for key, pos, ids in inc))), len(seen))
+                      for c, inc in zip(colour, incid)]
+            if len(seen) == classes:
+                return colour if sorted(colour[:n1]) == sorted(colour[n1:]) else None
+            classes = len(seen)
+
+    colour = refine([int(sort == TERM) for _side, sort, _n in elems])
+    # (a colouring, an element of s1, the s2 members of its class not yet tried)
+    stack: List[Tuple[List[int], int, Iterator[int]]] = []
     nodes = 0
-    for perm in itertools.permutations(sorted(s2.types)):
-        tmap = dict(zip(types1, perm))
-        nodes += max(1, len(types1))
-        if nodes > budget:
-            return IsoResult(None, False)
-        if any(tmap.get(a) != b for a, b in pin_types.items()):
-            continue
-        if s1.terminal is not None and tmap[s1.terminal] != s2.terminal:
-            continue
-        for mmap in _all_term_bijections(s1, s2, tmap):
+    while colour is not None:
+        cells: Dict[int, Tuple[List[int], List[int]]] = {}
+        for i, c in enumerate(colour):
+            cells.setdefault(c, ([], []))[i >= n1].append(i)
+        maps: Dict[str, Dict[str, str]] = {TYPE: {}, TERM: {}}
+        for ones, twos in cells.values():
+            for i, j in zip(ones, twos):
+                maps[elems[i][1]][elems[i][2]] = elems[j][2]
+        m = SpecMorphism(s1, s2, maps[TYPE], maps[TERM])
+        if not validate_morphism(m):
+            return IsoResult(m, True)
+        split = [cell for cell in cells.values() if len(cell[0]) > 1]
+        if split:
+            ones, twos = min(split, key=lambda cell: (len(cell[0]), cell[0][0]))
+            stack.append((colour, ones[0], iter(twos)))
+        colour = None
+        while colour is None and stack:
+            at, x, ys = stack[-1]
+            y = next(ys, None)
+            if y is None:
+                stack.pop()
+                continue
             nodes += 1
             if nodes > budget:
                 return IsoResult(None, False)
-            m = SpecMorphism(s1, s2, tmap, mmap)
-            if not validate_morphism(m) and not validate_morphism(_inverse(m)):
-                return IsoResult(m, True)
+            mine = list(at)
+            mine[x] = mine[y] = len(elems)
+            colour = refine(mine)
     return IsoResult(None, True)
-
-
-def _inverse(m: SpecMorphism) -> SpecMorphism:
-    return SpecMorphism(m.target, m.source,
-                        {v: k for k, v in m.type_map.items()},
-                        {v: k for k, v in m.term_map.items()})
-
-
-def _all_term_bijections(s1: Specification, s2: Specification, tmap):
-    """All dom/cod-respecting term bijections for a fixed type bijection."""
-    groups1: Dict[Tuple, List[str]] = {}
-    for t in s1.terms.values():
-        groups1.setdefault((tmap[t.dom], tmap[t.cod]), []).append(t.name)
-    groups2: Dict[Tuple, List[str]] = {}
-    for t in s2.terms.values():
-        groups2.setdefault((t.dom, t.cod), []).append(t.name)
-    keys = sorted(groups1)
-    if sorted(groups2) != keys:
-        return
-    for k in keys:
-        if len(groups1[k]) != len(groups2[k]):
-            return
-        groups1[k].sort()
-        groups2[k].sort()
-    if not keys:
-        yield {}
-        return
-    # an odometer over the groups, the last one turning fastest: the order
-    # of itertools.product, without building every permutation up front
-    perms = [itertools.permutations(groups2[keys[0]])]
-    mmap: Dict[str, str] = {}
-    while perms:
-        perm = next(perms[-1], None)
-        if perm is None:
-            perms.pop()
-            continue
-        k = keys[len(perms) - 1]
-        mmap.update(zip(groups1[k], perm))
-        if len(perms) == len(keys):
-            yield dict(mmap)
-        else:
-            perms.append(itertools.permutations(groups2[keys[len(perms)]]))

@@ -354,7 +354,9 @@ def parse(text: str) -> SpecDocument:
 # ---------------------------------------------------------------------------
 
 def dump(doc: SpecDocument) -> str:
-    """Deterministic text form; parse(dump(doc)) reconstructs the document."""
+    """Deterministic text form; parse(dump(doc)) reconstructs the document.
+    Compose and tuple marks wait, in order of result, for their arguments
+    to be declared, and each pass over them emits every one that can go."""
     s = doc.spec
     lines: List[str] = []
     if doc.is_decorated:
@@ -395,8 +397,8 @@ def dump(doc: SpecDocument) -> str:
     for (f, g), t in sorted(s.tuples.items(), key=lambda kv: (kv[1], kv[0])):
         marks.append(("tuple", t, f, g))
     while marks:
-        emitted = False
-        for m in list(marks):
+        waiting: List[Tuple[str, str, str, str]] = []
+        for m in marks:
             kind, c, f, g = m
             if f in declared and g in declared:
                 if kind == "compose":
@@ -404,12 +406,13 @@ def dump(doc: SpecDocument) -> str:
                 else:
                     lines.append(f"tuple {c} = < {f} , {g} >")
                 declared.add(c)
-                marks.remove(m)
-                emitted = True
-        if not emitted:
+            else:
+                waiting.append(m)
+        if len(waiting) == len(marks):
             # a pending mark waits for an argument that is itself the
             # result of a pending mark, which is not declared yet
             declare(next(c for _k, c, _f, _g in marks if c not in declared))
+        marks = waiting
     for (a, b) in sorted(s.equations):
         lines.append(f"eq {a} = {b}")
     if doc.parameter_type is not None:

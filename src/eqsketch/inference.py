@@ -441,14 +441,14 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
     carrier choice that has one, or None.  A choice over ``cap`` is
     skipped, and so is one that gives their codomain a single element,
     where no model separates them."""
-    from .models import _least_model, base_types
+    from .models import _least_model, base_types, derived_carriers
     dom, cod = s.terms[t1].dom, s.terms[t1].cod
 
     def separates(m) -> bool:
         return any(m.apply(t1, v) != m.apply(t2, v) for v in m.carriers[dom])
 
     for carriers in _carrier_choices(base_types(s), max_carrier):
-        if _carrier_sizes(s, carriers).get(cod) == 1:
+        if len(derived_carriers(s, carriers)[cod]) == 1:
             continue
         try:
             m = _least_model(s, carriers, separates, cap)
@@ -457,22 +457,6 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
         if m is not None:
             return m
     return None
-
-
-def _carrier_sizes(s: Specification, base_carriers: Dict[TypeName, tuple]) -> Dict[TypeName, int]:
-    """The size of each carrier that ``models.derived_carriers`` gives, or
-    of none when it would leave a type without one."""
-    size = {x: len(c) for x, c in base_carriers.items()}
-    if s.terminal is not None:
-        size[s.terminal] = 1
-    changed = True
-    while changed:
-        changed = False
-        for (y1, y2), (p, _1, _2) in s.products.items():
-            if p not in size and y1 in size and y2 in size:
-                size[p] = size[y1] * size[y2]
-                changed = True
-    return size if len(size) == len(s.types) else {}
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,24 @@ def _make_marks(marks: List[Tuple[RuleTag, tuple, tuple]],
     return made
 
 
+def _keep_marks(s: Specification, phi: Dict[str, Dict[str, str]],
+                target: Specification) -> None:
+    """Keep the marks and equations of s on their images under ``phi``, a
+    map of each sort into ``target``: mark each image site that has no
+    mark, or equate the term results with those of the mark already
+    there; and equate the images of each equation."""
+    for kind in MARK_KINDS.values():
+        for args, results in kind.marks(s):
+            site, want = kind.image(phi, args, results)
+            if kind.get(target, site) is None:
+                kind.set(target, site, want)
+            for sort, a, b in zip(kind.results, kind.get(target, site), want):
+                if sort == TERM:
+                    target.add_equation(a, b)
+    for (t1, t2) in s.equations:
+        target.add_equation(phi[TERM][t1], phi[TERM][t2])
+
+
 # ---------------------------------------------------------------------------
 # The embeddings
 # ---------------------------------------------------------------------------
@@ -264,7 +282,8 @@ def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification
                           par1: Optional[Parameterization] = None,
                           par2: Optional[Parameterization] = None) -> SpecMorphism:
     """The induced morphism between parameterization outputs; the target
-    may be extended by sharps of pure images on demand."""
+    may be extended by sharps of pure images on demand, and by p1's marks
+    and equations kept on their images."""
     for t in d1.base.terms:
         if d1.is_pure(t) and not d2.is_pure(u.term_map[t]):
             raise PurityViolation(f"{t} is pure but its image {u.term_map[t]} is not")
@@ -291,6 +310,7 @@ def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification
                  for args, results in kind.marks(p1)
                  if any(r not in phi[sort] for sort, r in zip(kind.results, results))],
                 phi, p2)
+    _keep_marks(p1, phi, p2)
     return SpecMorphism(p1, p2, type_map, term_map)
 
 
@@ -298,17 +318,12 @@ def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification
 # Theorem-style checks
 # ---------------------------------------------------------------------------
 
-def check_param_restricts_to_embed(s: Specification, budget: int = 200000) -> bool:
+def check_param_restricts_to_embed(s: Specification) -> bool:
     """Parameterizing the all-pure decoration of s must give exactly s
-    plus a parameter type: the translation restricts to the plain
-    embedding on pure content."""
-    from .core import iso_search
+    plus a parameter type, name for name: the translation restricts to
+    the plain embedding on pure content."""
     from .decorate import purify
-    par = parameterize(purify(s))
-    emb = embed_A(s)
-    res = iso_search(par.spec.base, emb.base, budget=budget,
-                     pin_types={par.spec.parameter_type: emb.parameter_type})
-    return bool(res)
+    return parameterize(purify(s)).spec == embed_A(s)
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +388,7 @@ def ell(d: DecoratedSpecification,
             term_map[f] = f
         else:
             term_map[f] = _with_constant(ext, a_const, base.terms[f].dom, par.lift[f])
-    # preserve the structural marks of the source on their images: mark the
-    # image site, or equate with the mark already there
-    image = {TYPE: type_map, TERM: term_map}
-    for kind in MARK_KINDS.values():
-        for args, results in kind.marks(base):
-            site, want = kind.image(image, args, results)
-            if kind.get(ext, site) is None:
-                kind.set(ext, site, want)
-            for sort, a, b in zip(kind.results, kind.get(ext, site), want):
-                if sort == TERM:
-                    ext.add_equation(a, b)
-    for (t1, t2) in base.equations:
-        ext.add_equation(term_map[t1], term_map[t2])
+    _keep_marks(base, {TYPE: type_map, TERM: term_map}, ext)
 
     morph = SpecMorphism(src, ext, type_map, term_map)
     incl = SpecMorphism(tgt0, ext, {x: x for x in tgt0.types},

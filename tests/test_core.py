@@ -1,13 +1,14 @@
 import itertools
+import random
 import re
+import time
 from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqsketch import core
-from eqsketch.core import (MARK_KINDS, IsoResult, RuleTag, Specification,
+from eqsketch.core import (MARK_KINDS, TERM, TYPE, IsoResult, RuleTag, Specification,
                            SpecMorphism, _UnionFind, compose, coproduct, eqpair,
                            fresh_name, identity_morphism, iso_search, pushout,
                            pushout_universal_check, spec_equal, validate,
@@ -130,6 +131,10 @@ def test_iso_search_finds_renaming():
 def test_iso_search_definitive_negative():
     res = iso_search(CORPUS["single_term"](), CORPUS["two_parallel"]())
     assert not res and res.definitive
+    # X maps to either of two types alike, but not onto both
+    two = Specification(types={"X", "Y"})
+    assert iso_search(CORPUS["single_type"](), two, budget=0) == IsoResult(None, True)
+    assert iso_search(two, CORPUS["single_type"](), budget=0) == IsoResult(None, True)
 
 
 def test_spec_equal_is_exact():
@@ -137,14 +142,10 @@ def test_spec_equal_is_exact():
     assert not spec_equal(CORPUS["endo"](), CORPUS["single_type"]())
 
 
-def test_iso_search_precheck_counts_the_marks_of_each_kind(monkeypatch):
+def test_iso_search_precheck_counts_the_marks_of_each_kind():
     # monoid_core carries a mark of every kind; each copy drops one of them
     # and keeps its results as a plain type or term, so only that kind's
-    # mark count tells the two apart
-    def no_bijections(*_args):
-        raise AssertionError("the precheck should have answered")
-
-    monkeypatch.setattr(core, "_all_term_bijections", no_bijections)
+    # mark count tells the two apart, and refinement alone refutes
     s = CORPUS["monoid_core"]()
     for tag in MARK_KINDS:
         dropped = s.copy()
@@ -158,8 +159,8 @@ def test_iso_search_precheck_counts_the_marks_of_each_kind(monkeypatch):
                                       RuleTag.COLLAPSING: "collapsings"}[tag])
             del marks[next(iter(marks))]
         assert (dropped.types, dropped.terms) == (s.types, s.terms)
-        assert iso_search(s, dropped) == IsoResult(None, True), tag
-        assert iso_search(dropped, s) == IsoResult(None, True), tag
+        assert iso_search(s, dropped, budget=0) == IsoResult(None, True), tag
+        assert iso_search(dropped, s, budget=0) == IsoResult(None, True), tag
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +453,177 @@ def test_validate_morphism_matches_reference():
         assert got == reference_validate_morphism(m)
         fired.update(p for p in _MESSAGES for line in got if re.search(p, line))
     assert fired == set(_MESSAGES)
+
+
+# ---------------------------------------------------------------------------
+# Reference isomorphism search: a verbatim copy of iso_search as it was
+# when it tried every type permutation and then every dom/cod-respecting
+# term bijection (less its unused pin_types option), kept as a
+# differential oracle for the colour-refinement search
+# ---------------------------------------------------------------------------
+
+def reference_iso_search(s1: Specification, s2: Specification,
+                         budget: int = 200000) -> IsoResult:
+    if (len(s1.types) != len(s2.types) or len(s1.terms) != len(s2.terms)
+            or len(s1.equations) != len(s2.equations)
+            or any(len(kind.marks(s1)) != len(kind.marks(s2)) for kind in MARK_KINDS.values())):
+        return IsoResult(None, True)
+    types1 = sorted(s1.types)
+    nodes = 0
+    for perm in itertools.permutations(sorted(s2.types)):
+        tmap = dict(zip(types1, perm))
+        nodes += max(1, len(types1))
+        if nodes > budget:
+            return IsoResult(None, False)
+        if s1.terminal is not None and tmap[s1.terminal] != s2.terminal:
+            continue
+        for mmap in _reference_term_bijections(s1, s2, tmap):
+            nodes += 1
+            if nodes > budget:
+                return IsoResult(None, False)
+            m = SpecMorphism(s1, s2, tmap, mmap)
+            if not validate_morphism(m) and not validate_morphism(_inverse(m)):
+                return IsoResult(m, True)
+    return IsoResult(None, True)
+
+
+def _inverse(m: SpecMorphism) -> SpecMorphism:
+    return SpecMorphism(m.target, m.source,
+                        {v: k for k, v in m.type_map.items()},
+                        {v: k for k, v in m.term_map.items()})
+
+
+def _reference_term_bijections(s1: Specification, s2: Specification, tmap):
+    """All dom/cod-respecting term bijections for a fixed type bijection."""
+    groups1: Dict[Tuple, List[str]] = {}
+    for t in s1.terms.values():
+        groups1.setdefault((tmap[t.dom], tmap[t.cod]), []).append(t.name)
+    groups2: Dict[Tuple, List[str]] = {}
+    for t in s2.terms.values():
+        groups2.setdefault((t.dom, t.cod), []).append(t.name)
+    keys = sorted(groups1)
+    if sorted(groups2) != keys:
+        return
+    for k in keys:
+        if len(groups1[k]) != len(groups2[k]):
+            return
+        groups1[k].sort()
+        groups2[k].sort()
+    if not keys:
+        yield {}
+        return
+    # an odometer over the groups, the last one turning fastest: the order
+    # of itertools.product, without building every permutation up front
+    perms = [itertools.permutations(groups2[keys[0]])]
+    mmap: Dict[str, str] = {}
+    while perms:
+        perm = next(perms[-1], None)
+        if perm is None:
+            perms.pop()
+            continue
+        k = keys[len(perms) - 1]
+        mmap.update(zip(groups1[k], perm))
+        if len(perms) == len(keys):
+            yield dict(mmap)
+        else:
+            perms.append(itertools.permutations(groups2[keys[len(perms)]]))
+
+
+def _renamed(s: Specification, rng: random.Random) -> Specification:
+    """A copy of s under a random renaming of its types and of its terms."""
+    names = {}
+    for sort, held, stem in ((TYPE, s.types, "T"), (TERM, s.terms, "t")):
+        fresh = [f"{stem}{i}" for i in range(len(held))]
+        rng.shuffle(fresh)
+        names[sort] = dict(zip(sorted(held), fresh))
+    ty, tm = names[TYPE], names[TERM]
+    out = Specification(types=set(ty.values()),
+                        equations={eqpair(tm[a], tm[b]) for a, b in s.equations})
+    for t in s.terms.values():
+        out.add_term(tm[t.name], ty[t.dom], ty[t.cod])
+    for kind in MARK_KINDS.values():
+        for args, results in kind.marks(s):
+            kind.set(out, *kind.image(names, args, results))
+    return out
+
+
+def _altered(s: Specification):
+    """Copies of s with one composition or tuple result, or one side of
+    one equation, moved to another term parallel to it, or with one
+    equation dropped."""
+    def others(t):
+        return [u for u in sorted(s.terms) if u != t and s.parallel(t, u)]
+
+    for marks in ("compositions", "tuples"):
+        for site, r in sorted(getattr(s, marks).items()):
+            for u in others(r):
+                out = s.copy()
+                getattr(out, marks)[site] = u
+                yield out
+    for a, b in sorted(s.equations):
+        for u in others(a):
+            if u != b and eqpair(u, b) not in s.equations:
+                out = s.copy()
+                out.equations.discard((a, b))
+                out.add_equation(u, b)
+                yield out
+        out = s.copy()
+        out.equations.discard((a, b))
+        yield out
+
+
+def _assert_iso(res: IsoResult, s1: Specification, s2: Specification) -> None:
+    assert res and res.definitive
+    assert validate_morphism(res.iso) == []
+    assert validate_morphism(_inverse(res.iso)) == []
+    assert (res.iso.source, res.iso.target) == (s1, s2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.randoms(use_true_random=False))
+def test_iso_search_agrees_with_the_reference(drawn, rng):
+    s, _carriers = drawn
+    r = _renamed(s, rng)
+    _assert_iso(iso_search(s, r), s, r)
+    for other in [s, r] + list(itertools.islice(_altered(s), 12)):
+        for s1, s2 in ((s, other), (other, s)):
+            got, want = iso_search(s1, s2), reference_iso_search(s1, s2)
+            if want.definitive:
+                assert bool(got) == bool(want)
+            if got:
+                _assert_iso(got, s1, s2)
+            else:
+                assert got.definitive
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_iso_search_finds_a_renaming_of_each_corpus_spec_and_its_saturation(name):
+    rng = random.Random(name)
+    for s in (CORPUS[name](), saturate(CORPUS[name](), 1).spec):
+        r = _renamed(s, rng)
+        _assert_iso(iso_search(s, r), s, r)
+
+
+def test_iso_search_decides_a_renamed_composition_chain_quickly():
+    # b1 = b0 . b0, b2 = b1 . b0, ...: every term X -> X
+    s = Specification(types={"X"})
+    s.add_term("b0", "X", "X")
+    for i in range(1, 10):
+        s.add_term(f"b{i}", "X", "X")
+        s.compositions[("b0", f"b{i - 1}")] = f"b{i}"
+    r = _renamed(s, random.Random(10))
+    t0 = time.perf_counter()
+    res = iso_search(s, r)
+    assert time.perf_counter() - t0 < 0.1
+    _assert_iso(res, s, r)
+
+
+def test_iso_search_matches_parallel_free_terms_quickly():
+    s = Specification(types={"X"})
+    for i in range(400):
+        s.add_term(f"f{i}", "X", "X")
+    r = _renamed(s, random.Random(400))
+    t0 = time.perf_counter()
+    res = iso_search(s, r)
+    assert time.perf_counter() - t0 < 1
+    _assert_iso(res, s, r)

@@ -1,10 +1,14 @@
+import time
+from typing import List, Tuple
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from eqsketch import dsl
-from eqsketch.core import spec_equal
+from eqsketch.core import TERM, TYPE, TYPE_MARKS, RuleTag, Specification, mark_results, spec_equal
 from eqsketch.decorate import decoration_closure
-from eqsketch.errors import DuplicateName, SyntaxError_
+from eqsketch.errors import BudgetExceeded, DuplicateName, SyntaxError_
+from eqsketch.inference import saturate
 
 from conftest import CORPUS, DECORATED, small_decorated_specs, small_specs
 
@@ -136,3 +140,125 @@ def test_dump_keeps_pure_on_a_self_referential_result():
 @given(small_decorated_specs())
 def test_decorated_dump_parse_round_trip_on_generated_specs(d):
     assert _round_trip_purity(dsl.SpecDocument(d.base, set(d.pure_terms))) == d.pure_terms
+
+
+# ---------------------------------------------------------------------------
+# Reference dump: a verbatim copy of dsl.dump as it was when its
+# dependency-order loop removed each emitted mark from the list, kept as
+# a byte-for-byte oracle for the version that builds each round's list
+# of waiting marks
+# ---------------------------------------------------------------------------
+
+def reference_dump(doc: dsl.SpecDocument) -> str:
+    s = doc.spec
+    lines: List[str] = []
+    if doc.is_decorated:
+        lines.append("decorated")
+    product_types = mark_results(s, TYPE, (RuleTag.BINARY_PRODUCT,))
+    type_mark_terms = mark_results(s, TERM, TYPE_MARKS)
+    term_mark_terms = mark_results(s, TERM, (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE))
+    if s.terminal is not None:
+        lines.append(f"unit {s.terminal}")
+    for x in sorted(s.types):
+        if x != s.terminal and x not in product_types:
+            lines.append(f"type {x}")
+    for (y1, y2), (p, p1, p2) in sorted(s.products.items()):
+        lines.append(f"product {p} = {y1} * {y2} with {p1} {p2}")
+    pure = doc.pure or set()
+
+    def declare(name: str) -> None:
+        t = s.terms[name]
+        lines.append(f"term {'pure ' if name in pure else ''}{name} : {t.dom} -> {t.cod}")
+        declared.add(name)
+
+    # a mark carries no purity, so a pure mark result is declared up front
+    declared = set(type_mark_terms)
+    for name in sorted(s.terms):
+        if name in type_mark_terms:
+            continue
+        if name in pure or name not in term_mark_terms:
+            declare(name)
+    for x in sorted(s.identities):
+        lines.append(f"identity {x} = {s.identities[x]}")
+    for x in sorted(s.collapsings):
+        lines.append(f"collapse {x} = {s.collapsings[x]}")
+    # compose/tuple marks may use each other's result terms; emit in
+    # dependency order, forward-declaring a result when stuck on a cycle
+    marks: List[Tuple[str, str, str, str]] = []
+    for (f, g), c in sorted(s.compositions.items(), key=lambda kv: (kv[1], kv[0])):
+        marks.append(("compose", c, f, g))
+    for (f, g), t in sorted(s.tuples.items(), key=lambda kv: (kv[1], kv[0])):
+        marks.append(("tuple", t, f, g))
+    while marks:
+        emitted = False
+        for m in list(marks):
+            kind, c, f, g = m
+            if f in declared and g in declared:
+                if kind == "compose":
+                    lines.append(f"compose {c} = {g} . {f}")
+                else:
+                    lines.append(f"tuple {c} = < {f} , {g} >")
+                declared.add(c)
+                marks.remove(m)
+                emitted = True
+        if not emitted:
+            # a pending mark waits for an argument that is itself the
+            # result of a pending mark, which is not declared yet
+            declare(next(c for _k, c, _f, _g in marks if c not in declared))
+    for (a, b) in sorted(s.equations):
+        lines.append(f"eq {a} = {b}")
+    if doc.parameter_type is not None:
+        lines.append(f"parameter type {doc.parameter_type}")
+    if doc.parameter_constant is not None:
+        lines.append(f"parameter const {doc.parameter_constant}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _assert_dump_matches_reference(doc: dsl.SpecDocument) -> None:
+    assert dsl.dump(doc) == reference_dump(doc)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_dump_matches_reference_on_corpus_saturations(name):
+    s = CORPUS[name]()
+    _assert_dump_matches_reference(dsl.SpecDocument(s))
+    for depth in (1, 2):
+        try:
+            sat = saturate(s, depth).spec
+        except BudgetExceeded:
+            continue
+        _assert_dump_matches_reference(dsl.SpecDocument(sat))
+
+
+@pytest.mark.parametrize("name", sorted(DECORATED))
+def test_dump_matches_reference_on_decorated_saturations(name):
+    d = DECORATED[name]()
+    sat = saturate(d.base, 1).spec
+    _assert_dump_matches_reference(dsl.SpecDocument(sat, set(d.pure_terms)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_dump_matches_reference_on_generated_specs(case):
+    s = case[0]
+    _assert_dump_matches_reference(dsl.SpecDocument(s))
+    _assert_dump_matches_reference(dsl.SpecDocument(saturate(s, 1).spec))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_dump_matches_reference_on_generated_decorated_specs(d):
+    _assert_dump_matches_reference(dsl.SpecDocument(d.base, set(d.pure_terms)))
+
+
+def test_dump_of_a_large_saturation_is_fast():
+    # saturate --depth 3 on two X -> X terms
+    s = Specification(types={"X"})
+    s.add_term("a", "X", "X")
+    s.add_term("b", "X", "X")
+    sat = saturate(s, 3, cap=100000).spec
+    assert len(sat.terms) == 43224
+    t0 = time.perf_counter()
+    text = dsl.dump(dsl.SpecDocument(sat))
+    assert time.perf_counter() - t0 < 3
+    assert text.count("\ncompose ") == len(sat.compositions)

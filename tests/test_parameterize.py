@@ -8,14 +8,14 @@ from eqsketch.core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecM
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
                                purify, undecorate)
 from eqsketch.errors import PurityViolation
-from eqsketch.inference import TriState, is_entailment, terms_equal
+from eqsketch.inference import TriState, is_entailment, saturate, terms_equal
 from eqsketch.parameterize import (_ENSURE, _make_marks, check_ell_natural,
                                    check_param_restricts_to_embed, ell,
                                    embed_A, embed_a, ensure_comp,
                                    ensure_product, ensure_tuple, parameterize,
                                    parameterize_morphism)
 
-from conftest import CORPUS, DECORATED, criterion_5_cases, small_decorated_specs
+from conftest import CORPUS, DECORATED, criterion_5_cases, small_decorated_specs, small_specs
 
 
 def test_embed_A_adds_one_fresh_type():
@@ -71,8 +71,15 @@ def test_parameterize_translates_equations():
 
 
 def test_parameterize_all_pure_is_plain_embedding():
-    for name in ("endo", "monoid_core", "product_heavy", "empty"):
-        assert check_param_restricts_to_embed(CORPUS[name]()), name
+    for name, mk in CORPUS.items():
+        assert check_param_restricts_to_embed(mk()), name
+        assert check_param_restricts_to_embed(saturate(mk(), 1).spec), name
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_parameterize_all_pure_is_plain_embedding_on_generated_specs(case):
+    assert check_param_restricts_to_embed(case[0])
 
 
 def test_triangle_does_not_commute_with_general_terms():
@@ -302,11 +309,25 @@ def test_parameterize_morphism_matches_reference_on_criterion_5():
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_decorated_specs())
 def test_parameterize_morphism_matches_reference_on_generated_specs(d):
+    # the maps are the reference's; the target is par2's base extended
+    # by an entailment, which keeps the marks and equations of p1 where u
+    # makes a general term pure
     s = d.base
     all_pure, _ = decoration_closure(DecoratedSpecification(s, set(s.terms)))
     for d2 in (d, all_pure):
         u = SpecMorphism(s, d2.base, {x: x for x in s.types}, {t: t for t in s.terms})
-        _assert_same_morphism(d, d2, u, sorted(d2.pure_terms))
+        label = sorted(d2.pure_terms)
+        got = parameterize_morphism(d, d2, u)
+        want = reference_parameterize_morphism(d, d2, u)
+        assert got.type_map == want.type_map, label
+        assert got.term_map == want.term_map, label
+        assert spec_equal(got.source, want.source), label
+        assert validate_morphism(got) == [], label
+        base2 = parameterize(d2).spec.base
+        incl = SpecMorphism(base2, got.target, {x: x for x in base2.types},
+                            {t: t for t in base2.terms})
+        assert validate_morphism(incl) == [], label
+        assert is_entailment(incl, 2).state is TriState.EQUAL, label
 
 
 def test_parameterize_equates_a_second_tuple_mark_on_a_taken_result():
