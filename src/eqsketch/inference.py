@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
                    TermName, TypeName, _UnionFind, eqpair, identity_morphism, pushout,
@@ -387,9 +387,8 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Ver
     universe grown from level 0 level by level up to the depth, a level
     over ``SAT_CAP`` ending the proof search.
 
-    Every law of the closure holds in each model, so a pair that a model
-    separates is proved at no level: the search comes before the levels
-    that cost the most and decides the same.  The countermodel is the
+    A pair that a model separates is proved at no level (``_decide``), so
+    the search comes first and decides the same.  The countermodel is the
     ``canonical()``-least model separating the terms on the least carrier
     choice (sizes 1..MAX_CARRIER per base type, in ``itertools.product``
     order) that has one; the search stops at that model instead of
@@ -401,23 +400,37 @@ def terms_equal(s: Specification, t1: TermName, t2: TermName, depth: int) -> Ver
         raise NotParallel(f"{t1} and {t2} are not parallel")
     if t1 == t2:
         return Verdict(TriState.EQUAL)
-    walk = _levels(s, range(depth + 1), SAT_CAP)
-    if _proved(itertools.islice(walk, 1), [(t1, t2)]):
+    return _decide((sat.spec for sat in _levels(s, range(depth + 1), SAT_CAP)),
+                   [(t1, t2)],
+                   lambda: _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP))
+
+
+def _decide(walk: Iterator[Specification], pairs: List[tuple],
+            refute: Callable[[], Optional[object]]) -> Verdict:
+    """EQUAL when the congruence closure of the walk's first spec joins
+    each pair; else DISTINCT_AT_BOUND with the countermodel that
+    ``refute()`` returns; else EQUAL when the closure of a later spec of
+    the walk joins them, and UNKNOWN when none does.
+
+    Every law of the closure holds in each model, so a proof on any spec
+    of the walk rules out every countermodel: the search comes before the
+    specs that cost the most to grow, and decides as it would after them."""
+    if _proved(itertools.islice(walk, 1), pairs):
         return Verdict(TriState.EQUAL)
-    cm = _find_countermodel(s, t1, t2, MAX_CARRIER, COUNTERMODEL_CAP)
+    cm = refute()
     if cm is not None:
         return Verdict(TriState.DISTINCT_AT_BOUND, cm)
-    if _proved(walk, [(t1, t2)]):
+    if _proved(walk, pairs):
         return Verdict(TriState.EQUAL)
     return Verdict(TriState.UNKNOWN)
 
 
-def _proved(walk: Iterator[Saturation], pairs: List[tuple]) -> bool:
-    """Does the congruence closure of some level of the walk join each
-    pair?  The walk stops at that level, each closure at the first round
+def _proved(walk: Iterator[Specification], pairs: List[tuple]) -> bool:
+    """Does the congruence closure of some spec of the walk join each
+    pair?  The walk stops at that spec, each closure at the first round
     that joins them all, and a level over its cap ends the walk."""
     try:
-        return any(_joins(sat.spec, pairs) for sat in walk)
+        return any(_joins(spec, pairs) for spec in walk)
     except BudgetExceeded:
         return False
 
@@ -448,10 +461,11 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
         return any(m.apply(t1, v) != m.apply(t2, v) for v in m.carriers[dom])
 
     for carriers in _carrier_choices(base_types(s), max_carrier):
-        if len(derived_carriers(s, carriers)[cod]) == 1:
+        derived = derived_carriers(s, carriers)
+        if len(derived[cod]) == 1:
             continue
         try:
-            m = _least_model(s, carriers, separates, cap)
+            m = _least_model(s, carriers, separates, cap, derived)
         except SearchSpaceTooLarge:
             continue
         if m is not None:
@@ -471,11 +485,16 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
     names it, each new mark makes the types it names, and every new
     equation and term result of a new mark holds in the congruence
     closure of the universe so made, or of one saturation of it grown
-    level by level to depth min(depth, 2) within 4,000 terms.  Otherwise
-    the countermodel is the ``canonical()``-least model of the source,
-    on the least carrier choice that has one, without exactly one
-    extension along tau (``_semantic_entailment_check``); it gives
-    DISTINCT_AT_BOUND, and without one the verdict is UNKNOWN.
+    level by level to depth min(depth, 2) within 4,000 terms.
+
+    The universe is closed first.  When it proves nothing, the
+    countermodel is the ``canonical()``-least model of the source, on the
+    least carrier choice that has one, without exactly one extension
+    along tau (``_semantic_entailment_check``); it gives
+    DISTINCT_AT_BOUND.  Only without one are the levels grown, and a
+    level that proves the obligations gives EQUAL; else the verdict is
+    UNKNOWN.  Proved obligations give each source model exactly one
+    extension, so no level proves what a countermodel refutes.
     """
     errs = validate_morphism(tau)
     if errs:
@@ -509,10 +528,9 @@ def is_entailment(tau: SpecMorphism, depth: int = 3) -> Verdict:
                 obligations.append((m, phi[TERM][r]))
             elif m != phi[TYPE][r]:
                 return _semantic_entailment_check(tau, MAX_CARRIER)
-    if _joins(big, obligations) or \
-            _proved(_levels(big, range(1, min(depth, 2) + 1), 4000), obligations):
-        return Verdict(TriState.EQUAL)
-    return _semantic_entailment_check(tau, MAX_CARRIER)
+    levels = _levels(big, range(1, min(depth, 2) + 1), 4000)
+    return _decide(itertools.chain([big], (sat.spec for sat in levels)), obligations,
+                   lambda: _semantic_entailment_check(tau, MAX_CARRIER).countermodel)
 
 
 def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:

@@ -367,7 +367,8 @@ def complete_tables(s: Specification, carriers: Dict[TypeName, Tuple],
 
 
 def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
-                 fixed: Optional[FiniteModel], cap: int):
+                 fixed: Optional[FiniteModel], cap: int,
+                 carriers: Optional[Dict[TypeName, Tuple]] = None):
     """The cells of the models of s over the base carriers extending
     ``fixed``, with the marked structure and the fixed tables set (None
     when they conflict); the order the search assigns them in; the tables
@@ -380,12 +381,15 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     entries in the sorted order of its domain, and a cell's value is the
     rank of the entry's value in the sorted carrier of the codomain.  The
     models read off keep the carriers as given.  A carrier whose elements
-    do not compare raises ``IncomparableCarrier``."""
-    merged_base = dict(base_carriers)
-    if fixed is not None:
-        for x, v in fixed.carriers.items():
-            merged_base.setdefault(x, tuple(v))
-    carriers = derived_carriers(s, merged_base)
+    do not compare raises ``IncomparableCarrier``.  ``carriers``, when
+    given, are the ``derived_carriers`` of the base carriers and ``fixed``'s,
+    which are then not derived again."""
+    if carriers is None:
+        merged_base = dict(base_carriers)
+        if fixed is not None:
+            for x, v in fixed.carriers.items():
+                merged_base.setdefault(x, tuple(v))
+        carriers = derived_carriers(s, merged_base)
     if fixed is not None and any(set(v) != set(carriers[x])
                                  for x, v in fixed.carriers.items()):
         return None  # s forces another carrier on a type that fixed gives
@@ -510,10 +514,12 @@ def enumerate_models(s: Specification,
 
 
 def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
-                 accept, cap: int = DEFAULT_CANDIDATE_CAP) -> Optional[FiniteModel]:
+                 accept, cap: int = DEFAULT_CANDIDATE_CAP,
+                 carriers: Optional[Dict[TypeName, Tuple]] = None) -> Optional[FiniteModel]:
     """The ``canonical()``-least model of s over the base carriers that
     ``accept`` takes, or None: the first such model of
-    ``enumerate_models``'s list.  The cap is the same.
+    ``enumerate_models``'s list.  The cap is the same, and ``carriers``
+    are ``_model_cells``'.
 
     A first-hit search finds a witness.  Then each cell, in the order of
     ``canonical()`` (``_canonical_cells``), gets the least value that a
@@ -522,7 +528,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     search.  The ``_model_check`` of the carriers gates the one model
     found.
     """
-    built = _model_cells(s, base_carriers, None, cap)
+    built = _model_cells(s, base_carriers, None, cap, carriers)
     if built is None:
         return None
     cells, order, tables, model, check = built

@@ -1009,6 +1009,63 @@ def test_projections_of_a_derived_product_are_obligations():
     assert v.countermodel.carriers == {"X": (0, 1)}
 
 
+def _log_decisions(monkeypatch):
+    """A list that records, in order, the size of each level `_levels`
+    yields and the state of each `_semantic_entailment_check`."""
+    log = []
+    levels, semantic = eqsketch.inference._levels, eqsketch.inference._semantic_entailment_check
+
+    def spy_levels(*args, **kwargs):
+        for sat in levels(*args, **kwargs):
+            log.append(("level", len(sat.spec.terms)))
+            yield sat
+
+    def spy_semantic(*args):
+        v = semantic(*args)
+        log.append(("refute", v.state))
+        return v
+
+    monkeypatch.setattr(eqsketch.inference, "_levels", spy_levels)
+    monkeypatch.setattr(eqsketch.inference, "_semantic_entailment_check", spy_semantic)
+    return log
+
+
+REFUTED_ON_THE_UNIVERSE = {
+    "new-equation": ("type X\nterm f : X -> X\nterm g : X -> X\n", "eq f = g\n"),
+    "not-idempotent": ("type X\nterm f : X -> X\ncompose ff = f . f\n", "eq ff = f\n"),
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("name", sorted(REFUTED_ON_THE_UNIVERSE))
+def test_refuted_entailment_grows_no_level_past_its_universe(name, depth, monkeypatch):
+    # a two-element model refutes each on its universe, so the levels
+    # past it (24 and 294 terms for the new equation) are never grown
+    source, extra = REFUTED_ON_THE_UNIVERSE[name]
+    tau = _inclusion(dsl.parse(source).spec, dsl.parse(source + extra).spec)
+    log = _log_decisions(monkeypatch)
+    calls = _count_helper_calls(monkeypatch)
+    v = is_entailment(tau, depth=depth)
+    assert log == [("refute", TriState.DISTINCT_AT_BOUND)]
+    assert calls["ensure_comp"] == []
+    _assert_refutes(tau, v)
+
+
+def test_proof_at_level_two_follows_an_empty_semantic_search(monkeypatch):
+    # p1 = p2 makes parallel maps into X equal: t0 = p1 . <t0, p1> =
+    # p2 . <t0, p1> = p1 needs the tuple of level 1 and the composites of
+    # level 2, and no model refutes it
+    source = "type X\nproduct P = X * X with p1 p2\nterm t0 : P -> X\neq p1 = p2\n"
+    tau = _inclusion(dsl.parse(source).spec, dsl.parse(source + "eq p1 = t0\n").spec)
+    log = _log_decisions(monkeypatch)
+    for depth, state in [(0, TriState.UNKNOWN), (1, TriState.UNKNOWN),
+                         (2, TriState.EQUAL), (3, TriState.EQUAL)]:
+        log.clear()
+        assert is_entailment(tau, depth=depth).state is state, depth
+        assert log[0] == ("refute", TriState.UNKNOWN)
+        assert [entry[0] for entry in log[1:]] == ["level"] * min(depth, 2)
+
+
 # ---------------------------------------------------------------------------
 # Reference entailment check: a verbatim copy of is_entailment as it was
 # when unproven obligations went to a search of the term universe for a
