@@ -807,10 +807,12 @@ class ExactnessReport:
 
 def exactness_check(d: DecoratedSpecification, m_0: FiniteModel,
                     base_carriers: Dict[TypeName, Sequence],
+                    par: Optional[Parameterization] = None,
                     cap: int = DEFAULT_CANDIDATE_CAP) -> ExactnessReport:
     """Build the record model, pass every argument through it, and verify
     the arguments are in bijection with the models extending m_0."""
-    par = parameterize(d)
+    if par is None:
+        par = parameterize(d)
     m_a, extensions = terminal_model(d, m_0, base_carriers, par=par, cap=cap)
 
     def key(m: FiniteModel):

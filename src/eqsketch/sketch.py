@@ -9,7 +9,6 @@ to real ones.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -191,22 +190,48 @@ def check_realization(sk: LimitSketch, r: FiniteRealization) -> List[str]:
     return out
 
 
-def _limit_assignments(r: FiniteRealization, c: Cone) -> List[Dict[str, object]]:
-    nodes = sorted(dict(c.base_points))
+def _limit_assignments(r: FiniteRealization, c: Cone) -> Set[Tuple]:
+    """The limit of c's base diagram under r, each element as its sorted
+    (node, value) pairs.
+
+    Nodes are placed one at a time, in an order fixed once per cone: a
+    node reached by a base arrow from a placed node takes that arrow's
+    value, any other ranges over its point set, and every other base
+    arrow is checked as soon as both its ends are placed.  The base
+    arrows must run between their nodes' points (``validate_sketch``).
+    """
     points = dict(c.base_points)
-    sets = [r.point_sets[points[n]] for n in nodes]
-    result = []
-    for combo in itertools.product(*sets):
-        nu = dict(zip(nodes, combo))
-        if all(r.apply(a, nu[n1]) == nu[n2] for (n1, n2, a) in c.base_arrows):
-            result.append(nu)
-    return result
+    unplaced = sorted(points)
+    pos: Dict[str, int] = {}
+    steps = []
+    while unplaced:
+        edge = next(((n1, n2, a) for (n1, n2, a) in c.base_arrows
+                     if n1 in pos and n2 not in pos), None)
+        n = edge[1] if edge else unplaced[0]
+        unplaced.remove(n)
+        pos[n] = len(pos)
+        checks = [(pos[n1], pos[n2], r.functions[a])
+                  for (n1, n2, a) in c.base_arrows
+                  if n in (n1, n2) and n1 in pos and n2 in pos
+                  and (n1, n2, a) != edge]
+        steps.append(((pos[edge[0]], r.functions[edge[2]]) if edge else None,
+                      r.point_sets[points[n]], checks))
+    rows: List[Tuple] = [()]
+    for via, values, checks in steps:
+        grown = []
+        for row in rows:
+            for v in ((via[1][row[via[0]]],) if via else values):
+                nxt = row + (v,)
+                if all(fn[nxt[i]] == nxt[j] for (i, j, fn) in checks):
+                    grown.append(nxt)
+        rows = grown
+    named = sorted(pos.items())
+    return {tuple((n, row[i]) for (n, i) in named) for row in rows}
 
 
 def _check_cone(sk: LimitSketch, r: FiniteRealization, c: Cone) -> List[str]:
     out: List[str] = []
-    limit = _limit_assignments(r, c)
-    limit_keys = {tuple(sorted(nu.items())) for nu in limit}
+    limit_keys = _limit_assignments(r, c)
     nodes = dict(c.base_points)
     seen: Set[Tuple] = set()
     for v in r.point_sets[c.vertex]:

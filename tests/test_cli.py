@@ -4,10 +4,12 @@ import resource
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqsketch
 from eqsketch import dsl
@@ -67,6 +69,24 @@ def test_meta_check(files):
     rc, out = run("meta-check", files["endo"])
     assert rc == 0
     assert "sketch valid: yes" in out
+
+
+def test_meta_check_checks_each_realization_once(files, monkeypatch):
+    calls = []
+    original = eqsketch.sketch.check_realization
+
+    def counted(sk, r):
+        calls.append(r)
+        return original(sk, r)
+
+    # every binding of the function in the package, not only the module's own
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("eqsketch")
+                and getattr(mod, "check_realization", None) is original):
+            monkeypatch.setattr(mod, "check_realization", counted)
+    rc, _ = run("meta-check", files["small"], files["endo"])
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_meta_check_spec_with_equation(tmp_path):
@@ -265,6 +285,75 @@ def test_pass_checks_model(files):
 def test_unknown_command_is_usage_error():
     rc, _ = run("definitely-not-a-command")
     assert rc == 2
+
+
+def test_directory_argument_is_usage_error(tmp_path, capsys):
+    rc, out = run("validate", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_undecodable_file_is_invalid_input(tmp_path, capsys):
+    p = tmp_path / "latin1.spec"
+    p.write_bytes("type Xé\n".encode("latin-1"))
+    rc, out = run("validate", str(p))
+    assert (rc, out) == (1, "")
+    assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8 text")
+
+
+COMMANDS = ["meta-check", "validate", "saturate", "entail", "param", "ell",
+            "models", "pass", "terminal", "exact"]
+# small values keep every call short; the junk ones must be usage errors
+FLAG_VALUES = st.sampled_from(["-1", "0", "1", "1", "2", "2", "3", "x"])
+
+
+@st.composite
+def _argv(draw, paths):
+    argv = [draw(st.sampled_from(COMMANDS + ["junk", "--depth"]))]
+    # one file and the valid specs most often: most commands take one spec
+    files = sorted(paths.values()) + [paths["plain"], paths["decorated"]]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        argv.append(draw(st.sampled_from(files)))
+    if draw(st.booleans()):
+        argv.append(f"--X={draw(st.integers(0, 3))}")
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(["carrier", "--depth", "--bound", "--cap",
+                                     "--m0", "--alpha", "--format", "--trace"]))
+        if flag == "carrier":
+            argv.append(f"--{draw(st.sampled_from(['X', 'U', 'Q']))}={draw(st.integers(0, 3))}")
+        elif flag == "--format":
+            argv += [flag, draw(st.sampled_from(["text", "machine", "junk"]))]
+        elif flag == "--trace":
+            argv.append(flag)
+        else:
+            argv += [flag, draw(FLAG_VALUES)]
+    return argv
+
+
+def test_main_runs_repeatedly_on_drawn_argv(tmp_path):
+    paths = {"missing": str(tmp_path / "missing.spec"), "directory": str(tmp_path)}
+    for name, data in [("plain", SMALL.encode()), ("decorated", ENDO.encode()),
+                       ("garbage", b"this is not a spec\n"),
+                       ("non-utf8", b"type X\xff\n")]:
+        (tmp_path / f"{name}.spec").write_bytes(data)
+        paths[name] = str(tmp_path / f"{name}.spec")
+
+    @settings(max_examples=500, deadline=None)
+    @given(_argv(paths))
+    def drawn(argv):
+        with redirect_stderr(io.StringIO()):
+            rc, _ = run(*argv)
+        assert rc in (0, 1, 2, 3)
+
+    drawn()
+    # after hundreds of calls in this process, a fixed command still
+    # prints what a fresh process prints
+    argv = ["exact", paths["decorated"], "--X=2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(eqsketch.__file__).resolve().parents[1]))
+    res = subprocess.run([sys.executable, "-m", "eqsketch.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run(*argv) == (res.returncode, res.stdout)
+    assert res.returncode == 0
 
 
 def test_machine_format_is_key_value(files):
