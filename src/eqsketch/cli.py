@@ -135,6 +135,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit:
         return 2
+    for flag in ("depth", "bound", "cap"):
+        n = getattr(args, flag)
+        if n is not None and n < 0:
+            return _usage(f"--{flag}={n} out of range (at least 0)")
     if args.cap is None:
         args.cap = SATURATE_CAP if args.command == "saturate" else MODEL_CAP
     out = _Out(args.format)

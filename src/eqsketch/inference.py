@@ -453,19 +453,17 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
     """The ``canonical()``-least model separating t1 and t2 on the first
     carrier choice that has one, or None.  A choice over ``cap`` is
     skipped, and so is one that gives their codomain a single element,
-    where no model separates them."""
+    where no model separates them.  Candidates are tested on their cells
+    (``_least_model``): the terms are parallel, so they take equal values
+    exactly where their rows hold equal ranks."""
     from .models import _least_model, base_types, derived_carriers
-    dom, cod = s.terms[t1].dom, s.terms[t1].cod
-
-    def separates(m) -> bool:
-        return any(m.apply(t1, v) != m.apply(t2, v) for v in m.carriers[dom])
-
+    cod = s.terms[t1].cod
     for carriers in _carrier_choices(base_types(s), max_carrier):
         derived = derived_carriers(s, carriers)
         if len(derived[cod]) == 1:
             continue
         try:
-            m = _least_model(s, carriers, separates, cap, derived)
+            m = _least_model(s, carriers, lambda row: row(t1) != row(t2), cap, derived)
         except SearchSpaceTooLarge:
             continue
         if m is not None:
@@ -539,31 +537,73 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     (sizes 1..max_carrier per base type) that has one refutes the
     entailment.  Extensions are counted over carriers 0..max_carrier for
     the target's new base types; a source model whose count exceeds the
-    cap is passed over."""
-    from .models import FiniteModel, _least_model, _models, base_types
+    cap is passed over.
+
+    Source models are tested on their cells (``_least_model``).  For each
+    source carrier choice, the target search of each extra-carrier choice
+    is built once, the first time a source model reaches it: the
+    ``_model_cells`` of the target on the carriers transported along tau,
+    with the image tables given empty as fixed tables.  So they count
+    toward the cap as fixed tables do, and a carrier that the target
+    forces otherwise gives no extension, decided before the cap.  Each
+    source model seeds its rows into the image tables; the search finds
+    up to 2 - count extensions, the target's ``_model_check`` gates each
+    one, and the cells are undone to the trail mark."""
+    from .models import (FiniteModel, _least_model, _model_cells, _sorted_carrier,
+                         base_types, derived_carriers)
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
     choices = list(_carrier_choices([x for x in base_types(s) if x not in image],
                                     max_carrier, least=0))
-
-    def not_unique(m) -> bool:
-        # transport carriers/functions along tau and count extensions up to 2
-        fixed = FiniteModel(
-            {tau.type_map[x]: m.carriers[x] for x in s1.types},
-            {tau.term_map[t]: m.functions[t] for t in s1.terms})
-        count = 0
-        for extra in choices:
-            try:
-                count += len(_models(s, extra, fixed, COUNTERMODEL_CAP, 2 - count))
-            except SearchSpaceTooLarge:
-                return False  # cannot conclude from this source model
-            if count > 1:
-                break
-        return count != 1
+    # the source table that gives each image table (the last one, as a
+    # transport along tau into a dict keeps it)
+    given = {tau.term_map[t]: t for t in s1.terms}
 
     for carriers in _carrier_choices(base_types(s1), max_carrier):
+        derived = derived_carriers(s1, carriers)
+        fixed = FiniteModel({tau.type_map[x]: derived[x] for x in s1.types},
+                            {u: {} for u in given})
+        ranked = {x: _sorted_carrier(x, c) for x, c in derived.items()}
+        targets: list = []   # by extra choice: cells, None, or SearchSpaceTooLarge
+
+        def extensions(target, row, limit: int) -> int:
+            cells, order, _tables, model, check, off = target
+            mark, found = len(cells.trail), 0
+
+            def emit() -> bool:
+                nonlocal found
+                functions = model().functions
+                for u, t in given.items():
+                    term = s1.terms[t]
+                    functions[u] = dict(zip(ranked[term.dom],
+                                            map(ranked[term.cod].__getitem__, row(t))))
+                found += not check(functions)
+                return found == limit
+
+            if cells.assign([(off[u] + v, r) for u, t in given.items()
+                             for v, r in enumerate(row(t))]):
+                cells.solve(order, emit)
+            cells.undo(mark)
+            return found
+
+        def not_unique(row) -> bool:
+            count = 0
+            for i, extra in enumerate(choices):
+                if i == len(targets):
+                    try:
+                        targets.append(_model_cells(s, extra, fixed, COUNTERMODEL_CAP))
+                    except SearchSpaceTooLarge:
+                        targets.append(SearchSpaceTooLarge)
+                if targets[i] is SearchSpaceTooLarge:
+                    return False  # cannot conclude from this source model
+                if targets[i] is not None:
+                    count += extensions(targets[i], row, 2 - count)
+                if count > 1:
+                    break
+            return count != 1
+
         try:
-            m = _least_model(s1, carriers, not_unique, COUNTERMODEL_CAP)
+            m = _least_model(s1, carriers, not_unique, COUNTERMODEL_CAP, derived)
         except SearchSpaceTooLarge:
             continue
         if m is not None:

@@ -374,8 +374,11 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     when they conflict); the order the search assigns them in; the tables
     not fixed, by name, as (term, first cell, sorted domain, value of a
     rank); a function that reads the model off the cells once all are
-    set; and the ``_model_check`` of the carriers, which gates every
-    model read off.  ``cap`` is checked as ``enumerate_models`` says.
+    set; the ``_model_check`` of the carriers, which gates every model
+    read off; and the first cell of every table, fixed or not.  ``cap``
+    is checked as ``enumerate_models`` says.  A fixed table may be given
+    empty: it then counts as fixed, and its cells are left for the
+    caller to seed.
 
     The cells work on the sorted carriers: a table's cells are its
     entries in the sorted order of its domain, and a cell's value is the
@@ -421,7 +424,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
             functions[t] = dict(zip(xs, map(cod, val[start:start + len(xs)])))
         return FiniteModel(dict(carriers), functions)
 
-    return cells, order, tables, model, _model_check(s, carriers)
+    return cells, order, tables, model, _model_check(s, carriers), off
 
 
 def _sorted_carrier(x: TypeName, c: Sequence, key=None) -> List:
@@ -463,7 +466,7 @@ def _models(s: Specification, base_carriers: Dict[TypeName, Sequence],
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, _tables, model, check = built
+    cells, order, _tables, model, check, _off = built
     out: List[FiniteModel] = []
 
     def emit() -> bool:
@@ -499,7 +502,7 @@ def enumerate_models(s: Specification,
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, tables, model, check = built
+    cells, order, tables, model, check, _off = built
     canon, at = _canonical_cells(tables), cells.val.__getitem__
     keyed: List[Tuple[Tuple[int, ...], FiniteModel]] = []
 
@@ -521,24 +524,32 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     ``enumerate_models``'s list.  The cap is the same, and ``carriers``
     are ``_model_cells``'.
 
+    ``accept`` tests a candidate on its cells: it is called with ``row``,
+    where ``row(t)`` is the list of ranks in table t's cells, in the
+    sorted order of t's domain.  Only the answer is built as a
+    ``FiniteModel``, and the ``_model_check`` of the carriers gates it.
+
     A first-hit search finds a witness.  Then each cell, in the order of
     ``canonical()`` (``_canonical_cells``), gets the least value that a
     first-hit search from the cells set so far can still complete to a
-    model that ``accept`` takes; values from the witness's up need no
-    search.  The ``_model_check`` of the carriers gates the one model
-    found.
+    candidate that ``accept`` takes; values from the witness's up need
+    no search.
     """
     built = _model_cells(s, base_carriers, None, cap, carriers)
     if built is None:
         return None
-    cells, order, tables, model, check = built
+    cells, order, tables, model, check, _off = built
     val = cells.val
+    rows = {t: slice(start, start + len(xs)) for t, start, xs, _cod in tables}
+
+    def row(t: TermName) -> List[int]:
+        return val[rows[t]]
 
     def witness() -> Optional[List[int]]:
-        """The cells of the first model in search order that ``accept``
+        """The cells of the first candidate in search order that ``accept``
         takes, or None; the cells are left as they were."""
         mark = len(cells.trail)
-        hit = cells.solve(order, lambda: accept(model()))
+        hit = cells.solve(order, lambda: accept(row))
         found = list(val) if hit else None
         cells.undo(mark)
         return found

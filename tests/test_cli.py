@@ -301,6 +301,26 @@ def test_undecodable_file_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["saturate", "small", "--depth", "-1"], "--depth=-1"),
+    (["terminal", "endo", "--X=2", "--bound", "-1"], "--bound=-1"),
+    (["models", "small", "--X=2", "--cap", "-1"], "--cap=-1"),
+    (["entail", "small", "big", "--depth=-2"], "--depth=-2"),
+])
+def test_negative_depth_bound_or_cap_is_usage_error(files, capsys, argv, flag):
+    rc, out = run(*[files.get(a, a) for a in argv])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} out of range (at least 0)\n"
+
+
+def test_zero_depth_and_bound_are_accepted(files):
+    rc, out = run("saturate", files["small"], "--depth", "0")
+    assert rc == 0
+    assert spec_equal(dsl.parse(out).spec, saturate(dsl.parse(SMALL).spec, 0).spec)
+    rc, out = run("terminal", files["endo"], "--X=2", "--bound", "0")
+    assert rc == 0 and "terminal at bound 0: " in out
+
+
 COMMANDS = ["meta-check", "validate", "saturate", "entail", "param", "ell",
             "models", "pass", "terminal", "exact"]
 # small values keep every call short; the junk ones must be usage errors

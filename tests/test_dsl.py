@@ -3,11 +3,12 @@ from typing import List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqsketch import dsl
 from eqsketch.core import TERM, TYPE, TYPE_MARKS, RuleTag, Specification, mark_results, spec_equal
 from eqsketch.decorate import decoration_closure
-from eqsketch.errors import BudgetExceeded, DuplicateName, SyntaxError_
+from eqsketch.errors import BudgetExceeded, DuplicateName, EqsketchError, SyntaxError_
 from eqsketch.inference import saturate
 
 from conftest import CORPUS, DECORATED, small_decorated_specs, small_specs
@@ -262,3 +263,55 @@ def test_dump_of_a_large_saturation_is_fast():
     text = dsl.dump(dsl.SpecDocument(sat))
     assert time.perf_counter() - t0 < 3
     assert text.count("\ncompose ") == len(sat.compositions)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: statements of every kind over a few colliding names, keyword
+# soup and free text
+# ---------------------------------------------------------------------------
+
+_TYPES = st.sampled_from(["X", "X", "Y", "U", "P"])
+_TERMS = st.sampled_from(["f", "g", "h", "p1", "p2", "e"])
+_STATEMENTS = [
+    ("type {}", (_TYPES,)), ("unit {}", (_TYPES,)),
+    ("term {} : {} -> {}", (_TERMS, _TYPES, _TYPES)),
+    ("term pure {} : {} -> {}", (_TERMS, _TYPES, _TYPES)),
+    ("product {} = {} * {} with {} {}", (_TYPES, _TYPES, _TYPES, _TERMS, _TERMS)),
+    ("identity {} = {}", (_TYPES, _TERMS)), ("collapse {} = {}", (_TYPES, _TERMS)),
+    ("compose {} = {} . {}", (_TERMS, _TERMS, _TERMS)),
+    ("tuple {} = <{}, {}>", (_TERMS, _TERMS, _TERMS)),
+    ("eq {} = {}", (_TERMS, _TERMS)), ("eq {} . {} = {}", (_TERMS, _TERMS, _TERMS)),
+    ("eq <{}, {}> = {}", (_TERMS, _TERMS, _TERMS)),
+    ("decorated", ()), ("parameter type {}", (_TYPES,)), ("parameter const {}", (_TERMS,)),
+]
+_SOUP = st.lists(st.sampled_from(sorted(dsl.KEYWORDS) + ["X", "f", ":", "->", "=", ".",
+                                                         "<", ">", ",", "*", "#"]),
+                 max_size=8).map(" ".join)
+
+
+@st.composite
+def _statement(draw):
+    text, parts = draw(st.sampled_from(_STATEMENTS))
+    return text.format(*(draw(p) for p in parts))
+
+
+# most draws fail to parse; statements after three declarations parse
+# more often, so the round trip sees specs of several kinds
+_TEXTS = st.one_of(
+    st.lists(st.one_of(_statement(), _statement(), _SOUP, st.text(max_size=20)),
+             max_size=12),
+    st.lists(_statement(), max_size=6).map(lambda lines: ["type X", "type Y", "unit U"] + lines),
+).map("\n".join)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_TEXTS)
+def test_parse_raises_only_eqsketch_errors_and_round_trips(text):
+    try:
+        doc = dsl.parse(text)
+    except EqsketchError:
+        return
+    back = dsl.parse(dsl.dump(doc))
+    assert back.spec == doc.spec
+    assert (back.pure, back.parameter_type, back.parameter_constant) == \
+        (doc.pure, doc.parameter_type, doc.parameter_constant)

@@ -21,10 +21,11 @@ from eqsketch.inference import (COUNTERMODEL_CAP, MAX_CARRIER, SAT_CAP, STRUCTUR
                                 match_morphism, rule, saturate, terms_equal,
                                 _find_countermodel, _levels, _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
-from eqsketch.parameterize import (ensure_collapse, ensure_comp, ensure_identity,
-                                   ensure_product, ensure_terminal, ensure_tuple)
+from eqsketch.parameterize import (check_ell_natural, ensure_collapse, ensure_comp,
+                                   ensure_identity, ensure_product, ensure_terminal,
+                                   ensure_tuple)
 
-from conftest import CORPUS, DECORATED, small_specs
+from conftest import CORPUS, DECORATED, criterion_5_cases, small_specs
 
 
 @pytest.mark.parametrize("tag", STRUCTURAL_RULES)
@@ -845,6 +846,58 @@ def test_countermodel_search_stops_at_the_first_hit(monkeypatch):
         reference_find_countermodel(s, "wb", "wd", 2, 200000).canonical()
 
 
+def _count_candidates(monkeypatch):
+    """A list that grows by one for each candidate that a ``_least_model``
+    search tests, holding the spec searched."""
+    tested = []
+    least = eqsketch.models._least_model
+
+    def counting(s, base_carriers, accept, *args, **kwargs):
+        def test(row):
+            tested.append(s)
+            return accept(row)
+        return least(s, base_carriers, test, *args, **kwargs)
+
+    monkeypatch.setattr(eqsketch.models, "_least_model", counting)
+    return tested
+
+
+def _count_models_built(monkeypatch):
+    """A list of every ``FiniteModel`` that ``eqsketch.models`` builds."""
+    built = []
+
+    class Counted(FiniteModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(eqsketch.models, "FiniteModel", Counted)
+    return built
+
+
+def test_rejected_candidates_build_no_model(monkeypatch):
+    # s2.s1.s2 vs s2.s2.s0 over three maps X -> X: the least-model walk
+    # runs several witness searches over many candidates, tests them on
+    # their cells, and builds only its answer
+    s, (a, b) = _words(3, (2, 1, 2), (2, 2, 0))
+    want = reference_find_countermodel(s, a, b, MAX_CARRIER, COUNTERMODEL_CAP)
+    tested, built = _count_candidates(monkeypatch), _count_models_built(monkeypatch)
+    v = terms_equal(s, a, b, 2)
+    assert v.state is TriState.DISTINCT_AT_BOUND
+    assert len(tested) > 1
+    assert len(built) == 1 and built[0] is v.countermodel
+    assert v.countermodel.canonical() == want.canonical()
+
+
+def test_failing_countermodel_search_builds_no_model(monkeypatch):
+    # the naturality obligations of a purity increase hold: the searches
+    # for a model that separates them test candidates and find none
+    cases = {label: (d1, d2, u) for label, d1, d2, u in criterion_5_cases()}
+    tested, built = _count_candidates(monkeypatch), _count_models_built(monkeypatch)
+    assert check_ell_natural(*cases["purity increase in place"], depth=4)
+    assert tested and built == []
+
+
 def reference_semantic_entailment_check(tau, max_carrier):
     """Enumerate every model of the source, sorted, and count the
     extensions of each along tau; the first without exactly one refutes."""
@@ -974,6 +1027,38 @@ def test_entailment_countermodel_matches_reference_on_saturated_targets(name, mo
 
     monkeypatch.setattr(eqsketch.inference, "_find_countermodel", universe_search)
     _assert_refutes(tau, is_entailment(tau, depth=2))
+
+
+# U is terminal and Z is a retract of U, so Z has exactly one element: a
+# source model whose f is idempotent extends uniquely, at Z = 1, after all
+# three extra carrier choices of Z are tried
+ONE_POINT_Z = ("type X\nterm f : X -> X\nterm g : X -> X\n",
+               "compose ff = f . f\neq ff = f\nunit U\ntype Z\nterm zu : Z -> U\n"
+               "term uz : U -> Z\nidentity Z = idZ\ncompose zz = uz . zu\neq zz = idZ\n")
+
+
+def test_entailment_builds_each_target_search_once(monkeypatch):
+    source_text, extra = ONE_POINT_Z
+    source, target = dsl.parse(source_text).spec, dsl.parse(source_text + extra).spec
+    tau = _inclusion(source, target)
+    state, want = reference_semantic_entailment_check(tau, MAX_CARRIER)
+    tested = _count_candidates(monkeypatch)
+    builds = []
+    cells = eqsketch.models._model_cells
+
+    def counting(s, base_carriers, fixed, *args, **kwargs):
+        if s is target:
+            builds.append((fixed.carriers["X"], base_carriers["Z"]))
+        return cells(s, base_carriers, fixed, *args, **kwargs)
+
+    monkeypatch.setattr(eqsketch.models, "_model_cells", counting)
+    v = is_entailment(tau, depth=2)
+    assert v.state is state is TriState.DISTINCT_AT_BOUND
+    assert v.countermodel.canonical() == want.canonical()
+    # one target search per (source carrier choice, extra choice) reached,
+    # though many more source models are tried
+    assert builds == [(tuple(range(i)), tuple(range(k))) for i in (1, 2) for k in (0, 1, 2)]
+    assert len(tested) > len(builds)
 
 
 NEW_MARKS_ON_SOURCE_TYPES = {

@@ -100,6 +100,23 @@ def test_parameterize_morphism_identity():
         assert m.term_map[t] == t
 
 
+P_OF_IDENTITY_CASES = {**{f"corpus:{n}": (lambda mk=mk: purify(mk())) for n, mk in CORPUS.items()},
+                       **{f"decorated:{n}": mk for n, mk in DECORATED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(P_OF_IDENTITY_CASES))
+def test_parameterize_morphism_of_the_identity_is_the_identity(name):
+    # P(id) = id: the target is the parameterized spec itself, unextended,
+    # and every type and term maps to itself
+    d = P_OF_IDENTITY_CASES[name]()
+    u = SpecMorphism(d.base, d.base, {x: x for x in d.base.types},
+                     {t: t for t in d.base.terms})
+    m = parameterize_morphism(d, d, u)
+    assert m.source == m.target == parameterize(d).spec.base
+    assert m.type_map == {x: x for x in m.source.types}
+    assert m.term_map == {t: t for t in m.source.terms}
+
+
 def test_parameterize_morphism_purity_violation():
     d_pure = purify(CORPUS["endo"]())
     d_gen = DECORATED["endo"]()
