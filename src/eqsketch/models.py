@@ -459,26 +459,6 @@ def _canonical_cells(tables) -> List[int]:
     return [start + v for _t, start, xs, _cod in tables for v in _repr_order(xs)]
 
 
-def _models(s: Specification, base_carriers: Dict[TypeName, Sequence],
-            fixed: Optional[FiniteModel], cap: int, limit: int = 0) -> List[FiniteModel]:
-    """The models of ``enumerate_models`` in search order, stopping at
-    ``limit`` of them when it is positive."""
-    built = _model_cells(s, base_carriers, fixed, cap)
-    if built is None:
-        return []
-    cells, order, _tables, model, check, _off = built
-    out: List[FiniteModel] = []
-
-    def emit() -> bool:
-        m = model()
-        if not check(m.functions):
-            out.append(m)
-        return len(out) == limit
-
-    cells.solve(order, emit)
-    return out
-
-
 def enumerate_models(s: Specification,
                      base_carriers: Dict[TypeName, Sequence],
                      fixed: Optional[FiniteModel] = None,
@@ -746,6 +726,19 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     m_0 with a parameter carrier of size <= bound has exactly one
     homomorphism into ``candidate`` fixing the shared part.
 
+    Only the parameter sizes 0 and ``min(bound, 1)`` are searched; the
+    slices of a model make this enough.  Every term whose domain lies
+    over the parameter type A (A, A*X) sends the slice of an element a
+    into that slice or into the shared part, and no term maps the shared
+    part into A.  So a model with |A| = s is s one-element slices over
+    one shared part, each slice a model of size 1, and every model of
+    size 1 is a slice of some model of size s over its shared part.  A
+    hom picks its A-component element by element, and each commutation
+    square involves one slice, so the homs out of a model are the
+    product of the homs out of its slices.  Exactly one hom for every
+    model of size <= bound is then exactly one at size 0 and, when
+    bound >= 1, exactly one at each model of size 1.
+
     Every component but the parameter's is the identity or forced, so the
     square of each primed term f' : A*X -> Y sends an element a of a model
     to a record r of the candidate with the field values f'(r, x) of a.
@@ -754,9 +747,12 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     to the hom search, which tries the records of the others.  A record
     with a missing field value makes the candidate no model: False.
 
-    The models of one parameter size share their carriers, so each size
-    builds one ``_hom_searcher`` into the candidate, at its first model,
-    and runs it on every model of that size."""
+    The models of one size are streamed: each is gated by the carriers'
+    ``_model_check`` and tested as the search finds it, and the search
+    stops at the first that fails.  They share
+    their carriers, so each size builds one ``_hom_searcher`` into the
+    candidate, at its first model, and runs it on every model of that
+    size."""
     if par is None:
         par = parameterize(d)
     p = par.spec.base
@@ -768,11 +764,20 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
         return tuple(m.functions[f][(a, x)] for f, dom in fields for x in carriers[dom])
 
     records: Optional[Dict[Tuple, List]] = None
-    for size in range(bound + 1):
+    for size in range(min(bound, 1) + 1):
         carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
                     a_type: tuple(range(size))}
+        built = _model_cells(p, carriers, m_0, cap)
+        if built is None:
+            continue
+        cells, order, _tables, model, check, _off = built
         homs = None
-        for n in _models(p, carriers, m_0, cap):
+
+        def fails() -> bool:
+            nonlocal records, homs
+            n = model()
+            if check(n.functions):
+                return False
             if records is None:
                 # the models share every carrier but the parameter's
                 records = {}
@@ -780,18 +785,20 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                     for r in candidate.carriers[a_type]:
                         records.setdefault(values(candidate, r, n.carriers), []).append(r)
                 except KeyError:
-                    return False
+                    return True
             single = {}
             for a in n.carriers[a_type]:
                 rs = records.get(values(n, a, n.carriers), ())
                 if not rs:
-                    return False
+                    return True
                 if len(rs) == 1:
                     single[a] = rs[0]
             if homs is None:
                 homs = _hom_searcher(p, n.carriers, candidate, fix)
-            if len(homs(n, {a_type: single})) != 1:
-                return False
+            return len(homs(n, {a_type: single})) != 1
+
+        if cells.solve(order, fails):
+            return False
     return True
 
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import eqsketch.inference
 import eqsketch.models
 from eqsketch import dsl
-from eqsketch.core import (MARK_KINDS, Specification, SpecMorphism, _UnionFind, eqpair,
-                           fresh_name, iso_search, spec_equal, validate, validate_morphism)
+from eqsketch.core import (MARK_KINDS, TERM, TYPE, Specification, SpecMorphism, _UnionFind,
+                           eqpair, fresh_name, iso_search, pushout_universal_check,
+                           spec_equal, validate, validate_morphism)
 from eqsketch.errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from eqsketch.inference import (COUNTERMODEL_CAP, MAX_CARRIER, SAT_CAP, STRUCTURAL_RULES,
                                 Fraction, RuleTag, Saturation, TraceStep, TriState,
@@ -21,9 +22,9 @@ from eqsketch.inference import (COUNTERMODEL_CAP, MAX_CARRIER, SAT_CAP, STRUCTUR
                                 match_morphism, rule, saturate, terms_equal,
                                 _find_countermodel, _levels, _semantic_entailment_check)
 from eqsketch.models import FiniteModel, base_types, check_model, enumerate_models
-from eqsketch.parameterize import (check_ell_natural, ensure_collapse, ensure_comp,
-                                   ensure_identity, ensure_product, ensure_terminal,
-                                   ensure_tuple)
+from eqsketch.parameterize import (_make_marks, check_ell_natural, ensure_collapse,
+                                   ensure_comp, ensure_identity, ensure_product,
+                                   ensure_terminal, ensure_tuple)
 
 from conftest import CORPUS, DECORATED, criterion_5_cases, small_specs
 
@@ -379,6 +380,8 @@ def _assert_matches_reference(s, depth, cap):
         assert got.depth_of == want.depth_of
         assert (got.embedding.type_map, got.embedding.term_map) == \
             (want.embedding.type_map, want.embedding.term_map)
+        assert validate(got.spec) == []
+        assert validate_morphism(got.embedding) == []
     closed = got.spec if got is not None else s
     assert _classes(congruence_classes(closed), closed) == \
         _classes(reference_congruence_classes(closed), closed)
@@ -1449,3 +1452,26 @@ def test_ensure_helpers_agree_with_the_rule_pushout(tag):
                 assert ensure_tuple(s.copy(), *site) == s.tuples[site]
             marked += already
     assert marked > 0
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_pushout_universal_property_on_generated_rule_matches(case):
+    # the cocone: the inclusion of s into the ensure-helper's result, and
+    # the rule's extension mapped onto the marks that the helper made there
+    s = case[0]
+    for tag in STRUCTURAL_RULES:
+        r = rule(tag)
+        marks = [(t, args, results) for t, kind in MARK_KINDS.items()
+                 for args, results in kind.marks(r.extension)]
+        for tm, mm, _already, ensure in _rule_matches(tag, s):
+            helped = s.copy()
+            ensure(helped)
+            made = helped.copy()
+            phi = {TYPE: dict(tm), TERM: dict(mm)}
+            _make_marks(marks, phi, made)
+            assert spec_equal(made, helped), (tag, tm, mm)
+            match = SpecMorphism(r.hypothesis, s, tm, mm)
+            c1 = SpecMorphism(r.extension, helped, phi[TYPE], phi[TERM])
+            c2 = SpecMorphism(s, helped, {x: x for x in s.types}, {t: t for t in s.terms})
+            assert pushout_universal_check(r.inclusion, match, c1, c2), (tag, tm, mm)

@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from eqsketch.core import TERM, RuleTag, Specification, mark_results
@@ -17,7 +17,7 @@ from eqsketch.models import (UNIT_ELEMENT, ExactnessReport, FiniteModel,
                              is_terminal, pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
 
-from conftest import CORPUS, DECORATED, small_specs
+from conftest import CORPUS, DECORATED, small_decorated_specs, small_specs
 
 
 def _m0():
@@ -666,6 +666,95 @@ def test_is_terminal_matches_reference(kind, mk_m0, xs, bounds):
         assert want == [True] + [label == "terminal"] * (len(bounds) - 1), label
 
 
+@st.composite
+def terminality_cases(draw):
+    """A decorated spec with carriers of 1-2 elements on its base types, a
+    model m_0 of its pure part, its parameterization, the terminal model
+    over m_0 and the index of one of its records; the searches for m_0
+    and for the records are capped at 64 candidates."""
+    d = draw(small_decorated_specs())
+    base = {x: tuple(range(draw(st.integers(1, 2)))) for x in base_types(d.base)}
+    par = parameterize(d)
+    try:
+        m0s = enumerate_models(pure_part(d), base, cap=64)
+        assume(m0s)
+        m0 = draw(st.sampled_from(m0s))
+        m_a, extensions = terminal_model(d, m0, base, par=par, cap=64)
+    except SearchSpaceTooLarge:
+        reject()
+    at = draw(st.integers(0, max(len(extensions) - 1, 0)))
+    return d, base, m0, par, m_a, at
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(terminality_cases())
+def test_is_terminal_matches_reference_on_generated_specs(case):
+    d, base, m0, par, m_a, at = case
+    records = list(m_a.carriers[par.spec.parameter_type])
+    candidates = {"terminal": m_a}
+    if records:
+        if d.general_terms():
+            f = sorted(d.general_terms())[0]
+            candidates["flipped"] = _flipped(m_a, par.lift[f], m_a.carriers[d.base.terms[f].cod])
+        candidates["duplicated"] = _record_model(d, par, m_a, m0, base, records + [records[at]])
+        candidates["dropped"] = _record_model(d, par, m_a, m0, base,
+                                              [r for r in records if r != records[at]])
+    # the reference lists every model of size <= bound: |records|^bound at the top
+    for bound in [b for b in (2, 3) if len(records) ** b <= 512]:
+        for label, cand in candidates.items():
+            want = reference_is_terminal(d, cand, m0, base, bound, par)
+            assert is_terminal(d, cand, m0, base, bound=bound, par=par) == want, (label, bound)
+
+
+def _slice(p, a_type, n, a, carriers):
+    """The slice of the element a of the parameter carrier of n, a model of
+    the parameterized spec p, relabelled as a model on ``carriers``, those
+    of the models whose parameter carrier is (0,).  A KeyError means that
+    a table of n leaves the slice."""
+    factors = {q: pair for pair, (q, _1, _2) in p.products.items()}
+
+    def up(x, v):
+        if x == a_type:
+            return a
+        if x in factors:
+            return tuple(map(up, factors[x], v))
+        return v
+
+    down = {x: {up(x, v): v for v in c} for x, c in carriers.items()}
+    return FiniteModel(carriers, {
+        t: {v: down[tm.cod][n.functions[t][up(tm.dom, v)]] for v in carriers[tm.dom]}
+        for t, tm in p.terms.items()})
+
+
+@pytest.mark.parametrize("kind,mk_m0", CRITERION_7, ids=[c[0] for c in CRITERION_7])
+def test_homs_out_of_a_model_are_the_product_of_those_out_of_its_slices(kind, mk_m0):
+    # the slice argument of is_terminal, on every model of parameter size 2
+    d, m0, base = DECORATED[kind](), mk_m0(), {"X": (0, 1)}
+    par = parameterize(d)
+    p, a_type = par.spec.base, par.spec.parameter_type
+    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    records = list(m_a.carriers[a_type])
+    candidates = [m_a, _record_model(d, par, m_a, m0, base, records + records[:1]),
+                  _record_model(d, par, m_a, m0, base, records[1:])]
+    ones = enumerate_models(p, {**base, a_type: (0,)}, fixed=m0)
+    carriers = ones[0].carriers
+    slices, counts = set(), set()
+    for n in enumerate_models(p, {**base, a_type: (0, 1)}, fixed=m0):
+        parts = [_slice(p, a_type, n, a, carriers) for a in (0, 1)]
+        for part in parts:
+            assert check_model(p, part) == []
+            slices.add(part.canonical())
+        for cand in candidates:
+            got = len(hom_search(p, n, cand, fix))
+            assert got == (len(hom_search(p, parts[0], cand, fix))
+                           * len(hom_search(p, parts[1], cand, fix)))
+            counts.add(got)
+    # every model of size 1 is a slice, and the counts are not all one
+    assert slices == {m.canonical() for m in ones}
+    assert counts == {0, 1, 2, 4}
+
+
 def test_is_terminal_rejects_a_candidate_that_is_no_model():
     d = DECORATED["endo"]()
     par = parameterize(d)
@@ -685,11 +774,15 @@ def test_is_terminal_rejects_a_candidate_that_is_no_model():
 
 @pytest.mark.parametrize("mk_m0,base,bound", [
     (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 2),
+    (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 5),
     (lambda: FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}, 1),
-], ids=["X2-b2", "X3-b1"])
+    # 729 records: the 531,441 models of size 2 are never listed
+    (lambda: FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}, 2),
+], ids=["X2-b2", "X2-b5", "X3-b1", "X3-b2"])
 def test_is_terminal_builds_one_search_per_parameter_size(mk_m0, base, bound, monkeypatch):
-    # one cell set for the models of each parameter size and one for the
-    # hom search into the candidate, not one per model
+    # only the sizes 0 and min(bound, 1) are searched, each with one cell
+    # set for its models and one for the hom search into the candidate,
+    # not one per model
     d, m0 = DECORATED["two_ops"](), mk_m0()
     par = parameterize(d)
     m_a, extensions = terminal_model(d, m0, base, par=par)
@@ -707,8 +800,21 @@ def test_is_terminal_builds_one_search_per_parameter_size(mk_m0, base, bound, mo
     monkeypatch.setattr(models._Cells, "__init__", counting_init)
     monkeypatch.setattr(models, "_hom_searcher", counting_searcher)
     assert is_terminal(d, m_a, m0, base, bound=bound, par=par)
-    assert built == {"cells": 2 * (bound + 1), "searchers": bound + 1}
-    assert len(extensions) > 2 * (bound + 1)
+    sizes = min(bound, 1) + 1
+    assert built == {"cells": 2 * sizes, "searchers": sizes}
+    assert len(extensions) > 2 * sizes
+
+
+def test_is_terminal_caps_only_the_searches_it_runs():
+    # two_ops at X = 2: the free tables f', g' : A*X -> X have 16
+    # combinations at parameter size 1 and 256 at size 2, which is never
+    # searched
+    d, m0, base = DECORATED["two_ops"](), FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}
+    par = parameterize(d)
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    assert is_terminal(d, m_a, m0, base, bound=5, par=par, cap=16)
+    with pytest.raises(SearchSpaceTooLarge, match="16 candidates exceed cap 15"):
+        is_terminal(d, m_a, m0, base, bound=5, par=par, cap=15)
 
 
 def test_incomparable_carrier_raises_a_named_error():
