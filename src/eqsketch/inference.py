@@ -17,8 +17,9 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
-                   TermName, TypeName, _UnionFind, eqpair, identity_morphism, pushout,
-                   spec_equal, validate, validate_morphism)
+                   TermName, TypeName, _UnionFind, compose, eqpair, identity_morphism,
+                   pushout, spec_equal, validate, validate_morphism)
+from . import models
 from .errors import BudgetExceeded, NoMatch, NotParallel, SearchSpaceTooLarge
 from .parameterize import (_make_marks, ensure_collapse, ensure_comp,
                            ensure_identity, ensure_terminal, ensure_tuple)
@@ -456,14 +457,13 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
     where no model separates them.  Candidates are tested on their cells
     (``_least_model``): the terms are parallel, so they take equal values
     exactly where their rows hold equal ranks."""
-    from .models import _least_model, base_types, derived_carriers
     cod = s.terms[t1].cod
-    for carriers in _carrier_choices(base_types(s), max_carrier):
-        derived = derived_carriers(s, carriers)
+    for carriers in _carrier_choices(models.base_types(s), max_carrier):
+        derived = models.derived_carriers(s, carriers)
         if len(derived[cod]) == 1:
             continue
         try:
-            m = _least_model(s, carriers, lambda row: row(t1) != row(t2), cap, derived)
+            m = models._least_model(s, carriers, lambda row: row(t1) != row(t2), cap, derived)
         except SearchSpaceTooLarge:
             continue
         if m is not None:
@@ -549,21 +549,19 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     source model seeds its rows into the image tables; the search finds
     up to 2 - count extensions, the target's ``_model_check`` gates each
     one, and the cells are undone to the trail mark."""
-    from .models import (FiniteModel, _least_model, _model_cells, _sorted_carrier,
-                         base_types, derived_carriers)
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
-    choices = list(_carrier_choices([x for x in base_types(s) if x not in image],
+    choices = list(_carrier_choices([x for x in models.base_types(s) if x not in image],
                                     max_carrier, least=0))
     # the source table that gives each image table (the last one, as a
     # transport along tau into a dict keeps it)
     given = {tau.term_map[t]: t for t in s1.terms}
 
-    for carriers in _carrier_choices(base_types(s1), max_carrier):
-        derived = derived_carriers(s1, carriers)
-        fixed = FiniteModel({tau.type_map[x]: derived[x] for x in s1.types},
-                            {u: {} for u in given})
-        ranked = {x: _sorted_carrier(x, c) for x, c in derived.items()}
+    for carriers in _carrier_choices(models.base_types(s1), max_carrier):
+        derived = models.derived_carriers(s1, carriers)
+        fixed = models.FiniteModel({tau.type_map[x]: derived[x] for x in s1.types},
+                                   {u: {} for u in given})
+        ranked = {x: models._sorted_carrier(x, c) for x, c in derived.items()}
         targets: list = []   # by extra choice: cells, None, or SearchSpaceTooLarge
 
         def extensions(target, row, limit: int) -> int:
@@ -591,7 +589,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
             for i, extra in enumerate(choices):
                 if i == len(targets):
                     try:
-                        targets.append(_model_cells(s, extra, fixed, COUNTERMODEL_CAP))
+                        targets.append(models._model_cells(s, extra, fixed, COUNTERMODEL_CAP))
                     except SearchSpaceTooLarge:
                         targets.append(SearchSpaceTooLarge)
                 if targets[i] is SearchSpaceTooLarge:
@@ -603,7 +601,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
             return count != 1
 
         try:
-            m = _least_model(s1, carriers, not_unique, COUNTERMODEL_CAP, derived)
+            m = models._least_model(s1, carriers, not_unique, COUNTERMODEL_CAP, derived)
         except SearchSpaceTooLarge:
             continue
         if m is not None:
@@ -621,8 +619,7 @@ def compose_fractions(rho1: Fraction, rho2: Fraction) -> Fraction:
         raise ValueError("fractions are not composable")
     # pushout of rho1.denominator's target against rho2.numerator's target
     _p, q1, q2 = pushout(rho1.denominator, rho2.numerator)
-    from .core import compose as cmor
-    num = cmor(rho1.numerator, q1)
-    den = cmor(rho2.denominator, q2)
+    num = compose(rho1.numerator, q1)
+    den = compose(rho2.denominator, q2)
     return Fraction(num, den,
                     rho1.denominator_is_entailment and rho2.denominator_is_entailment)

@@ -8,6 +8,7 @@ canonical one-element set ``((),)``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -185,13 +186,10 @@ class _Cells:
         for v in range(n):
             self._on((a + v, b + v), (_EQ, a + v, b + v))
 
-    def image(self, src: int, dom: Sequence, table: Dict, cod: Dict,
-              dst: List[int], k: int) -> None:
-        """dst[k] = cod[table[dom[src]]]: the image of src's value under a
-        fixed table, with ``cod`` mapping values to indices.  The cell
-        ``dst[k]`` is read when src is set, so one instance serves every
-        source model whose cells are written into ``dst`` in turn."""
-        self._on((src,), (_IMG, src, dom, table, cod, dst, k))
+    def image(self, src: int, dom: Sequence, table: Dict, cod: Dict, dst: int) -> None:
+        """dst = cod[table[dom[src]]]: the image of src's value under a
+        fixed table, with ``cod`` mapping values to indices."""
+        self._on((src,), (_IMG, src, dom, table, cod, dst))
 
     def assign(self, todo: List[Tuple[int, int]]) -> bool:
         """Give each (cell, value) in ``todo`` its value and propagate;
@@ -238,8 +236,8 @@ class _Cells:
                         a = val[inst[1]]
                         todo.append((inst[2], a) if a >= 0 else (inst[1], val[inst[2]]))
                     else:
-                        _k, sc, dom, table, cod, dst, k = inst
-                        todo.append((dst[k], cod.get(table[dom[val[sc]]], -1)))
+                        _k, sc, dom, table, cod, dst = inst
+                        todo.append((dst, cod.get(table[dom[val[sc]]], -1)))
         return True
 
     def undo(self, mark: int) -> None:
@@ -570,31 +568,15 @@ def base_types(s: Specification) -> List[TypeName]:
 
 
 def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
-               fix_types: Sequence[TypeName] = (),
-               partial: Optional[Dict[TypeName, Dict]] = None) -> List[ModelHom]:
+               fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
     """All homomorphisms m -> n; components on product/terminal types are
-    forced.  ``partial`` gives required entries of components, as
-    {type: {element of m: element of n}}; a type listed in ``fix_types``
-    is the case of an identity component.
+    forced, and a type listed in ``fix_types`` has the identity component.
 
-    This builds ``_hom_searcher`` on m's carriers and runs it once; a
-    caller with many source models on the same carriers builds it once.
-    The homs come in ``canonical()`` order of their components."""
-    return _hom_searcher(s, m.carriers, n, fix_types)(m, partial)
-
-
-def _hom_searcher(s: Specification, carriers: Dict[TypeName, Sequence],
-                  n: FiniteModel, fix_types: Sequence[TypeName]):
-    """``run(m, partial)``: the ``hom_search`` of every model m of s on
-    the given carriers into n, with the identity on ``fix_types``.
-
-    The cells are the component entries, built here once with the pairing
-    constraints, n's indices and the seeds of the fixed components.  Those
-    on the choice types are searched; a product entry follows from its
-    factors, and each entry fills the entry that the commutation square of
-    every term sends it to.  That entry depends on m, so ``run`` writes
-    m's tables into the destinations of the image constraints, searches,
-    and unsets every cell again."""
+    The cells are the component entries.  Those on the choice types are
+    searched; a product entry follows from its factors, and each entry
+    fills the entry that the commutation square of every term sends it
+    to.  The homs come in ``canonical()`` order of their components."""
+    carriers = m.carriers
     im, ino = _indices(carriers), _indices(n.carriers)
     cells = _Cells()
     types = sorted(s.types)
@@ -602,56 +584,33 @@ def _hom_searcher(s: Specification, carriers: Dict[TypeName, Sequence],
     for (y1, y2), (p, _1, _2) in s.products.items():
         pairing = _pairing(n.carriers, ino, y1, y2, p)
         if pairing is None:
-            return lambda m, partial: []
+            return []
         cells.pair([(off[y1] + im[y1][a], off[y2] + im[y2][b], off[p] + v)
                     for v, (a, b) in enumerate(carriers[p])], pairing)
-    # the squares of the terms: the cell of x in t's domain fills the
-    # cell of m's t(x), written into dst[t] by run
-    squares = []
+    # the square of t: the cell of x in t's domain fills the cell of m's t(x)
     for t in s.terms.values():
-        dst = [0] * len(carriers[t.dom])
-        nt = n.functions[t.name]
-        for v in range(len(dst)):
-            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod], dst, v)
-        squares.append((t.name, carriers[t.dom], off[t.cod], im[t.cod], dst))
-    identity = {x: [(off[x] + im[x][v], ino[x].get(v, -1)) for v in carriers[x]]
-                for x in fix_types}
-    unit = ([] if s.terminal is None
-            else [(off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1))])
+        nt, mt, index = n.functions[t.name], m.functions[t.name], im[t.cod]
+        for v, x in enumerate(carriers[t.dom]):
+            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
+                        off[t.cod] + index[mt[x]])
+    seeds = [(off[x] + im[x][v], ino[x].get(v, -1)) for x in fix_types for v in carriers[x]]
+    if s.terminal is not None:
+        seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
     # the other cells are set by propagation once the choice cells are;
     # solve skips the cells that are set already
     order = [off[x] + v for x in base_types(s) + types for v in range(len(carriers[x]))]
-    val = cells.val
-    entries = []
-
-    def run(m: FiniteModel, partial: Optional[Dict[TypeName, Dict]]) -> List[ModelHom]:
-        for t, xs, start, index, dst in squares:
-            mt = m.functions[t]
-            dst[:] = [start + index[mt[x]] for x in xs]
-        partial = partial or {}
-        seeds = []
-        for x in sorted({*identity, *partial}):
-            if x in partial:
-                seeds += [(off[x] + im[x][v], ino[x].get(w, -1)) for v, w in partial[x].items()]
-            else:
-                seeds += identity[x]
-        found: List[List[int]] = []
-        if cells.assign(seeds + unit):
-            cells.solve(order, lambda: found.append(val[:]))
-        cells.undo(0)
-        if len(found) > 1:
-            # canonical() order: components by type name, entries by the repr
-            # of their key, values by their rank in the sorted target carrier
-            if not entries:
-                rank = {x: _ranks(x, n.carriers[x]) for x in types}
-                entries.extend((off[x] + v, rank[x])
-                               for x in types for v in _repr_order(carriers[x]))
-            found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
-        return [ModelHom({x: dict(zip(carriers[x], map(
-            n.carriers[x].__getitem__, w[off[x]:off[x] + len(carriers[x])])))
-            for x in types}) for w in found]
-
-    return run
+    found: List[List[int]] = []
+    if cells.assign(seeds):
+        cells.solve(order, lambda: found.append(cells.val[:]))
+    if len(found) > 1:
+        # canonical() order: components by type name, entries by the repr
+        # of their key, values by their rank in the sorted target carrier
+        rank = {x: _ranks(x, n.carriers[x]) for x in types}
+        entries = [(off[x] + v, rank[x]) for x in types for v in _repr_order(carriers[x])]
+        found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
+    return [ModelHom({x: dict(zip(carriers[x], map(
+        n.carriers[x].__getitem__, w[off[x]:off[x] + len(carriers[x])])))
+        for x in types}) for w in found]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +683,9 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                 cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True iff every model of the parameterized specification extending
     m_0 with a parameter carrier of size <= bound has exactly one
-    homomorphism into ``candidate`` fixing the shared part.
+    homomorphism into ``candidate`` fixing the shared part.  A candidate
+    without a carrier or a table of P(d) is not terminal, and at
+    bound >= 1 neither is one that ``check_model`` rejects.
 
     Only the parameter sizes 0 and ``min(bound, 1)`` are searched; the
     slices of a model make this enough.  Every term whose domain lies
@@ -739,67 +700,59 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     model of size <= bound is then exactly one at size 0 and, when
     bound >= 1, exactly one at each model of size 1.
 
-    Every component but the parameter's is the identity or forced, so the
-    square of each primed term f' : A*X -> Y sends an element a of a model
-    to a record r of the candidate with the field values f'(r, x) of a.
-    The records are indexed once by their field values.  An element with
-    no such record has no hom; one with a single record gives that entry
-    to the hom search, which tries the records of the others.  A record
-    with a missing field value makes the candidate no model: False.
+    Size 0 has one model at most, whose one ``hom_search`` checks that
+    the candidate agrees with m_0 on the shared part.  At size 1 the homs
+    are counted, not searched: every component but the parameter's is
+    then the identity or forced, so a hom sends the one element of a
+    model to a record r of the candidate, and the squares of the primed
+    terms f' : A*X -> Y hold exactly when r has the model's field values
+    f'(r, x).  Every other term over A is a projection, or is made by
+    marks from the primed terms, the projections and pure terms; as both
+    sides are models, its square follows.  So the homs out of a model of
+    size 1 are the records with its field values, and the records are
+    counted once by their field values.
 
-    The models of one size are streamed: each is gated by the carriers'
+    The models of size 1 are streamed: each is gated by the carriers'
     ``_model_check`` and tested as the search finds it, and the search
-    stops at the first that fails.  They share
-    their carriers, so each size builds one ``_hom_searcher`` into the
-    candidate, at its first model, and runs it on every model of that
-    size."""
+    stops at the first that fails."""
     if par is None:
         par = parameterize(d)
     p = par.spec.base
     a_type = par.spec.parameter_type
+    if (any(x not in candidate.carriers for x in p.types)
+            or any(t not in candidate.functions for t in p.terms)
+            or bound >= 1 and check_model(p, candidate)):
+        return False
     fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    shared = {x: tuple(v) for x, v in base_carriers.items()}
+    if any(len(hom_search(p, n, candidate, fix)) != 1
+           for n in enumerate_models(p, {**shared, a_type: ()}, fixed=m_0, cap=cap)):
+        return False
+    if bound < 1:
+        return True
+    built = _model_cells(p, {**shared, a_type: (0,)}, m_0, cap)
+    if built is None:
+        return True
+    cells, order, _tables, model, check, _off = built
     fields = [(par.lift[f], d.base.terms[f].dom) for f in sorted(d.general_terms())]
 
     def values(m: FiniteModel, a, carriers) -> Tuple:
         return tuple(m.functions[f][(a, x)] for f, dom in fields for x in carriers[dom])
 
-    records: Optional[Dict[Tuple, List]] = None
-    for size in range(min(bound, 1) + 1):
-        carriers = {**{x: tuple(v) for x, v in base_carriers.items()},
-                    a_type: tuple(range(size))}
-        built = _model_cells(p, carriers, m_0, cap)
-        if built is None:
-            continue
-        cells, order, _tables, model, check, _off = built
-        homs = None
+    records: Optional[Counter] = None
 
-        def fails() -> bool:
-            nonlocal records, homs
-            n = model()
-            if check(n.functions):
-                return False
-            if records is None:
-                # the models share every carrier but the parameter's
-                records = {}
-                try:
-                    for r in candidate.carriers[a_type]:
-                        records.setdefault(values(candidate, r, n.carriers), []).append(r)
-                except KeyError:
-                    return True
-            single = {}
-            for a in n.carriers[a_type]:
-                rs = records.get(values(n, a, n.carriers), ())
-                if not rs:
-                    return True
-                if len(rs) == 1:
-                    single[a] = rs[0]
-            if homs is None:
-                homs = _hom_searcher(p, n.carriers, candidate, fix)
-            return len(homs(n, {a_type: single})) != 1
-
-        if cells.solve(order, fails):
+    def fails() -> bool:
+        nonlocal records
+        n = model()
+        if check(n.functions):
             return False
-    return True
+        if records is None:
+            # the models share every carrier but the parameter's
+            records = Counter(values(candidate, r, n.carriers)
+                              for r in candidate.carriers[a_type])
+        return records[values(n, 0, n.carriers)] != 1
+
+    return not cells.solve(order, fails)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification,
                    SpecMorphism, TermName, TypeName, fresh_name)
-from .decorate import (DecoratedSpecification, pure_part, undecorate,
+from .decorate import (DecoratedSpecification, pure_part, purify, undecorate,
                        validate_decorated)
 from .errors import PurityViolation
 
@@ -277,6 +277,14 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
     return Parameterization(d, ParameterizedSpecification(p, a), lift)
 
 
+def _check_keeps_purity(d1: DecoratedSpecification, d2: DecoratedSpecification,
+                        u: SpecMorphism) -> None:
+    """``PurityViolation`` unless u sends every pure term of d1 to a pure term."""
+    for t in d1.base.terms:
+        if d1.is_pure(t) and not d2.is_pure(u.term_map[t]):
+            raise PurityViolation(f"{t} is pure but its image {u.term_map[t]} is not")
+
+
 def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification,
                           u: SpecMorphism,
                           par1: Optional[Parameterization] = None,
@@ -284,9 +292,7 @@ def parameterize_morphism(d1: DecoratedSpecification, d2: DecoratedSpecification
     """The induced morphism between parameterization outputs; the target
     may be extended by sharps of pure images on demand, and by p1's marks
     and equations kept on their images."""
-    for t in d1.base.terms:
-        if d1.is_pure(t) and not d2.is_pure(u.term_map[t]):
-            raise PurityViolation(f"{t} is pure but its image {u.term_map[t]} is not")
+    _check_keeps_purity(d1, d2, u)
     par1 = par1 or parameterize(d1)
     par2 = par2 or parameterize(d2)
     p1 = par1.spec.base
@@ -322,7 +328,6 @@ def check_param_restricts_to_embed(s: Specification) -> bool:
     """Parameterizing the all-pure decoration of s must give exactly s
     plus a parameter type, name for name: the translation restricts to
     the plain embedding on pure content."""
-    from .decorate import purify
     return parameterize(purify(s)).spec == embed_A(s)
 
 
@@ -404,9 +409,7 @@ def check_ell_natural(d1: DecoratedSpecification, d2: DecoratedSpecification,
     d1's base; images are compared with terms_equal inside an extension of
     the parameterized target."""
     from .inference import TriState, terms_equal
-    for t in d1.base.terms:
-        if d1.is_pure(t) and not d2.is_pure(u.term_map[t]):
-            raise PurityViolation(f"{t} is pure but its image {u.term_map[t]} is not")
+    _check_keeps_purity(d1, d2, u)
     par2 = parameterize(d2)
     e2 = ell(d2, par=par2)
     ext = e2.target.copy()

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from eqsketch.core import TERM, RuleTag, Specification, mark_results
-from eqsketch.decorate import pure_part
+from eqsketch.decorate import DecoratedSpecification, pure_part
 from eqsketch import models
 from eqsketch.errors import (EqsketchError, IncomparableCarrier, InvalidAlpha,
                              SearchSpaceTooLarge, Unassigned)
@@ -477,13 +477,6 @@ def test_hom_search_matches_brute_force(kind, mk_m0):
         for n1, n2 in itertools.product(small, small):
             got = [_hom_key(h.components) for h in hom_search(p, n1, n2)]
             assert got == brute_force_homs(p, n1, n2)
-        # a partial component keeps the homs that agree with it
-        for n in enumerate_models(p, {**base, a_type: (0, 1)}, fixed=m0)[:8]:
-            every = brute_force_homs(p, n, m_a, fix)
-            for r in m_a.carriers[a_type]:
-                got = [_hom_key(h.components)
-                       for h in hom_search(p, n, m_a, fix, {a_type: {1: r}})]
-                assert got == [h for h in every if dict(dict(h)[a_type])[1] == r]
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +697,21 @@ def test_is_terminal_matches_reference_on_generated_specs(case):
         for label, cand in candidates.items():
             want = reference_is_terminal(d, cand, m0, base, bound, par)
             assert is_terminal(d, cand, m0, base, bound=bound, par=par) == want, (label, bound)
+    # the lemma that is_terminal counts by: the homs out of a model of size
+    # 1 into a model candidate are the records with the model's field values
+    p, a_type = par.spec.base, par.spec.parameter_type
+    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    fields = [(par.lift[f], d.base.terms[f].dom) for f in sorted(d.general_terms())]
+
+    def values(m, a, carriers):
+        return [m.functions[fp][(a, x)] for fp, dom in fields for x in carriers[dom]]
+
+    for n in enumerate_models(p, {**base, a_type: (0,)}, fixed=m0):
+        for label, cand in candidates.items():
+            if label != "flipped":
+                matching = sum(values(cand, r, n.carriers) == values(n, 0, n.carriers)
+                               for r in cand.carriers[a_type])
+                assert len(hom_search(p, n, cand, fix)) == matching, label
 
 
 def _slice(p, a_type, n, a, carriers):
@@ -772,37 +780,74 @@ def test_is_terminal_rejects_a_candidate_that_is_no_model():
     assert not reference_is_terminal(d, cand, _m0(), base, 2, par)
 
 
+def test_is_terminal_rejects_a_candidate_without_a_table_or_a_carrier():
+    # decorated / type X / term f : X -> X
+    s = Specification()
+    s.add_type("X")
+    s.add_term("f", "X", "X")
+    d, m0, base = DecoratedSpecification(s, set()), FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}
+    par = parameterize(d)
+    p = par.spec.base
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    assert all(is_terminal(d, m_a, m0, base, bound=b, par=par) for b in (0, 1, 2))
+    for t in p.terms:
+        cand = FiniteModel(m_a.carriers, {u: tab for u, tab in m_a.functions.items() if u != t})
+        assert not any(is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1, 2)), t
+    for x in p.types:
+        cand = FiniteModel({y: c for y, c in m_a.carriers.items() if y != x}, m_a.functions)
+        assert not any(is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1, 2)), x
+
+
+def test_is_terminal_rejects_a_candidate_that_is_no_model_from_bound_1():
+    # the terminal model and a copy of its first record whose proj_X entry
+    # names that first record: the square of proj_X leaves the copy no
+    # hom, so every model has exactly one hom into this candidate.  From
+    # bound 1 on the records are counted only in a model of P(d), so the
+    # candidate is not terminal; at bound 0 it is, as it was.
+    d, m0, base = DECORATED["two_ops"](), FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}
+    par = parameterize(d)
+    p, a_type = par.spec.base, par.spec.parameter_type
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    records = list(m_a.carriers[a_type])
+    cand = _record_model(d, par, m_a, m0, base, records + records[:1])
+    cand.functions[p.products[(a_type, "X")][1]][(len(records), 0)] = 0
+    assert check_model(p, cand) != []
+    assert [reference_is_terminal(d, cand, m0, base, b, par) for b in (0, 1, 2)] == [True] * 3
+    assert [is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1, 2)] == [True, False, False]
+
+
 @pytest.mark.parametrize("mk_m0,base,bound", [
+    (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 0),
     (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 2),
     (lambda: FiniteModel({"X": (0, 1)}, {}), {"X": (0, 1)}, 5),
+    # 729 models of size 1, and no hom search for any of them
     (lambda: FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}, 1),
     # 729 records: the 531,441 models of size 2 are never listed
     (lambda: FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}, 2),
-], ids=["X2-b2", "X2-b5", "X3-b1", "X3-b2"])
+], ids=["X2-b0", "X2-b2", "X2-b5", "X3-b1", "X3-b2"])
 def test_is_terminal_builds_one_search_per_parameter_size(mk_m0, base, bound, monkeypatch):
     # only the sizes 0 and min(bound, 1) are searched, each with one cell
-    # set for its models and one for the hom search into the candidate,
-    # not one per model
+    # set for its models; the one hom search is that of the model of size
+    # 0, and the models of size 1 count records instead
     d, m0 = DECORATED["two_ops"](), mk_m0()
     par = parameterize(d)
     m_a, extensions = terminal_model(d, m0, base, par=par)
-    built = {"cells": 0, "searchers": 0}
-    cells_init, searcher = models._Cells.__init__, models._hom_searcher
+    built = {"cells": 0, "hom_search": 0}
+    cells_init, search = models._Cells.__init__, models.hom_search
 
     def counting_init(self):
         built["cells"] += 1
         cells_init(self)
 
-    def counting_searcher(*args, **kwargs):
-        built["searchers"] += 1
-        return searcher(*args, **kwargs)
+    def counting_search(*args, **kwargs):
+        built["hom_search"] += 1
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(models._Cells, "__init__", counting_init)
-    monkeypatch.setattr(models, "_hom_searcher", counting_searcher)
+    monkeypatch.setattr(models, "hom_search", counting_search)
     assert is_terminal(d, m_a, m0, base, bound=bound, par=par)
-    sizes = min(bound, 1) + 1
-    assert built == {"cells": 2 * sizes, "searchers": sizes}
-    assert len(extensions) > 2 * sizes
+    assert built == {"cells": 3 if bound >= 1 else 2, "hom_search": 1}
+    assert len(extensions) > 3
 
 
 def test_is_terminal_caps_only_the_searches_it_runs():
