@@ -118,9 +118,14 @@ class MarkKind(NamedTuple):
     result standing bare; the terminal mark, with no arguments, is its
     lone result in the field ``terminal``, or None there."""
     name: str                  # as messages name the kind
+    noun: str                  # as messages name a term that the kind makes
     store: str
     args: str                  # the sort of the arguments
     results: Tuple[str, ...]   # the sort of each result
+
+    def at(self, args: tuple) -> str:
+        """The site as messages give it: " at X", " (f,g)", or nothing."""
+        return f" at {args[0]}" if len(args) == 1 else f" ({','.join(args)})" if args else ""
 
     def marks(self, s: Specification) -> List[Tuple[tuple, tuple]]:
         """Every mark of this kind in s, as (arguments, results)."""
@@ -168,12 +173,13 @@ def _bare(t: tuple):
 # in the order of validate_morphism's messages; a type or term that
 # several marks make is made by the first of them (is_entailment)
 MARK_KINDS: Dict[RuleTag, MarkKind] = {
-    RuleTag.IDENTITY: MarkKind("identity", "identities", TYPE, (TERM,)),
-    RuleTag.COMPOSITION: MarkKind("composition", "compositions", TERM, (TERM,)),
-    RuleTag.BINARY_PRODUCT: MarkKind("product", "products", TYPE, (TYPE, TERM, TERM)),
-    RuleTag.BINARY_TUPLE: MarkKind("tuple", "tuples", TERM, (TERM,)),
-    RuleTag.TERMINAL_TYPE: MarkKind("terminal", "terminal", TYPE, (TYPE,)),
-    RuleTag.COLLAPSING: MarkKind("collapsing", "collapsings", TYPE, (TERM,)),
+    RuleTag.IDENTITY: MarkKind("identity", "identity", "identities", TYPE, (TERM,)),
+    RuleTag.COMPOSITION: MarkKind("composition", "composite", "compositions", TERM, (TERM,)),
+    RuleTag.BINARY_PRODUCT: MarkKind("product", "projection", "products", TYPE,
+                                     (TYPE, TERM, TERM)),
+    RuleTag.BINARY_TUPLE: MarkKind("tuple", "tuple", "tuples", TERM, (TERM,)),
+    RuleTag.TERMINAL_TYPE: MarkKind("terminal", "terminal", "terminal", TYPE, (TYPE,)),
+    RuleTag.COLLAPSING: MarkKind("collapsing", "collapsing", "collapsings", TYPE, (TERM,)),
 }
 
 
@@ -312,8 +318,7 @@ def validate_morphism(m: SpecMorphism) -> List[str]:
         for args, results in kind.marks(s):
             site, want = kind.image(image, args, results)
             if kind.get(t, site) != want:
-                at = f" at {args[0]}" if len(args) == 1 else f" ({','.join(args)})" if args else ""
-                out.append(f"{kind.name} mark{at} not preserved")
+                out.append(f"{kind.name} mark{kind.at(args)} not preserved")
     for (t1, t2) in sorted(s.equations):
         a, b = m.term_map[t1], m.term_map[t2]
         if a != b and eqpair(a, b) not in t.equations:

@@ -8,10 +8,9 @@ marked composites and tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from .core import (MARK_KINDS, TERM, TYPE_MARKS, RuleTag, Specification,
-                   TermName, mark_results, validate)
+from .core import MARK_KINDS, TERM, TYPE, MarkKind, Specification, TermName, validate
 
 
 @dataclass
@@ -26,49 +25,37 @@ class DecoratedSpecification:
         return set(self.base.terms) - self.pure_terms
 
 
-def _forced_pure(d: DecoratedSpecification) -> Set[TermName]:
-    """Terms whose purity is forced by the decoration rules."""
-    s = d.base
-    pure = set(d.pure_terms) | mark_results(s, TERM, TYPE_MARKS)
-    changed = True
-    while changed:
-        changed = False
-        for tag in (RuleTag.COMPOSITION, RuleTag.BINARY_TUPLE):
-            for args, (c,) in MARK_KINDS[tag].marks(s):
-                if c not in pure and pure.issuperset(args):
-                    pure.add(c)
-                    changed = True
-    return pure - set(d.pure_terms)
+def _made_pure(s: Specification, kind: MarkKind, pure: Set[TermName]) -> Iterator[TermName]:
+    """The terms that the marks of a kind force pure: those that a mark on
+    types makes, and those that a mark on pure terms makes.  Lazy, so a
+    term added to ``pure`` meanwhile counts for the marks after it."""
+    return (r for args, results in kind.marks(s)
+            if kind.args == TYPE or pure.issuperset(args)
+            for sort, r in zip(kind.results, results) if sort == TERM)
 
 
 def decoration_closure(d: DecoratedSpecification) -> Tuple[DecoratedSpecification, Set[TermName]]:
     """Add all forced purity marks; returns the closed decoration and what was added."""
-    added = _forced_pure(d)
-    return DecoratedSpecification(d.base, set(d.pure_terms) | added), added
+    pure = set(d.pure_terms)
+    while True:
+        n = len(pure)
+        for kind in MARK_KINDS.values():
+            pure.update(_made_pure(d.base, kind, pure))
+        if len(pure) == n:
+            return DecoratedSpecification(d.base, pure), pure - set(d.pure_terms)
 
 
 def validate_decorated(d: DecoratedSpecification) -> List[str]:
     """Check the decoration invariants on a valid base."""
     out = list(validate(d.base))
-    s = d.base
+    s, pure = d.base, set(d.pure_terms)
     for t in d.pure_terms:
         if t not in s.terms:
             out.append(f"pure mark on unknown term {t}")
-    for x, i in s.identities.items():
-        if i not in d.pure_terms:
-            out.append(f"identity {i} must be pure")
-    for p in sorted(mark_results(s, TERM, (RuleTag.BINARY_PRODUCT,))):
-        if p not in d.pure_terms:
-            out.append(f"projection {p} must be pure")
-    for x, c in s.collapsings.items():
-        if c not in d.pure_terms:
-            out.append(f"collapsing {c} must be pure")
-    for (f, g), c in s.compositions.items():
-        if f in d.pure_terms and g in d.pure_terms and c not in d.pure_terms:
-            out.append(f"composite {c} of pure terms must be pure")
-    for (f, g), t in s.tuples.items():
-        if f in d.pure_terms and g in d.pure_terms and t not in d.pure_terms:
-            out.append(f"tuple {t} of pure terms must be pure")
+    for kind in MARK_KINDS.values():
+        of = " of pure terms" if kind.args == TERM else ""
+        out += [f"{kind.noun} {t}{of} must be pure"
+                for t in sorted(set(_made_pure(s, kind, pure)) - pure)]
     return out
 
 

@@ -17,6 +17,10 @@ Statements (one per line or separated by whitespace, `#` starts a comment):
     parameter const a
 
 `pure` anywhere (or a bare `decorated`) makes the document decorated.
+The statements `unit`, `product`, `identity`, `collapse`, `compose` and
+`tuple` set their marks (``core.MARK_KINDS``) through one parser method,
+which checks the site and each result's shape, so a fault is reported at
+its statement's line:col.
 Composite expressions in `eq` are elaborated into marked composites and
 tuples before storage, so the stored equation always relates two named
 terms.  The product separator `*` must stand alone between spaces: a `*`
@@ -28,7 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .core import TERM, TYPE, TYPE_MARKS, RuleTag, Specification, mark_results, validate
+from .core import (MARK_KINDS, TERM, TYPE, TYPE_MARKS, RuleTag, Specification, mark_results,
+                   validate)
 from .decorate import DecoratedSpecification, decoration_closure
 from .errors import DuplicateName, SyntaxError_
 from .parameterize import (ParameterizedSpecification, ensure_comp, ensure_terminal,
@@ -171,11 +176,7 @@ class _Parser:
 
     def stmt_unit(self) -> None:
         tok = self.peek()
-        name = self.ident()
-        if self.spec.terminal is not None:
-            self.fail("a terminal type is already declared", tok)
-        self.declare_type(name, tok)
-        self.spec.terminal = name
+        self.mark(tok, RuleTag.TERMINAL_TYPE, (), [(self.ident(), None)])
 
     def stmt_term(self) -> None:
         tok = self.peek()
@@ -203,29 +204,14 @@ class _Parser:
         self.expect("*")
         y2 = self.ident()
         self.expect("with")
-        p1 = self.ident()
-        p2 = self.ident()
-        if (y1, y2) in self.spec.products:
-            self.fail(f"the product of {y1} and {y2} is already declared", tok)
-        self.declare_type(p, tok)
-        self.declare_term(p1, p, y1, tok)
-        self.declare_term(p2, p, y2, tok)
-        self.spec.products[(y1, y2)] = (p, p1, p2)
+        self.mark(tok, RuleTag.BINARY_PRODUCT, (y1, y2),
+                  [(p, None), (self.ident(), (p, y1)), (self.ident(), (p, y2))])
 
     def stmt_identity(self) -> None:
         tok = self.peek()
         x = self.ident()
         self.expect("=")
-        name = self.ident()
-        if x in self.spec.identities:
-            self.fail(f"{x} already has an identity", tok)
-        if name in self.spec.terms:
-            t = self.spec.terms[name]
-            if (t.dom, t.cod) != (x, x):
-                self.fail(f"{name} is not of shape {x} -> {x}", tok)
-        else:
-            self.declare_term(name, x, x, tok)
-        self.spec.identities[x] = name
+        self.mark(tok, RuleTag.IDENTITY, (x,), [(self.ident(), (x, x))])
 
     def stmt_collapse(self) -> None:
         tok = self.peek()
@@ -234,15 +220,7 @@ class _Parser:
         name = self.ident()
         if self.spec.terminal is None:
             self.fail("collapse requires a unit declaration first", tok)
-        if x in self.spec.collapsings:
-            self.fail(f"{x} already has a collapsing", tok)
-        if name in self.spec.terms:
-            t = self.spec.terms[name]
-            if (t.dom, t.cod) != (x, self.spec.terminal):
-                self.fail(f"{name} is not of shape {x} -> {self.spec.terminal}", tok)
-        else:
-            self.declare_term(name, x, self.spec.terminal, tok)
-        self.spec.collapsings[x] = name
+        self.mark(tok, RuleTag.COLLAPSING, (x,), [(name, (x, self.spec.terminal))])
 
     def stmt_compose(self) -> None:
         tok = self.peek()
@@ -253,12 +231,8 @@ class _Parser:
         f = self.lookup(self.ident(), tok)
         if self.spec.terms[f].cod != self.spec.terms[g].dom:
             self.fail(f"{g} . {f} does not compose", tok)
-        if (f, g) in self.spec.compositions:
-            self.fail(f"the composite of {f} then {g} is already declared", tok)
-        if name not in self.spec.terms:
-            self.declare_term(name, self.spec.terms[f].dom,
-                              self.spec.terms[g].cod, tok)
-        self.spec.compositions[(f, g)] = name
+        self.mark(tok, RuleTag.COMPOSITION, (f, g),
+                  [(name, (self.spec.terms[f].dom, self.spec.terms[g].cod))])
 
     def stmt_tuple(self) -> None:
         tok = self.peek()
@@ -269,15 +243,25 @@ class _Parser:
         self.expect(",")
         g = self.lookup(self.ident(), tok)
         self.expect(">")
-        key = (self.spec.terms[f].cod, self.spec.terms[g].cod)
-        if key not in self.spec.products:
-            self.fail(f"no declared product of {key[0]} and {key[1]}", tok)
-        if (f, g) in self.spec.tuples:
-            self.fail(f"the tuple of {f} and {g} is already declared", tok)
-        if name not in self.spec.terms:
-            self.declare_term(name, self.spec.terms[f].dom,
-                              self.spec.products[key][0], tok)
-        self.spec.tuples[(f, g)] = name
+        self.mark(tok, RuleTag.BINARY_TUPLE, (f, g), [(name, self.tuple_shape(f, g, tok))])
+
+    def mark(self, tok: Token, tag: RuleTag, site: tuple,
+             results: List[Tuple[str, Optional[Tuple[str, str]]]]) -> None:
+        """Set the mark of kind ``tag`` at ``site``.  Each result is (name,
+        None) for a new type, or (name, (dom, cod)) for a term, which is
+        declared when new and must have that shape when declared earlier."""
+        kind = MARK_KINDS[tag]
+        if kind.get(self.spec, site) is not None:
+            self.fail(f"{kind.name} mark{kind.at(site)} is already declared", tok)
+        for name, shape in results:
+            if shape is None:
+                self.declare_type(name, tok)
+            elif name not in self.spec.terms or TYPE in kind.results:
+                # the terms of a mark that makes a type are new: a taken name is a duplicate
+                self.declare_term(name, *shape, tok)
+            elif (self.spec.terms[name].dom, self.spec.terms[name].cod) != shape:
+                self.fail(f"{name} is not of shape {shape[0]} -> {shape[1]}", tok)
+        kind.set(self.spec, site, tuple(name for name, _shape in results))
 
     def stmt_eq(self) -> None:
         tok = self.peek()
@@ -325,11 +309,18 @@ class _Parser:
             self.expect(",")
             g = self.expression()
             self.expect(">")
-            key = (self.spec.terms[f].cod, self.spec.terms[g].cod)
-            if key not in self.spec.products:
-                self.fail(f"no declared product of {key[0]} and {key[1]}", tok)
+            self.tuple_shape(f, g, tok)
             return ensure_tuple(self.spec, f, g)
         return self.lookup(self.ident(), tok)
+
+    def tuple_shape(self, f: str, g: str, tok: Token) -> Tuple[str, str]:
+        """The dom and cod of a tuple of f and g, which must be co-initial."""
+        key = (self.spec.terms[f].cod, self.spec.terms[g].cod)
+        if key not in self.spec.products:
+            self.fail(f"no declared product of {key[0]} and {key[1]}", tok)
+        if self.spec.terms[f].dom != self.spec.terms[g].dom:
+            self.fail(f"{f} and {g} are not co-initial", tok)
+        return self.spec.terms[f].dom, self.spec.products[key][0]
 
     def expression(self) -> str:
         """A chain a . b . c applies the rightmost factor first."""
@@ -391,27 +382,23 @@ def dump(doc: SpecDocument) -> str:
         lines.append(f"collapse {x} = {s.collapsings[x]}")
     # compose/tuple marks may use each other's result terms; emit in
     # dependency order, forward-declaring a result when stuck on a cycle
-    marks: List[Tuple[str, str, str, str]] = []
-    for (f, g), c in sorted(s.compositions.items(), key=lambda kv: (kv[1], kv[0])):
-        marks.append(("compose", c, f, g))
-    for (f, g), t in sorted(s.tuples.items(), key=lambda kv: (kv[1], kv[0])):
-        marks.append(("tuple", t, f, g))
+    marks = [(c, f, g, f"compose {c} = {g} . {f}")
+             for (f, g), c in sorted(s.compositions.items(), key=lambda kv: (kv[1], kv[0]))]
+    marks += [(t, f, g, f"tuple {t} = < {f} , {g} >")
+              for (f, g), t in sorted(s.tuples.items(), key=lambda kv: (kv[1], kv[0]))]
     while marks:
         waiting: List[Tuple[str, str, str, str]] = []
         for m in marks:
-            kind, c, f, g = m
+            c, f, g, line = m
             if f in declared and g in declared:
-                if kind == "compose":
-                    lines.append(f"compose {c} = {g} . {f}")
-                else:
-                    lines.append(f"tuple {c} = < {f} , {g} >")
+                lines.append(line)
                 declared.add(c)
             else:
                 waiting.append(m)
         if len(waiting) == len(marks):
             # a pending mark waits for an argument that is itself the
             # result of a pending mark, which is not declared yet
-            declare(next(c for _k, c, _f, _g in marks if c not in declared))
+            declare(next(c for c, _f, _g, _line in marks if c not in declared))
         marks = waiting
     for (a, b) in sorted(s.equations):
         lines.append(f"eq {a} = {b}")

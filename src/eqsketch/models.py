@@ -188,7 +188,8 @@ class _Cells:
 
     def image(self, src: int, dom: Sequence, table: Dict, cod: Dict, dst: int) -> None:
         """dst = cod[table[dom[src]]]: the image of src's value under a
-        fixed table, with ``cod`` mapping values to indices."""
+        fixed table, with ``cod`` mapping values to indices.  A value that
+        the table or ``cod`` lacks is a conflict."""
         self._on((src,), (_IMG, src, dom, table, cod, dst))
 
     def assign(self, todo: List[Tuple[int, int]]) -> bool:
@@ -237,7 +238,8 @@ class _Cells:
                         todo.append((inst[2], a) if a >= 0 else (inst[1], val[inst[2]]))
                     else:
                         _k, sc, dom, table, cod, dst = inst
-                        todo.append((dst, cod.get(table[dom[val[sc]]], -1)))
+                        e = dom[val[sc]]
+                        todo.append((dst, cod.get(table[e], -1) if e in table else -1))
         return True
 
     def undo(self, mark: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import Specification, fresh_name
+from .core import MARK_KINDS, TERM, RuleTag, Specification, fresh_name
 from .errors import InvalidRealization, UnassignedArrow, UnassignedPoint
 
 Point = str
@@ -343,9 +343,23 @@ def equational_sketch() -> LimitSketch:
     return sk
 
 
+# each kind of mark: the point of its marks, the mono to its site and the
+# arrow to its result
+_MARK_ARROWS = {
+    RuleTag.IDENTITY: ("Selid", "i0", "selid"),
+    RuleTag.COMPOSITION: ("Comp", "i", "comp"),
+    RuleTag.BINARY_PRODUCT: ("2-Prod", "j", "2-prod"),
+    RuleTag.BINARY_TUPLE: ("2-Tuple", "k", "2-tuple"),
+    RuleTag.TERMINAL_TYPE: ("0-Prod", "j0", "0-prod"),
+    RuleTag.COLLAPSING: ("0-Tuple", "k0", "0-tuple"),
+}
+
+
 def spec_to_realization(s: Specification) -> FiniteRealization:
     """Encode a valid specification as a realization of ``equational_sketch``.
 
+    A mark is its site, or the unit element for the terminal type; its
+    value is its term results, or its type result when it has none.
     Explicit equations have no counterpart in the sketch fragment and are
     not encoded; see ``realization_to_spec``.
     """
@@ -357,39 +371,13 @@ def spec_to_realization(s: Specification) -> FiniteRealization:
     cone2 = tuple(sorted((f, g) for f in terms for g in terms
                          if s.terms[f].dom == s.terms[g].dom))
     type2 = tuple(sorted((x, y) for x in types for y in types))
-    r.point_sets = {
-        "Type": types,
-        "Term": terms,
-        "Cons": cons,
-        "Comp": tuple(sorted(s.compositions)),
-        "Selid": tuple(sorted(s.identities)),
-        "2-Prod": tuple(sorted(s.products)),
-        "2-Cone": cone2,
-        "Type^2": type2,
-        "2-Tuple": tuple(sorted(s.tuples)),
-        "Unit": (UNIT_ELEM,),
-        "0-Prod": (UNIT_ELEM,) if s.terminal is not None else (),
-        "0-Tuple": tuple(sorted(s.collapsings)),
-    }
-    r.functions = {
+    r.point_sets = {"Type": types, "Term": terms, "Cons": cons, "2-Cone": cone2,
+                    "Type^2": type2, "Unit": (UNIT_ELEM,)}
+    fn = r.functions = {
         "dom": {t: s.terms[t].dom for t in terms},
         "codom": {t: s.terms[t].cod for t in terms},
         "fst": {p: p[0] for p in cons},
         "snd": {p: p[1] for p in cons},
-        "i": {p: p for p in s.compositions},
-        "comp": dict(s.compositions),
-        "i0": {x: x for x in s.identities},
-        "selid": dict(s.identities),
-        "j": {p: p for p in s.products},
-        "2-prod": {p: (v[1], v[2]) for p, v in s.products.items()},
-        "k": {p: p for p in s.tuples},
-        "2-base'": {(f, g): (s.terms[f].cod, s.terms[g].cod) for (f, g) in s.tuples},
-        "2-tuple": dict(s.tuples),
-        "j0": {UNIT_ELEM: UNIT_ELEM} if s.terminal is not None else {},
-        "0-prod": {UNIT_ELEM: s.terminal} if s.terminal is not None else {},
-        "k0": {x: x for x in s.collapsings},
-        "0-base'": {x: UNIT_ELEM for x in s.collapsings},
-        "0-tuple": dict(s.collapsings),
         "b1": {p: p[0] for p in type2},
         "b2": {p: p[1] for p in type2},
         "c1": {p: p[0] for p in cone2},
@@ -398,6 +386,19 @@ def spec_to_realization(s: Specification) -> FiniteRealization:
         "0-base": {x: UNIT_ELEM for x in types},
         "id": {x: x for x in types},
     }
+    for tag, (point, mono, result) in _MARK_ARROWS.items():
+        kind = MARK_KINDS[tag]
+        rows = {}
+        for args, results in sorted(kind.marks(s)):
+            value = tuple(n for sort, n in zip(kind.results, results) if sort == TERM) or results
+            site = args[0] if len(args) == 1 else args or UNIT_ELEM
+            rows[site] = value[0] if len(value) == 1 else value
+        r.point_sets[point] = tuple(rows)
+        fn[mono] = {e: e for e in rows}
+        fn[result] = rows
+    # a tuple sits over the product mark at its cone's base, a collapsing over the terminal mark
+    fn["2-base'"] = {e: fn["2-base"][c] for e, c in fn["k"].items()}
+    fn["0-base'"] = {e: fn["0-base"][x] for e, x in fn["k0"].items()}
     return r
 
 
@@ -409,41 +410,32 @@ def realization_to_spec(r: FiniteRealization) -> Specification:
     violations = check_realization(sk, r)
     if violations:
         raise InvalidRealization("; ".join(violations[:5]))
-    tname: Dict[object, str] = {}
-    taken: Set[str] = set()
-    for e in r.point_sets["Type"]:
-        n = fresh_name(str(e), taken)
-        taken.add(n)
-        tname[e] = n
-    mname: Dict[object, str] = {}
-    mtaken: Set[str] = set()
+    names: Dict[Point, Dict[object, str]] = {}
+    for point in ("Type", "Term"):
+        named = names[point] = {}
+        taken: Set[str] = set()
+        for e in r.point_sets[point]:
+            named[e] = n = fresh_name(str(e), taken)
+            taken.add(n)
+
+    def decode(point: Point, e) -> tuple:
+        """The names an element stands for: a type or a term its own, an
+        element of a cone's vertex those of its projections in turn."""
+        if point in names:
+            return (names[point][e],)
+        return sum((decode(sk.arrows[a].tgt, r.apply(a, e))
+                    for _n, a in sk.potential_cones[point].projections), ())
+
+    tname = names["Type"]
+    s = Specification(types=set(tname.values()))
     for e in r.point_sets["Term"]:
-        n = fresh_name(str(e), mtaken)
-        mtaken.add(n)
-        mname[e] = n
-    s = Specification()
-    for e in r.point_sets["Type"]:
-        s.add_type(tname[e])
-    for e in r.point_sets["Term"]:
-        s.add_term(mname[e], tname[r.apply("dom", e)], tname[r.apply("codom", e)])
-    for e in r.point_sets["Selid"]:
-        s.identities[tname[r.apply("i0", e)]] = mname[r.apply("selid", e)]
-    for e in r.point_sets["Comp"]:
-        pair = r.apply("i", e)
-        key = (mname[r.apply("fst", pair)], mname[r.apply("snd", pair)])
-        s.compositions[key] = mname[r.apply("comp", e)]
-    for e in r.point_sets["2-Prod"]:
-        pair = r.apply("j", e)
-        y1, y2 = tname[r.apply("b1", pair)], tname[r.apply("b2", pair)]
-        cone = r.apply("2-prod", e)
-        p1, p2 = r.apply("c1", cone), r.apply("c2", cone)
-        s.products[(y1, y2)] = (tname[r.apply("dom", p1)], mname[p1], mname[p2])
-    for e in r.point_sets["2-Tuple"]:
-        cone = r.apply("k", e)
-        key = (mname[r.apply("c1", cone)], mname[r.apply("c2", cone)])
-        s.tuples[key] = mname[r.apply("2-tuple", e)]
-    for e in r.point_sets["0-Prod"]:
-        s.terminal = tname[r.apply("0-prod", e)]
-    for e in r.point_sets["0-Tuple"]:
-        s.collapsings[tname[r.apply("k0", e)]] = mname[r.apply("0-tuple", e)]
+        s.add_term(names["Term"][e], tname[r.apply("dom", e)], tname[r.apply("codom", e)])
+    for tag, (point, mono, result) in _MARK_ARROWS.items():
+        kind = MARK_KINDS[tag]
+        for e in r.point_sets[point]:
+            results = decode(sk.arrows[result].tgt, r.apply(result, e))
+            if len(results) < len(kind.results):
+                # the type a product makes is its projections' dom
+                results = (s.terms[results[0]].dom,) + results
+            kind.set(s, decode(sk.arrows[mono].tgt, r.apply(mono, e)), results)
     return s

@@ -84,3 +84,13 @@ def test_validate_decorated_names_each_broken_rule():
     ]
     for pure, message in cases:
         assert validate_decorated(DecoratedSpecification(s, pure)) == [message]
+    # every rule broken at once: one message each, in the order of MARK_KINDS
+    assert validate_decorated(DecoratedSpecification(s, {"f", "g", "ghost"})) == [
+        "pure mark on unknown term ghost",
+        "identity id_X must be pure",
+        "composite c of pure terms must be pure",
+        "projection p1 must be pure",
+        "projection p2 must be pure",
+        "tuple t of pure terms must be pure",
+        "collapsing tu_X must be pure",
+    ]

@@ -98,6 +98,45 @@ def test_duplicate_name_rejected():
         dsl.parse("type X\nterm f : X -> X\nterm f : X -> X")
 
 
+# each mark statement's fault is raised at its statement, not by the
+# final validate at the end of the file
+MARK_FAULTS = [
+    ("type X\ntype Y\nterm f : X -> X\nterm c : X -> Y\ncompose c = f . f\n",
+     "5:9: c is not of shape X -> X"),
+    ("type X\ntype Y\nproduct P = X * X with p1 p2\nterm f : X -> X\nterm g : Y -> X\n"
+     "tuple t = < f , g >\n", "6:7: f and g are not co-initial"),
+    ("type X\ntype Y\nproduct P = X * X with p1 p2\nterm f : X -> X\nterm g : Y -> X\n"
+     "term t : X -> P\neq t = < f , g >\n", "7:8: f and g are not co-initial"),
+    ("type X\nproduct P = X * X with p1 p2\nterm f : X -> X\nterm t : X -> X\n"
+     "tuple t = < f , f >\n", "5:7: t is not of shape X -> P"),
+    ("type X\nterm i : X -> X\nterm j : X -> X\nidentity X = i\nidentity X = j\n",
+     "5:10: identity mark at X is already declared"),
+    ("type X\nterm f : X -> X\ncompose c = f . f\ncompose d = f . f\n",
+     "4:9: composition mark (f,f) is already declared"),
+    ("type X\nproduct P = X * X with p1 p2\nproduct Q = X * X with q1 q2\n",
+     "3:9: product mark (X,X) is already declared"),
+    ("type X\nproduct P = X * X with p1 p2\nterm f : X -> X\ntuple t = < f , f >\n"
+     "tuple u = < f , f >\n", "5:7: tuple mark (f,f) is already declared"),
+    ("unit U\nunit V\n", "2:6: terminal mark is already declared"),
+    ("unit U\ntype X\ncollapse X = c\ncollapse X = d\n",
+     "4:10: collapsing mark at X is already declared"),
+]
+
+
+@pytest.mark.parametrize("text, message", MARK_FAULTS)
+def test_mark_faults_are_raised_at_their_statement(text, message):
+    with pytest.raises(SyntaxError_) as e:
+        dsl.parse(text)
+    assert str(e.value) == message
+
+
+def test_taken_projection_name_is_a_duplicate():
+    with pytest.raises(DuplicateName):
+        dsl.parse("type X\nterm q : X -> X\nproduct P = X * X with q r")
+    with pytest.raises(DuplicateName):
+        dsl.parse("type X\nproduct P = X * X with q q")
+
+
 def test_keywords_are_reserved():
     with pytest.raises(SyntaxError_):
         dsl.parse("type eq")

@@ -885,3 +885,15 @@ def test_incomparable_carrier_raises_a_named_error():
     # a single hom needs no order
     assert len(hom_search(CORPUS["single_type"](), FiniteModel({"X": ()}, {}),
                           FiniteModel({"X": xs}, {}))) == 1
+
+
+def test_a_missing_table_entry_is_a_conflict():
+    # the candidate's e has no entry at the unit element, so the square of
+    # e leaves no hom: hom_search finds none, and bound 0 answers False
+    d, base = DECORATED["endo"](), {"X": (0, 1)}
+    par = parameterize(d)
+    m0 = enumerate_models(pure_part(d), base)[0]
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    cand = FiniteModel(m_a.carriers, {**m_a.functions, "e": {}})
+    assert hom_search(par.spec.base, m_a, cand) == []
+    assert not any(is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1))

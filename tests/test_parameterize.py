@@ -4,10 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from eqsketch.core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
-                           eqpair, iso_search, spec_equal, validate, validate_morphism)
+                           compose, eqpair, iso_search, spec_equal, validate,
+                           validate_morphism)
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
                                purify, undecorate)
-from eqsketch.errors import PurityViolation
+from eqsketch.errors import BudgetExceeded, PurityViolation
 from eqsketch.inference import TriState, is_entailment, saturate, terms_equal
 from eqsketch.parameterize import (_ENSURE, _make_marks, check_ell_natural,
                                    check_param_restricts_to_embed, ell,
@@ -125,6 +126,31 @@ def test_parameterize_morphism_purity_violation():
                      {t: t for t in d_pure.base.terms})
     with pytest.raises(PurityViolation):
         parameterize_morphism(d_pure, d_gen, u)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_parameterize_morphism_is_functorial_on_generated_specs(d):
+    # u: d -> its depth-1 saturation, v: that -> the depth-2 saturation;
+    # P(v.u) = P(v).P(u) exactly, on the draws whose depth 2 fits the cap
+    try:
+        sat2 = saturate(d.base, 2, cap=400)
+    except BudgetExceeded:
+        return
+    sat1 = saturate(d.base, 1, cap=400)
+    s1, s2 = sat1.spec, sat2.spec
+    d1 = decoration_closure(DecoratedSpecification(s1, set(d.pure_terms)))[0]
+    d2 = decoration_closure(DecoratedSpecification(s2, set(d.pure_terms)))[0]
+    u = sat1.embedding
+    v = SpecMorphism(s1, s2, {x: x for x in s1.types}, {t: t for t in s1.terms})
+    assert validate_morphism(v) == []
+    p_u = parameterize_morphism(d, d1, u)
+    assert validate_morphism(p_u) == []
+    p_vu = parameterize_morphism(d, d2, compose(u, v))
+    both = compose(p_u, parameterize_morphism(d1, d2, v))
+    assert both.type_map == p_vu.type_map
+    assert both.term_map == p_vu.term_map
+    assert both.target == p_vu.target
 
 
 def test_ell_is_identity_on_pure_terms():
