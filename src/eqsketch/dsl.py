@@ -290,6 +290,8 @@ class _Parser:
             u = ensure_terminal(self.spec)
             if name not in self.spec.terms:
                 self.declare_term(name, u, self.parameter_type, tok)
+            elif (self.spec.terms[name].dom, self.spec.terms[name].cod) != (u, self.parameter_type):
+                self.fail(f"{name} is not of shape {u} -> {self.parameter_type}", tok)
             self.parameter_constant = name
         else:
             self.fail(f"expected 'type' or 'const', found {tok.text!r}", tok)

@@ -547,8 +547,8 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     toward the cap as fixed tables do, and a carrier that the target
     forces otherwise gives no extension, decided before the cap.  Each
     source model seeds its rows into the image tables; the search finds
-    up to 2 - count extensions, the target's ``_model_check`` gates each
-    one, and the cells are undone to the trail mark."""
+    up to 2 - count extensions, read off the cells whole and gated by the
+    target's ``_model_check``, and the cells are undone to the trail mark."""
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
     choices = list(_carrier_choices([x for x in models.base_types(s) if x not in image],
@@ -561,7 +561,6 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
         derived = models.derived_carriers(s1, carriers)
         fixed = models.FiniteModel({tau.type_map[x]: derived[x] for x in s1.types},
                                    {u: {} for u in given})
-        ranked = {x: models._sorted_carrier(x, c) for x, c in derived.items()}
         targets: list = []   # by extra choice: cells, None, or SearchSpaceTooLarge
 
         def extensions(target, row, limit: int) -> int:
@@ -570,12 +569,7 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
 
             def emit() -> bool:
                 nonlocal found
-                functions = model().functions
-                for u, t in given.items():
-                    term = s1.terms[t]
-                    functions[u] = dict(zip(ranked[term.dom],
-                                            map(ranked[term.cod].__getitem__, row(t))))
-                found += not check(functions)
+                found += not check(model().functions)
                 return found == limit
 
             if cells.assign([(off[u] + v, r) for u, t in given.items()

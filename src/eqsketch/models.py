@@ -370,15 +370,16 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
                  fixed: Optional[FiniteModel], cap: int,
                  carriers: Optional[Dict[TypeName, Tuple]] = None):
     """The cells of the models of s over the base carriers extending
-    ``fixed``, with the marked structure and the fixed tables set (None
-    when they conflict); the order the search assigns them in; the tables
-    not fixed, by name, as (term, first cell, sorted domain, value of a
-    rank); a function that reads the model off the cells once all are
-    set; the ``_model_check`` of the carriers, which gates every model
-    read off; and the first cell of every table, fixed or not.  ``cap``
-    is checked as ``enumerate_models`` says.  A fixed table may be given
-    empty: it then counts as fixed, and its cells are left for the
-    caller to seed.
+    ``fixed``, with the marked structure and the entries of the fixed
+    tables set (None when they conflict); the order the search assigns
+    them in; every table, by name, as (term, first cell, sorted domain,
+    value of a rank); a function that reads the model, every table of
+    it, off the cells once all are set; the ``_model_check`` of the
+    carriers, which gates every model read off; and the first cell of
+    every table.  ``cap`` is checked as ``enumerate_models`` says.  The
+    entries a fixed table lacks are searched without counting toward the
+    cap; a fixed table given empty leaves all its cells to the search or
+    to the caller to seed.  A fixed entry outside the domain is ignored.
 
     The cells work on the sorted carriers: a table's cells are its
     entries in the sorted order of its domain, and a cell's value is the
@@ -387,17 +388,12 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     do not compare raises ``IncomparableCarrier``.  ``carriers``, when
     given, are the ``derived_carriers`` of the base carriers and ``fixed``'s,
     which are then not derived again."""
+    fixed_carriers, fixed_funcs = (fixed.carriers, fixed.functions) if fixed else ({}, {})
     if carriers is None:
-        merged_base = dict(base_carriers)
-        if fixed is not None:
-            for x, v in fixed.carriers.items():
-                merged_base.setdefault(x, tuple(v))
-        carriers = derived_carriers(s, merged_base)
-    if fixed is not None and any(set(v) != set(carriers[x])
-                                 for x, v in fixed.carriers.items()):
+        carriers = derived_carriers(s, {**fixed_carriers, **base_carriers})
+    if any(set(v) != set(carriers[x]) for x, v in fixed_carriers.items()):
         return None  # s forces another carrier on a type that fixed gives
     marked = mark_results(s, TERM)  # the tables that a mark fills from others
-    fixed_funcs = dict(fixed.functions) if fixed is not None else {}
     terms = sorted(s.terms)
     ranked = {x: tuple(_sorted_carrier(x, c)) for x, c in carriers.items()}
     dom = {t: ranked[s.terms[t].dom] for t in terms}
@@ -415,14 +411,12 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     # unmarked terms first, small tables first: the marks then fill the rest
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
-    tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__)
-              for t in terms if t not in fixed_funcs]
+    tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__) for t in terms]
 
     def model() -> FiniteModel:
-        functions = {t: dict(tab) for t, tab in fixed_funcs.items()}
-        for t, start, xs, cod in tables:
-            functions[t] = dict(zip(xs, map(cod, val[start:start + len(xs)])))
-        return FiniteModel(dict(carriers), functions)
+        return FiniteModel(dict(carriers), {
+            t: dict(zip(xs, map(cod, val[start:start + len(xs)])))
+            for t, start, xs, cod in tables})
 
     return cells, order, tables, model, _model_check(s, carriers), off
 
@@ -453,7 +447,7 @@ def _ranks(x: TypeName, c: Sequence) -> List[int]:
 
 def _canonical_cells(tables) -> List[int]:
     """The cells of ``_model_cells``'s tables in the order in which
-    ``canonical()`` compares two models that share the fixed tables:
+    ``canonical()`` compares two models, fixed entries as constants:
     tables by term name, entries by the repr of their key.  As the cells
     hold ranks, the models compare as their values at these cells."""
     return [start + v for _t, start, xs, _cod in tables for v in _repr_order(xs)]
@@ -463,21 +457,24 @@ def enumerate_models(s: Specification,
                      base_carriers: Dict[TypeName, Sequence],
                      fixed: Optional[FiniteModel] = None,
                      cap: int = DEFAULT_CANDIDATE_CAP) -> List[FiniteModel]:
-    """All models of s over the given base carriers extending ``fixed``.
+    """All models of s over the given base carriers extending ``fixed``:
+    with fixed's carriers, and equal to each of fixed's tables at its
+    entries in the domain; the entries a fixed table lacks are searched.
 
     Product/terminal carriers are forced; a fixed model that gives such a
     type another carrier has no extension.  The search assigns one table
     cell at a time and lets every mark and equation fill or check the
     cells whose inputs are known, backtracking on a conflict.  ``cap``
     bounds, before the search starts, the product of |cod|^|dom| over
-    the terms that no mark and no fixed table determine.
+    the terms that no mark and no fixed table determine, so the missing
+    entries of a fixed table do not count toward it.
 
     Sorted by ``canonical()``, on any carriers.  A cell holds the rank of
     its value in the sorted carrier, so the values of a model at the
-    cells of the tables not fixed, tables by term name and entries by the
-    repr of their key, are a key in ``canonical()`` order.  The key is
-    read off the cells as the search finds the model; no model is turned
-    into a ``canonical()`` tuple.
+    cells of its tables, tables by term name and entries by the repr of
+    their key, are a key in ``canonical()`` order.  The key is read off
+    the cells as the search finds the model; no model is turned into a
+    ``canonical()`` tuple.
     """
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
@@ -625,11 +622,20 @@ def pass_parameter(d: DecoratedSpecification, par: Parameterization,
     from a model of the parameterized one and an argument.
 
     Pure terms keep their interpretation; a general term f is interpreted
-    as x |-> M(f')(alpha, x)."""
-    if alpha not in m_a.carriers[par.spec.parameter_type]:
-        raise InvalidAlpha(repr(alpha))
+    as x |-> M(f')(alpha, x).  ``InvalidAlpha`` when alpha is not in the
+    parameter carrier: one look-up of (alpha, x) in a primed table decides,
+    and the carrier is scanned only when no primed table has an entry."""
     base = undecorate(d)
     carriers = {x: tuple(m_a.carriers[x]) for x in base.types}
+    probe = [(m_a.functions[par.lift[f]], x) for f in sorted(d.general_terms())
+             for x in carriers[base.terms[f].dom][:1]]
+    try:
+        known = ((alpha, probe[0][1]) in probe[0][0] if probe
+                 else alpha in m_a.carriers[par.spec.parameter_type])
+    except TypeError:   # an unhashable alpha keys no table
+        known = False
+    if not known:
+        raise InvalidAlpha(repr(alpha))
     functions: Dict[TermName, Dict] = {}
     for t in sorted(base.terms):
         if d.is_pure(t):
@@ -703,20 +709,21 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     bound >= 1, exactly one at each model of size 1.
 
     Size 0 has one model at most, whose one ``hom_search`` checks that
-    the candidate agrees with m_0 on the shared part.  At size 1 the homs
-    are counted, not searched: every component but the parameter's is
-    then the identity or forced, so a hom sends the one element of a
-    model to a record r of the candidate, and the squares of the primed
-    terms f' : A*X -> Y hold exactly when r has the model's field values
-    f'(r, x).  Every other term over A is a projection, or is made by
-    marks from the primed terms, the projections and pure terms; as both
-    sides are models, its square follows.  So the homs out of a model of
-    size 1 are the records with its field values, and the records are
-    counted once by their field values.
-
-    The models of size 1 are streamed: each is gated by the carriers'
-    ``_model_check`` and tested as the search finds it, and the search
-    stops at the first that fails."""
+    the candidate agrees with m_0 on the shared part.  Size 1 is searched
+    on d, not on P(d): parameter passing at the one element maps the
+    models of P(d) of size 1 that extend m_0 one to one onto the models
+    of d that extend m_0, f'(0, x) giving f(x).  Their homs are counted,
+    not searched: every component but the parameter's is the identity
+    or forced, so a hom sends the one element to a record r, and the
+    squares of the primed terms f' : A*X -> Y hold exactly when r's
+    fields f'(r, x) are f(x).  Every other term over A is a projection,
+    or is made by marks from the primed terms, the projections and pure
+    terms; as both sides are models, its square follows.  So the records
+    are counted once by their fields, over the sorted domains of the
+    search's tables, and the models of d are streamed, each keyed by its
+    general tables read off its cell rows, until the first whose count
+    is not one.  Only that model is built, and gated by the
+    ``_model_check`` of d."""
     if par is None:
         par = parameterize(d)
     p = par.spec.base
@@ -732,27 +739,20 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
         return False
     if bound < 1:
         return True
-    built = _model_cells(p, {**shared, a_type: (0,)}, m_0, cap)
+    built = _model_cells(d.base, shared, m_0, cap)
     if built is None:
         return True
-    cells, order, _tables, model, check, _off = built
-    fields = [(par.lift[f], d.base.terms[f].dom) for f in sorted(d.general_terms())]
-
-    def values(m: FiniteModel, a, carriers) -> Tuple:
-        return tuple(m.functions[f][(a, x)] for f, dom in fields for x in carriers[dom])
-
-    records: Optional[Counter] = None
+    cells, order, tables, model, check, _off = built
+    val, recs = cells.val, candidate.carriers[a_type]
+    # one column per entry (f, x) of a general table, by record
+    general = [(start + v, cod, candidate.functions[par.lift[t]], x)
+               for t, start, xs, cod in tables if not d.is_pure(t) for v, x in enumerate(xs)]
+    records = Counter(zip(*[[tab[(r, x)] for r in recs] for _c, _cod, tab, x in general])
+                      if general else [()] * len(recs))
 
     def fails() -> bool:
-        nonlocal records
-        n = model()
-        if check(n.functions):
-            return False
-        if records is None:
-            # the models share every carrier but the parameter's
-            records = Counter(values(candidate, r, n.carriers)
-                              for r in candidate.carriers[a_type])
-        return records[values(n, 0, n.carriers)] != 1
+        key = tuple([cod(val[c]) for c, cod, _tab, _x in general])
+        return records[key] != 1 and not check(model().functions)
 
     return not cells.solve(order, fails)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import eqsketch.models
 from eqsketch.core import Specification, SpecMorphism, validate
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
                                purify, validate_decorated)
@@ -304,3 +305,16 @@ def corpus():
 @pytest.fixture
 def decorated_corpus():
     return {name: mk() for name, mk in DECORATED.items()}
+
+
+def count_models_built(monkeypatch):
+    """A list of every ``FiniteModel`` that ``eqsketch.models`` builds."""
+    built = []
+
+    class Counted(eqsketch.models.FiniteModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(eqsketch.models, "FiniteModel", Counted)
+    return built

@@ -130,6 +130,14 @@ def test_mark_faults_are_raised_at_their_statement(text, message):
     assert str(e.value) == message
 
 
+def test_parameter_constant_of_another_shape_is_raised_at_its_statement():
+    with pytest.raises(SyntaxError_) as e:
+        dsl.parse("type X\nterm a : X -> X\nparameter type A\nparameter const a\n")
+    assert str(e.value) == "4:11: a is not of shape One -> A"
+    doc = dsl.parse("unit U\nparameter type A\nterm a : U -> A\nparameter const a\n")
+    assert doc.parameter_constant == "a"
+
+
 def test_taken_projection_name_is_a_duplicate():
     with pytest.raises(DuplicateName):
         dsl.parse("type X\nterm q : X -> X\nproduct P = X * X with q r")

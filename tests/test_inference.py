@@ -26,7 +26,7 @@ from eqsketch.parameterize import (_make_marks, check_ell_natural, ensure_collap
                                    ensure_comp, ensure_identity, ensure_product,
                                    ensure_terminal, ensure_tuple)
 
-from conftest import CORPUS, DECORATED, criterion_5_cases, small_specs
+from conftest import CORPUS, DECORATED, count_models_built, criterion_5_cases, small_specs
 
 
 @pytest.mark.parametrize("tag", STRUCTURAL_RULES)
@@ -865,26 +865,13 @@ def _count_candidates(monkeypatch):
     return tested
 
 
-def _count_models_built(monkeypatch):
-    """A list of every ``FiniteModel`` that ``eqsketch.models`` builds."""
-    built = []
-
-    class Counted(FiniteModel):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(eqsketch.models, "FiniteModel", Counted)
-    return built
-
-
 def test_rejected_candidates_build_no_model(monkeypatch):
     # s2.s1.s2 vs s2.s2.s0 over three maps X -> X: the least-model walk
     # runs several witness searches over many candidates, tests them on
     # their cells, and builds only its answer
     s, (a, b) = _words(3, (2, 1, 2), (2, 2, 0))
     want = reference_find_countermodel(s, a, b, MAX_CARRIER, COUNTERMODEL_CAP)
-    tested, built = _count_candidates(monkeypatch), _count_models_built(monkeypatch)
+    tested, built = _count_candidates(monkeypatch), count_models_built(monkeypatch)
     v = terms_equal(s, a, b, 2)
     assert v.state is TriState.DISTINCT_AT_BOUND
     assert len(tested) > 1
@@ -896,7 +883,7 @@ def test_failing_countermodel_search_builds_no_model(monkeypatch):
     # the naturality obligations of a purity increase hold: the searches
     # for a model that separates them test candidates and find none
     cases = {label: (d1, d2, u) for label, d1, d2, u in criterion_5_cases()}
-    tested, built = _count_candidates(monkeypatch), _count_models_built(monkeypatch)
+    tested, built = _count_candidates(monkeypatch), count_models_built(monkeypatch)
     assert check_ell_natural(*cases["purity increase in place"], depth=4)
     assert tested and built == []
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from eqsketch.core import TERM, RuleTag, Specification, mark_results
-from eqsketch.decorate import DecoratedSpecification, pure_part
+from eqsketch.decorate import DecoratedSpecification, pure_part, purify
 from eqsketch import models
 from eqsketch.errors import (EqsketchError, IncomparableCarrier, InvalidAlpha,
                              SearchSpaceTooLarge, Unassigned)
@@ -17,7 +17,8 @@ from eqsketch.models import (UNIT_ELEMENT, ExactnessReport, FiniteModel,
                              is_terminal, pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
 
-from conftest import CORPUS, DECORATED, small_decorated_specs, small_specs
+from conftest import (CORPUS, DECORATED, count_models_built, small_decorated_specs,
+                      small_specs)
 
 
 def _m0():
@@ -63,6 +64,19 @@ def test_enumerate_models_respects_fixed_part():
     assert all(m.apply("e", ()) == 0 for m in ms)
 
 
+def test_enumerate_models_completes_a_partly_given_table():
+    # f, g : X -> X with f given at 0 only, and at 7, outside the domain:
+    # the 2 values of f at 1 and the 4 tables of g are searched
+    s = Specification()
+    s.add_type("X")
+    s.add_term("f", "X", "X")
+    s.add_term("g", "X", "X")
+    fixed = FiniteModel({"X": (0, 1)}, {"f": {0: 0, 7: 1}})
+    ms = enumerate_models(s, {"X": (0, 1)}, fixed=fixed)
+    assert ms == [m for m in enumerate_models(s, {"X": (0, 1)}) if m.functions["f"][0] == 0]
+    assert len(ms) == 8 and all(7 not in m.functions["f"] for m in ms)
+
+
 def test_enumerate_models_keeps_the_fixed_carriers():
     # the spec forces the terminal's carrier; a fixed model that gives U
     # two elements, or other labels, has no extension
@@ -87,11 +101,14 @@ def test_hom_search_identity_hom():
 
 
 def test_pass_parameter_rejects_bad_alpha():
-    d = DECORATED["endo"]()
-    par = parameterize(d)
-    m_a, _ = terminal_model(d, _m0(), {"X": (0, 1)}, par=par)
-    with pytest.raises(InvalidAlpha):
-        pass_parameter(d, par, m_a, "nope")
+    # a primed table decides, and with no general term the carrier does
+    for d in (DECORATED["endo"](), purify(DECORATED["endo"]().base)):
+        par = parameterize(d)
+        m0 = enumerate_models(pure_part(d), {"X": (0, 1)})[0]
+        m_a, _ = terminal_model(d, m0, {"X": (0, 1)}, par=par)
+        for alpha in ("nope", len(m_a.carriers[par.spec.parameter_type]), [0]):
+            with pytest.raises(InvalidAlpha):
+                pass_parameter(d, par, m_a, alpha)
 
 
 def test_terminal_model_is_a_model():
@@ -706,7 +723,12 @@ def test_is_terminal_matches_reference_on_generated_specs(case):
     def values(m, a, carriers):
         return [m.functions[fp][(a, x)] for fp, dom in fields for x in carriers[dom]]
 
-    for n in enumerate_models(p, {**base, a_type: (0,)}, fixed=m0):
+    ones = enumerate_models(p, {**base, a_type: (0,)}, fixed=m0)
+    # the bijection that is_terminal searches size 1 by: parameter passing
+    # at the one element maps the models of size 1 onto those of d
+    assert (sorted(pass_parameter(d, par, n, 0).canonical() for n in ones)
+            == sorted(m.canonical() for m in enumerate_models(d.base, base, fixed=m0)))
+    for n in ones:
         for label, cand in candidates.items():
             if label != "flipped":
                 matching = sum(values(cand, r, n.carriers) == values(n, 0, n.carriers)
@@ -848,6 +870,22 @@ def test_is_terminal_builds_one_search_per_parameter_size(mk_m0, base, bound, mo
     assert is_terminal(d, m_a, m0, base, bound=bound, par=par)
     assert built == {"cells": 3 if bound >= 1 else 2, "hom_search": 1}
     assert len(extensions) > 3
+
+
+def test_is_terminal_builds_only_the_model_of_size_0_and_a_failing_one(monkeypatch):
+    # two_ops at X = 3, bound 1: the 729 models of size 1 are keyed on
+    # their cells, and only one whose record count is not one is built
+    d, m0, base = DECORATED["two_ops"](), FiniteModel({"X": (0, 1, 2)}, {}), {"X": (0, 1, 2)}
+    par = parameterize(d)
+    m_a, _ = terminal_model(d, m0, base, par=par)
+    records = list(m_a.carriers[par.spec.parameter_type])
+    duplicated = _record_model(d, par, m_a, m0, base, records + records[:1])
+    built = count_models_built(monkeypatch)
+    assert is_terminal(d, m_a, m0, base, bound=1, par=par)
+    assert len(built) == 1
+    built.clear()
+    assert not is_terminal(d, duplicated, m0, base, bound=1, par=par)
+    assert len(built) == 2
 
 
 def test_is_terminal_caps_only_the_searches_it_runs():
