@@ -1,12 +1,14 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 negative/invalid result, 2 usage error,
-3 budget or search-space cap hit.
+3 budget or search-space cap hit, 141 (128 + SIGPIPE) when standard
+output closes early, as under ``| head``, with no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -143,7 +145,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.cap = SATURATE_CAP if args.command == "saturate" else MODEL_CAP
     out = _Out(args.format)
     try:
-        return _dispatch(args, carriers, out)
+        rc = _dispatch(args, carriers, out)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return rc
+    except BrokenPipeError:   # what is left then goes to devnull at exit
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     except (BudgetExceeded, SearchSpaceTooLarge) as e:

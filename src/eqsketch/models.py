@@ -638,12 +638,9 @@ def pass_parameter(d: DecoratedSpecification, par: Parameterization,
         raise InvalidAlpha(repr(alpha))
     functions: Dict[TermName, Dict] = {}
     for t in sorted(base.terms):
-        if d.is_pure(t):
-            functions[t] = {v: m_a.apply(t, v) for v in carriers[base.terms[t].dom]}
-        else:
-            primed = par.lift[t]
-            functions[t] = {v: m_a.apply(primed, (alpha, v))
-                            for v in carriers[base.terms[t].dom]}
+        dom = carriers[base.terms[t].dom]
+        functions[t] = ({v: m_a.apply(t, v) for v in dom} if d.is_pure(t)
+                        else {v: m_a.apply(par.lift[t], (alpha, v)) for v in dom})
     return FiniteModel(carriers, functions)
 
 
@@ -658,27 +655,30 @@ def terminal_model(d: DecoratedSpecification,
 
     Returns the model of the parameterized specification together with the
     enumerated extension list (index i of the list is the carrier element i).
+
+    A type that both ``base_carriers`` and m_0 give takes the base
+    carrier, as in ``_model_cells``.  m_0 must give every pure table at
+    every element of its domain; ``Unassigned`` names the first it lacks.
     """
     if par is None:
         par = parameterize(d)
     base = undecorate(d)
     extensions = enumerate_models(base, base_carriers, fixed=m_0, cap=cap)
     p = par.spec.base
-    a_type = par.spec.parameter_type
     carriers = derived_carriers(
-        p, {**{x: tuple(v) for x, v in base_carriers.items()},
-            **{x: tuple(v) for x, v in m_0.carriers.items() if x in p.types},
-            a_type: tuple(range(len(extensions)))})
+        p, {**{x: v for x, v in m_0.carriers.items() if x in p.types}, **base_carriers,
+            par.spec.parameter_type: tuple(range(len(extensions)))})
     functions: Dict[TermName, Dict] = {}
     for t in sorted(p.terms):
         if t in base.terms and d.is_pure(t):
-            functions[t] = {v: m_0.apply(t, v) for v in carriers[p.terms[t].dom]}
+            tab, dom = m_0.functions.get(t, {}), carriers[p.terms[t].dom]
+            lacks = [v for v in dom if v not in tab]
+            if lacks:
+                raise Unassigned(f"term {t}: m_0 has no value at {lacks[0]!r}")
+            functions[t] = {v: tab[v] for v in dom}
     for f in sorted(d.general_terms()):
-        primed = par.lift[f]
-        dom = base.terms[f].dom
-        functions[primed] = {(i, x): extensions[i].apply(f, x)
-                             for i in range(len(extensions))
-                             for x in carriers[dom]}
+        functions[par.lift[f]] = {(i, x): e.apply(f, x) for i, e in enumerate(extensions)
+                                  for x in carriers[base.terms[f].dom]}
     if not complete_tables(p, carriers, functions) or len(functions) != len(p.terms):
         raise AssertionError("terminal model construction hit a mark conflict "
                              "or left a table unfilled")
@@ -733,13 +733,12 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
             or bound >= 1 and check_model(p, candidate)):
         return False
     fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
-    shared = {x: tuple(v) for x, v in base_carriers.items()}
     if any(len(hom_search(p, n, candidate, fix)) != 1
-           for n in enumerate_models(p, {**shared, a_type: ()}, fixed=m_0, cap=cap)):
+           for n in enumerate_models(p, {**base_carriers, a_type: ()}, fixed=m_0, cap=cap)):
         return False
     if bound < 1:
         return True
-    built = _model_cells(d.base, shared, m_0, cap)
+    built = _model_cells(d.base, base_carriers, m_0, cap)
     if built is None:
         return True
     cells, order, tables, model, check, _off = built
@@ -773,9 +772,7 @@ class ExactnessReport:
         out = [f"parameter carrier size: {self.parameter_count}",
                f"models extending the fixed pure part: {self.model_count}",
                f"bijection: {'yes' if self.exact else 'no'}"]
-        for (alpha, idx) in self.bijection:
-            out.append(f"  {alpha!r} <-> model {idx}")
-        return out
+        return out + [f"  {alpha!r} <-> model {idx}" for alpha, idx in self.bijection]
 
 
 def exactness_check(d: DecoratedSpecification, m_0: FiniteModel,
@@ -783,27 +780,15 @@ def exactness_check(d: DecoratedSpecification, m_0: FiniteModel,
                     par: Optional[Parameterization] = None,
                     cap: int = DEFAULT_CANDIDATE_CAP) -> ExactnessReport:
     """Build the record model, pass every argument through it, and verify
-    the arguments are in bijection with the models extending m_0."""
+    the arguments are in bijection with the models extending m_0.  Record
+    α is built from extension α, so the model passed at α is compared with
+    extension α alone: all have m_0's pure tables, and the extensions are
+    distinct.  -1 pairs an α whose passed model is not its extension."""
     if par is None:
         par = parameterize(d)
     m_a, extensions = terminal_model(d, m_0, base_carriers, par=par, cap=cap)
-
-    def key(m: FiniteModel):
-        # equal exactly when the canonical() forms are, with no sorting
-        return (frozenset((x, tuple(c)) for x, c in m.carriers.items()),
-                frozenset((t, frozenset(tab.items())) for t, tab in m.functions.items()))
-
-    index = {key(e): i for i, e in enumerate(extensions)}
-    a_type = par.spec.parameter_type
-    bijection: List[Tuple[object, int]] = []
-    hit = set()
-    injective = True
-    for alpha in m_a.carriers[a_type]:
-        idx = index.get(key(pass_parameter(d, par, m_a, alpha)), -1)
-        if idx in hit:
-            injective = False
-        hit.add(idx)
-        bijection.append((alpha, idx))
-    surjective = (-1 not in hit) and len(hit) == len(extensions)
-    return ExactnessReport(len(m_a.carriers[a_type]), len(extensions),
-                           bijection, injective, surjective)
+    alphas = m_a.carriers[par.spec.parameter_type]
+    hits = [pass_parameter(d, par, m_a, alpha) == extensions[alpha] for alpha in alphas]
+    return ExactnessReport(len(alphas), len(extensions),
+                           [(alpha, alpha if hit else -1) for alpha, hit in zip(alphas, hits)],
+                           hits.count(False) <= 1, all(hits))

@@ -247,6 +247,9 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
     def sharp(t: TermName) -> TermName:
         return _sharp(p, a, d, lift, t)
 
+    # a lifted result is marked once, then equated: a pure c lifts to the
+    # composite c . eps_X, and a fresh c' or t' only this loop can mark
+    marked = set()
     for (f, g), c in sorted(base.compositions.items()):
         if d.is_pure(f) and d.is_pure(g) and d.is_pure(c):
             continue
@@ -257,17 +260,20 @@ def parameterize(d: DecoratedSpecification) -> Parameterization:
         _aprod(p, a, y)
         w = ensure_tuple(p, proj_x, fs)   # <proj_X, f#>: A*X -> A*Y
         cs = sharp(c)
-        if (w, gs) not in p.compositions and cs not in p.compositions.values():
+        if (w, gs) not in p.compositions and not d.is_pure(c) and cs not in marked:
             p.compositions[(w, gs)] = cs
+            marked.add(cs)
         else:
             p.add_equation(ensure_comp(p, w, gs), cs)
+    marked = set()
     for (f, g), t in sorted(base.tuples.items()):
         if d.is_pure(f) and d.is_pure(g) and d.is_pure(t):
             continue
         fs, gs = sharp(f), sharp(g)
         ts = sharp(t)
-        if (fs, gs) not in p.tuples and ts not in p.tuples.values():
+        if (fs, gs) not in p.tuples and ts not in marked:
             p.tuples[(fs, gs)] = ts
+            marked.add(ts)
         else:
             p.add_equation(ensure_tuple(p, fs, gs), ts)
     for (t1, t2) in sorted(base.equations):

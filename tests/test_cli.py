@@ -389,3 +389,26 @@ def test_machine_format_is_key_value(files):
 def test_deterministic_output(files, cmd):
     runs = [run(cmd[0], files["endo"], *cmd[1:]) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    # 733 lines, past the buffer: the pipe breaks while they are written
+    ("exact", "--X=3"),
+    # 5 lines, still in the buffer when the command returns
+    ("exact", "--X=1"),
+])
+def test_closed_stdout_exits_without_a_traceback(tmp_path, argv):
+    p = tmp_path / "two_ops.spec"
+    p.write_text("decorated\ntype X\nterm f : X -> X\nterm g : X -> X\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(eqsketch.__file__).resolve().parents[1]))
+    r, w = os.pipe()
+    os.close(r)   # the reader is gone before the command writes
+    try:
+        res = subprocess.run([sys.executable, "-m", "eqsketch.cli", argv[0], str(p), *argv[1:]],
+                             stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=60)
+    finally:
+        os.close(w)
+    assert "Traceback" not in res.stderr
+    assert "Exception ignored" not in res.stderr
+    assert res.returncode == 141

@@ -602,6 +602,34 @@ def test_exactness_check_matches_reference(kind):
                 assert got.lines() == want.lines()
 
 
+@pytest.mark.parametrize("m0_xs,base_xs", [((1, 0), (0, 1)), ((0, 1), (1, 0))])
+def test_exactness_holds_when_m0_lists_a_base_carrier_in_another_order(m0_xs, base_xs):
+    # the base carrier wins, as in the model searches, so the record model,
+    # the models passed through it and the extensions share their carriers;
+    # the reference runs terminal_model too, so only this case shows it
+    d, m0, base = DECORATED["two_ops"](), FiniteModel({"X": m0_xs}, {}), {"X": base_xs}
+    par = parameterize(d)
+    m_a, extensions = terminal_model(d, m0, base, par=par)
+    assert m_a.carriers["X"] == base_xs
+    assert {e.carriers["X"] for e in extensions} == {base_xs}
+    rep = exactness_check(d, m0, base, par=par)
+    assert rep.exact and rep.parameter_count == rep.model_count == 16
+    assert is_terminal(d, m_a, m0, base, bound=1, par=par)
+
+
+@pytest.mark.parametrize("d,m0,at", [
+    # no table for the pure e : U -> X
+    (DECORATED["endo"](), FiniteModel({"U": ((),), "X": (0, 1)}, {}), r"e: .* at \(\)"),
+    # f : X -> X given at 0 only
+    (DecoratedSpecification(DECORATED["two_ops"]().base, {"f"}),
+     FiniteModel({"X": (0, 1)}, {"f": {0: 1}}), "f: .* at 1"),
+], ids=["no table", "no entry"])
+def test_terminal_model_requires_every_pure_table_of_m0_whole(d, m0, at):
+    for build in (terminal_model, exactness_check):
+        with pytest.raises(Unassigned, match=f"term {at}"):
+            build(d, m0, {"X": (0, 1)})
+
+
 def reference_is_terminal(d, candidate, m_0, base_carriers, bound, par):
     """``is_terminal`` as it was before the record look-up: every hom of
     every model listed by ``hom_search``."""

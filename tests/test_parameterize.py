@@ -3,14 +3,16 @@ from typing import Dict
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from eqsketch import dsl
 from eqsketch.core import (MARK_KINDS, TERM, TYPE, RuleTag, Specification, SpecMorphism,
-                           compose, eqpair, iso_search, spec_equal, validate,
+                           compose, eqpair, fresh_name, iso_search, spec_equal, validate,
                            validate_morphism)
 from eqsketch.decorate import (DecoratedSpecification, decoration_closure,
-                               purify, undecorate)
+                               pure_part, purify, undecorate, validate_decorated)
 from eqsketch.errors import BudgetExceeded, PurityViolation
 from eqsketch.inference import TriState, is_entailment, saturate, terms_equal
-from eqsketch.parameterize import (_ENSURE, _make_marks, check_ell_natural,
+from eqsketch.parameterize import (_ENSURE, Parameterization, ParameterizedSpecification,
+                                   _aprod, _make_marks, _sharp, check_ell_natural,
                                    check_param_restricts_to_embed, ell,
                                    embed_A, embed_a, ensure_comp,
                                    ensure_product, ensure_tuple, parameterize,
@@ -392,3 +394,110 @@ def test_parameterize_equates_a_second_tuple_mark_on_a_taken_result():
     second = p.tuples[(lift["h"], lift["k"])]
     assert second not in s.terms and second not in lift.values()
     assert p.equations == {eqpair(second, lift["t"])}
+
+
+# ---------------------------------------------------------------------------
+# Reference parameterize: a verbatim copy of the function as it was when it
+# found whether a lifted result was marked already by scanning every mark
+# of its kind, once per lifted mark, kept as a differential oracle
+# ---------------------------------------------------------------------------
+
+def reference_parameterize(d: DecoratedSpecification) -> Parameterization:
+    errs = validate_decorated(d)
+    if errs:
+        raise ValueError("parameterize requires a valid decorated input: " + errs[0])
+    base = d.base
+    p = pure_part(d)
+    a = fresh_name("A", base)
+    p.add_type(a)
+    lift: Dict[str, str] = {}
+    for f in sorted(d.general_terms()):
+        dom, cod = base.terms[f].dom, base.terms[f].cod
+        prod, _proj, _eps = _aprod(p, a, dom)
+        prime = fresh_name(f + "'", p)
+        p.add_term(prime, prod, cod)
+        lift[f] = prime
+
+    def sharp(t: str) -> str:
+        return _sharp(p, a, d, lift, t)
+
+    for (f, g), c in sorted(base.compositions.items()):
+        if d.is_pure(f) and d.is_pure(g) and d.is_pure(c):
+            continue
+        x = base.terms[f].dom
+        y = base.terms[g].dom
+        _px, proj_x, _epsx = _aprod(p, a, x)
+        fs, gs = sharp(f), sharp(g)
+        _aprod(p, a, y)
+        w = ensure_tuple(p, proj_x, fs)   # <proj_X, f#>: A*X -> A*Y
+        cs = sharp(c)
+        if (w, gs) not in p.compositions and cs not in p.compositions.values():
+            p.compositions[(w, gs)] = cs
+        else:
+            p.add_equation(ensure_comp(p, w, gs), cs)
+    for (f, g), t in sorted(base.tuples.items()):
+        if d.is_pure(f) and d.is_pure(g) and d.is_pure(t):
+            continue
+        fs, gs = sharp(f), sharp(g)
+        ts = sharp(t)
+        if (fs, gs) not in p.tuples and ts not in p.tuples.values():
+            p.tuples[(fs, gs)] = ts
+        else:
+            p.add_equation(ensure_tuple(p, fs, gs), ts)
+    for (t1, t2) in sorted(base.equations):
+        if d.is_pure(t1) and d.is_pure(t2):
+            continue
+        p.add_equation(sharp(t1), sharp(t2))
+    return Parameterization(d, ParameterizedSpecification(p, a), lift)
+
+
+def _assert_same_parameterization(d, label):
+    got, want = parameterize(d), reference_parameterize(d)
+    assert got.spec.parameter_type == want.spec.parameter_type, label
+    assert got.lift == want.lift, label
+    assert (dsl.dump(dsl.SpecDocument(got.spec.base, parameter_type=got.spec.parameter_type))
+            == dsl.dump(dsl.SpecDocument(want.spec.base,
+                                         parameter_type=want.spec.parameter_type))), label
+
+
+def _double_marks():
+    """Specs where one term is the result of two marks of the same kind."""
+    comp = Specification()
+    comp.add_type("X")
+    for t in ("f", "g", "h", "c"):
+        comp.add_term(t, "X", "X")
+    comp.compositions[("f", "g")] = "c"
+    comp.compositions[("f", "h")] = "c"
+    tup = Specification()
+    for x in ("X", "P"):
+        tup.add_type(x)
+    for t, dom, cod in (("p1", "P", "X"), ("p2", "P", "X"), ("f", "X", "X"),
+                        ("g", "X", "X"), ("t", "X", "P")):
+        tup.add_term(t, dom, cod)
+    tup.products[("X", "X")] = ("P", "p1", "p2")
+    tup.tuples[("f", "g")] = "t"
+    tup.tuples[("g", "f")] = "t"
+    # c is pure: e . e makes it so, and f . e, with f general, names it too
+    pure = Specification()
+    pure.add_type("X")
+    for t in ("e", "f", "c"):
+        pure.add_term(t, "X", "X")
+    pure.compositions[("e", "e")] = "c"
+    pure.compositions[("e", "f")] = "c"
+    return {"compose twice": DecoratedSpecification(comp, set()),
+            "tuple twice": DecoratedSpecification(tup, {"p1", "p2"}),
+            "pure result named twice": DecoratedSpecification(pure, {"e", "c"})}
+
+
+def test_parameterize_matches_reference_on_decorated_and_double_marks():
+    cases = {name: mk() for name, mk in DECORATED.items()}
+    cases.update(_double_marks())
+    for label, d in cases.items():
+        assert validate_decorated(d) == [], label
+        _assert_same_parameterization(d, label)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_decorated_specs())
+def test_parameterize_matches_reference_on_generated_specs(d):
+    _assert_same_parameterization(d, sorted(d.pure_terms))
