@@ -46,7 +46,8 @@ def check_model(s: Specification, m: FiniteModel) -> List[str]:
     terminal types and the entries of every table, then, only when
     those hold, the marks and the equations.  A type with no carrier or
     a term with no table raises ``Unassigned``.  This is
-    ``_model_check``, which the model searches build once per search."""
+    ``_model_check``, which the model searches build once per search
+    (twice with ``_unshared``)."""
     return _model_check(s, m.carriers)(m.functions)
 
 
@@ -66,6 +67,7 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
         head.append(f"carrier of terminal {s.terminal} is not the canonical singleton")
     terms = s.terms
     elements = {t.cod: set(carriers[t.cod]) for t in terms.values()}
+    equations = sorted(s.equations)
 
     def check(functions: Dict[TermName, Dict]) -> List[str]:
         for t in terms:
@@ -107,7 +109,7 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
             for v in carriers[x]:
                 if tab[v] != UNIT_ELEMENT:
                     out.append(f"collapsing {c}: not constant at {v!r}")
-        for (t1, t2) in sorted(s.equations):
+        for (t1, t2) in equations:
             u1, u2 = functions[t1], functions[t2]
             for v in carriers[terms[t1].dom]:
                 if u1[v] != u2[v]:
@@ -146,8 +148,7 @@ class _Cells:
     A constraint instance is fired whenever a cell it watches is set, and
     firing sets every cell that its known cells determine, so an instance
     is checked as soon as its last cell is known.  This is the one
-    backtracking core of ``enumerate_models``, ``complete_tables`` and
-    ``hom_search``.
+    backtracking core of ``enumerate_models`` and ``hom_search``.
     """
 
     def __init__(self):
@@ -350,22 +351,6 @@ def _spec_cells(s: Specification, carriers, functions):
     return cells, off
 
 
-def complete_tables(s: Specification, carriers: Dict[TypeName, Tuple],
-                    functions: Dict[TermName, Dict]) -> bool:
-    """Add to ``functions`` every missing table of s that the marks and
-    equations determine from the given ones; False on a conflict."""
-    built = _spec_cells(s, carriers, functions)
-    if built is None:
-        return False
-    cells, off = built
-    for t, term in s.terms.items():
-        dom, cod = carriers[term.dom], carriers[term.cod]
-        vals = cells.val[off[t]:off[t] + len(dom)]
-        if t not in functions and min(vals, default=0) >= 0:
-            functions[t] = dict(zip(dom, map(cod.__getitem__, vals)))
-    return True
-
-
 def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
                  fixed: Optional[FiniteModel], cap: int,
                  carriers: Optional[Dict[TypeName, Tuple]] = None):
@@ -376,10 +361,14 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     value of a rank); a function that reads the model, every table of
     it, off the cells once all are set; the ``_model_check`` of the
     carriers, which gates every model read off; and the first cell of
-    every table.  ``cap`` is checked as ``enumerate_models`` says.  The
-    entries a fixed table lacks are searched without counting toward the
-    cap; a fixed table given empty leaves all its cells to the search or
-    to the caller to seed.  A fixed entry outside the domain is ignored.
+    every table.  No caller undoes the cells that the seeds set, so the
+    tables whose cells they all set are the same in every model.  From
+    the second model on, those are read once and copied into each model,
+    and once a model has passed the check in full, the gate is the
+    ``_model_check`` of ``_unshared``.  ``cap`` is checked as
+    ``enumerate_models`` says.  The entries a fixed table lacks are
+    searched without counting toward the cap; a fixed table given empty
+    leaves all its cells to the search or to the caller to seed.  A fixed entry outside the domain is ignored.
 
     The cells work on the sorted carriers: a table's cells are its
     entries in the sorted order of its domain, and a cell's value is the
@@ -412,13 +401,54 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
     tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__) for t in terms]
+    gate, seeded = _model_check(s, carriers), len(cells.trail)
+    shared: Dict[TermName, Dict] = {}
+    built, passed = 0, False
 
     def model() -> FiniteModel:
+        nonlocal built, gate
+        built += 1
+        if built == 2:   # the tables that the seeds set whole, read once
+            preset = set(cells.trail[:seeded])
+            shared.update((t, dict(zip(xs, map(cod, val[start:start + len(xs)]))))
+                          for t, start, xs, cod in tables
+                          if preset.issuperset(range(start, start + len(xs))))
+            if passed and shared:
+                gate = _model_check(_unshared(s, shared.keys()), carriers)
         return FiniteModel(dict(carriers), {
-            t: dict(zip(xs, map(cod, val[start:start + len(xs)])))
+            t: shared[t].copy() if t in shared
+            else dict(zip(xs, map(cod, val[start:start + len(xs)])))
             for t, start, xs, cod in tables})
 
-    return cells, order, tables, model, _model_check(s, carriers), off
+    def check(functions: Dict[TermName, Dict]) -> List[str]:
+        nonlocal passed
+        errs = gate(functions)
+        passed = passed or not errs
+        return errs
+
+    return cells, order, tables, model, check, off
+
+
+def _unshared(s: Specification, shared) -> Specification:
+    """s without the marks and equations that read only the tables that
+    ``shared`` names, and without those tables where nothing left reads
+    them: what a model still has to pass when another with the same
+    shared tables has passed ``_model_check`` of s."""
+    def kept(marks):
+        return {k: r for k, r in marks.items() if not shared >= {*k, r}}
+
+    compositions, tuples = kept(s.compositions), kept(s.tuples)
+    equations = {e for e in s.equations if not shared >= set(e)}
+    read = {t for k, r in [*compositions.items(), *tuples.items()] for t in (*k, r)}
+    read.update(*equations)
+    return Specification(
+        types=s.types, terms={t: term for t, term in s.terms.items()
+                              if t not in shared or t in read},
+        identities={x: i for x, i in s.identities.items() if i not in shared},
+        compositions=compositions, tuples=tuples, equations=equations,
+        products={k: v for k, v in s.products.items() if not shared >= set(v[1:])},
+        terminal=s.terminal,
+        collapsings={x: c for x, c in s.collapsings.items() if c not in shared})
 
 
 def _sorted_carrier(x: TypeName, c: Sequence, key=None) -> List:
@@ -474,13 +504,15 @@ def enumerate_models(s: Specification,
     cells of its tables, tables by term name and entries by the repr of
     their key, are a key in ``canonical()`` order.  The key is read off
     the cells as the search finds the model; no model is turned into a
-    ``canonical()`` tuple.
+    ``canonical()`` tuple, and the cells set before the search, the same
+    in every model, are left out of the key.
     """
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
     cells, order, tables, model, check, _off = built
-    canon, at = _canonical_cells(tables), cells.val.__getitem__
+    at = cells.val.__getitem__
+    canon = [c for c in _canonical_cells(tables) if at(c) < 0]
     keyed: List[Tuple[Tuple[int, ...], FiniteModel]] = []
 
     def emit() -> None:
@@ -644,6 +676,61 @@ def pass_parameter(d: DecoratedSpecification, par: Parameterization,
     return FiniteModel(carriers, functions)
 
 
+def _unpass(d: DecoratedSpecification, par: Parameterization, m_0: FiniteModel,
+            base_carriers: Dict[TypeName, Sequence],
+            family: Sequence[FiniteModel]) -> FiniteModel:
+    """The model of P(d) over m_0 whose slice at i is the model family[i]
+    of d, so that ``pass_parameter`` at i gives family[i] back.  It is
+    built without a search: the pure tables from m_0 (the identities,
+    collapsings and projections of d are pure), each f'(i, x) from
+    family[i]'s f(x), the projections of each A*X by coordinates, and
+    each composite and tuple from its mark once the tables it reads are
+    built.  The ``_model_check`` of P(d) then gates it once.
+
+    A type that both ``base_carriers`` and m_0 give takes the base
+    carrier, as in ``_model_cells``.  m_0 must give every pure table at
+    every element of its domain; ``Unassigned`` names the first it lacks.
+    """
+    p = par.spec.base
+    carriers = derived_carriers(
+        p, {**{x: v for x, v in m_0.carriers.items() if x in p.types}, **base_carriers,
+            par.spec.parameter_type: tuple(range(len(family)))})
+    functions: Dict[TermName, Dict] = {}
+    for t in sorted(p.terms):
+        if t in d.base.terms and d.is_pure(t):
+            tab, dom = m_0.functions.get(t, {}), carriers[p.terms[t].dom]
+            lacks = [v for v in dom if v not in tab]
+            if lacks:
+                raise Unassigned(f"term {t}: m_0 has no value at {lacks[0]!r}")
+            functions[t] = {v: tab[v] for v in dom}
+    for f in sorted(d.general_terms()):
+        dom = carriers[d.base.terms[f].dom]
+        functions[par.lift[f]] = {(i, x): tab[x] for i, tab in
+                                  enumerate(e.functions[f] for e in family) for x in dom}
+    unbuilt = [t for t in p.terms if t not in functions]
+    for (pt, p1, p2) in p.products.values():
+        if p1 not in functions:   # A*X; the pure products are m_0's
+            functions[p1] = {v: v[0] for v in carriers[pt]}
+            functions[p2] = {v: v[1] for v in carriers[pt]}
+    marks = ([(c, f, g, False) for (f, g), c in p.compositions.items()]
+             + [(t, f, g, True) for (f, g), t in p.tuples.items()])
+    while True:   # in rounds, as one mark may read what another makes
+        ready = [m for m in marks if m[0] not in functions
+                 and m[1] in functions and m[2] in functions]
+        if not ready:
+            break
+        for r, f, g, pair in ready:
+            tf, tg = functions[f], functions[g]
+            functions[r] = {v: (tf[v], tg[v]) if pair else tg[tf[v]]
+                            for v in carriers[p.terms[f].dom]}
+    if any(t not in functions for t in unbuilt) or _model_check(p, carriers)(functions):
+        raise AssertionError("terminal model construction failed the model "
+                             "check or left a table unbuilt")
+    for t in unbuilt:   # after the given tables, in the order of P(d)'s terms
+        functions[t] = functions.pop(t)
+    return FiniteModel(carriers, functions)
+
+
 def terminal_model(d: DecoratedSpecification,
                    m_0: FiniteModel,
                    base_carriers: Dict[TypeName, Sequence],
@@ -653,36 +740,14 @@ def terminal_model(d: DecoratedSpecification,
     models of the plain specification extending ``m_0``, and a primed term
     applies the record's field.
 
-    Returns the model of the parameterized specification together with the
-    enumerated extension list (index i of the list is the carrier element i).
-
-    A type that both ``base_carriers`` and m_0 give takes the base
-    carrier, as in ``_model_cells``.  m_0 must give every pure table at
-    every element of its domain; ``Unassigned`` names the first it lacks.
+    Returns the model of the parameterized specification, ``_unpass`` of
+    the extensions, together with the enumerated extension list (index i
+    of the list is the carrier element i).  m_0 is as ``_unpass`` says.
     """
     if par is None:
         par = parameterize(d)
-    base = undecorate(d)
-    extensions = enumerate_models(base, base_carriers, fixed=m_0, cap=cap)
-    p = par.spec.base
-    carriers = derived_carriers(
-        p, {**{x: v for x, v in m_0.carriers.items() if x in p.types}, **base_carriers,
-            par.spec.parameter_type: tuple(range(len(extensions)))})
-    functions: Dict[TermName, Dict] = {}
-    for t in sorted(p.terms):
-        if t in base.terms and d.is_pure(t):
-            tab, dom = m_0.functions.get(t, {}), carriers[p.terms[t].dom]
-            lacks = [v for v in dom if v not in tab]
-            if lacks:
-                raise Unassigned(f"term {t}: m_0 has no value at {lacks[0]!r}")
-            functions[t] = {v: tab[v] for v in dom}
-    for f in sorted(d.general_terms()):
-        functions[par.lift[f]] = {(i, x): e.apply(f, x) for i, e in enumerate(extensions)
-                                  for x in carriers[base.terms[f].dom]}
-    if not complete_tables(p, carriers, functions) or len(functions) != len(p.terms):
-        raise AssertionError("terminal model construction hit a mark conflict "
-                             "or left a table unfilled")
-    return FiniteModel(carriers, functions), extensions
+    extensions = enumerate_models(undecorate(d), base_carriers, fixed=m_0, cap=cap)
+    return _unpass(d, par, m_0, base_carriers, extensions), extensions
 
 
 def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,

@@ -318,3 +318,20 @@ def count_models_built(monkeypatch):
 
     monkeypatch.setattr(eqsketch.models, "FiniteModel", Counted)
     return built
+
+
+def complete_tables(s, carriers, functions) -> bool:
+    """Add to ``functions`` every missing table of s that the marks and
+    equations determine from the given ones; False on a conflict.  A cell
+    search over every table of s, on ``models._spec_cells``: the record
+    model was once completed by it, and the tests keep it as a reference."""
+    built = eqsketch.models._spec_cells(s, carriers, functions)
+    if built is None:
+        return False
+    cells, off = built
+    for t, term in s.terms.items():
+        dom, cod = carriers[term.dom], carriers[term.cod]
+        vals = cells.val[off[t]:off[t] + len(dom)]
+        if t not in functions and min(vals, default=0) >= 0:
+            functions[t] = dict(zip(dom, map(cod.__getitem__, vals)))
+    return True

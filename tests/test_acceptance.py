@@ -24,7 +24,7 @@ from eqsketch.errors import SearchSpaceTooLarge
 from eqsketch.inference import (STRUCTURAL_RULES, TriState, is_entailment,
                                 rule, apply_rule, terms_equal)
 from eqsketch.models import (UNIT_ELEMENT, FiniteModel, base_types,
-                             check_model, complete_tables, derived_carriers,
+                             check_model, derived_carriers,
                              enumerate_models, exactness_check, is_terminal,
                              pass_parameter, terminal_model)
 from eqsketch.parameterize import (check_ell_natural,
@@ -33,7 +33,7 @@ from eqsketch.parameterize import (check_ell_natural,
 from eqsketch.sketch import (check_realization, equational_sketch,
                              realization_to_spec, spec_to_realization)
 
-from conftest import CORPUS, DECORATED, criterion_5_cases
+from conftest import CORPUS, DECORATED, complete_tables, criterion_5_cases
 
 
 def _elapsed(t0, limit):

@@ -6,19 +6,19 @@ from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from eqsketch.core import TERM, RuleTag, Specification, mark_results
-from eqsketch.decorate import DecoratedSpecification, pure_part, purify
+from eqsketch.decorate import DecoratedSpecification, pure_part, purify, undecorate
 from eqsketch import models
 from eqsketch.errors import (EqsketchError, IncomparableCarrier, InvalidAlpha,
                              SearchSpaceTooLarge, Unassigned)
 from eqsketch.models import (UNIT_ELEMENT, ExactnessReport, FiniteModel,
-                             _least_model, base_types, check_model,
-                             complete_tables, derived_carriers,
+                             _least_model, _unpass, base_types, check_model,
+                             derived_carriers,
                              enumerate_models, exactness_check, hom_search,
                              is_terminal, pass_parameter, terminal_model)
 from eqsketch.parameterize import parameterize
 
-from conftest import (CORPUS, DECORATED, count_models_built, small_decorated_specs,
-                      small_specs)
+from conftest import (CORPUS, DECORATED, complete_tables, count_models_built,
+                      small_decorated_specs, small_specs)
 
 
 def _m0():
@@ -570,6 +570,73 @@ def test_model_finder_does_not_call_canonical(monkeypatch):
     assert exactness_check(d, m0, base).exact
 
 
+@pytest.mark.parametrize("name,table", [("product_heavy", "p1"), ("monoid_core", "id_M")])
+def test_models_own_the_tables_that_every_model_shares(name, table):
+    # the seeds set the projections and the identity before the search; a
+    # search reads them once and copies them into each model it lists
+    s = CORPUS[name]()
+    base = {x: (0, 1) for x in base_types(s)}
+    want = [m.canonical() for m in enumerate_models(s, base)]
+    assert len(want) > 2
+    for i in (0, 1, len(want) - 1):
+        ms = enumerate_models(s, base)
+        tab = ms[i].functions[table]
+        tab[next(iter(tab))] = JUNK
+        assert [m.canonical() for k, m in enumerate(ms) if k != i] == want[:i] + want[i + 1:]
+    assert [m.canonical() for m in enumerate_models(s, base)] == want
+
+
+@pytest.mark.parametrize("name", ["product_pair", "collapse"])
+def test_a_search_whose_tables_the_seeds_set_lists_its_one_model(name):
+    s = CORPUS[name]()
+    base = {x: (0, 1) for x in base_types(s)}
+    carriers = derived_carriers(s, base)
+    assert enumerate_models(s, base) == [FiniteModel(carriers, _structural_tables(s, carriers))]
+
+
+def test_every_model_of_a_search_is_gated(monkeypatch):
+    # the first model in full, the later ones on what reads a table that
+    # the seeds did not set: they set the projections of P and Q, and only
+    # c1 = p1 . t still reads one
+    s = CORPUS["product_heavy"]()
+    calls = []
+    build = models._model_check
+
+    def spy(spec, carriers):
+        check = build(spec, carriers)
+
+        def gate(functions):
+            calls.append(spec)
+            return check(functions)
+        return gate
+
+    monkeypatch.setattr(models, "_model_check", spy)
+    ms = enumerate_models(s, {x: (0, 1, 2) for x in base_types(s)})
+    assert len(calls) == len(ms) == 729
+    rest = calls[1]
+    assert calls[0] is s and all(spec is rest for spec in calls[1:])
+    assert sorted(rest.terms) == ["c1", "f", "g", "p1", "t"]
+    assert rest.products == {} and rest.tuples == s.tuples and rest.compositions == s.compositions
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SPECS))
+def test_the_check_of_the_later_models_rejects_what_the_full_check_does(name):
+    # a copy that keeps the tables the seeds set gets the same messages
+    # from the check without them as from the full check
+    s = CHECK_SPECS[name]()
+    shared = (set(s.identities.values()) | set(s.collapsings.values())
+              | mark_results(s, TERM, (RuleTag.BINARY_PRODUCT,)))
+    for m in enumerate_models(s, {x: (0, 1) for x in base_types(s)})[:3]:
+        full = models._model_check(s, m.carriers)
+        rest = models._model_check(models._unshared(s, shared), m.carriers)
+        assert rest(m.functions) == full(m.functions) == []
+        for label, bad in _tampered(s, m):
+            if (bad.carriers != m.carriers or bad.functions.keys() != m.functions.keys()
+                    or any(bad.functions[t] != m.functions[t] for t in shared)):
+                continue
+            assert rest(bad.functions) == full(bad.functions) != [], label
+
+
 def reference_exactness_check(d, m_0, base_carriers):
     """``exactness_check`` as it was before the equality keys: the
     extensions and the passed models matched by ``canonical()``."""
@@ -628,6 +695,77 @@ def test_terminal_model_requires_every_pure_table_of_m0_whole(d, m0, at):
     for build in (terminal_model, exactness_check):
         with pytest.raises(Unassigned, match=f"term {at}"):
             build(d, m0, {"X": (0, 1)})
+
+
+def reference_terminal_model(d, m_0, base_carriers, par=None,
+                             cap=models.DEFAULT_CANDIDATE_CAP):
+    """``terminal_model`` as it was before the record model was built from
+    its slices: the primed tables written from the extensions, and every
+    other table of P(d) filled by a cell search (``complete_tables``)."""
+    if par is None:
+        par = parameterize(d)
+    base = undecorate(d)
+    extensions = enumerate_models(base, base_carriers, fixed=m_0, cap=cap)
+    p = par.spec.base
+    carriers = derived_carriers(
+        p, {**{x: v for x, v in m_0.carriers.items() if x in p.types}, **base_carriers,
+            par.spec.parameter_type: tuple(range(len(extensions)))})
+    functions = {}
+    for t in sorted(p.terms):
+        if t in base.terms and d.is_pure(t):
+            tab, dom = m_0.functions.get(t, {}), carriers[p.terms[t].dom]
+            lacks = [v for v in dom if v not in tab]
+            if lacks:
+                raise Unassigned(f"term {t}: m_0 has no value at {lacks[0]!r}")
+            functions[t] = {v: tab[v] for v in dom}
+    for f in sorted(d.general_terms()):
+        functions[par.lift[f]] = {(i, x): e.apply(f, x) for i, e in enumerate(extensions)
+                                  for x in carriers[base.terms[f].dom]}
+    if not complete_tables(p, carriers, functions) or len(functions) != len(p.terms):
+        raise AssertionError("terminal model construction hit a mark conflict "
+                             "or left a table unfilled")
+    return FiniteModel(carriers, functions), extensions
+
+
+def _lifted_pure_composite():
+    """A general f after the pure composite hh = h . h: P(d) lifts hh to
+    hh . eps_X, pairs it with proj_X and marks f' after the pairing."""
+    s = Specification()
+    s.add_type("X")
+    for t in ("h", "hh", "f", "fhh"):
+        s.add_term(t, "X", "X")
+    s.compositions[("h", "h")] = "hh"
+    s.compositions[("hh", "f")] = "fhh"
+    return DecoratedSpecification(s, {"h", "hh"})
+
+
+RECORD_SPECS = {**DECORATED, "lifted_pure_composite": _lifted_pure_composite}
+
+
+def test_record_specs_lift_pairings_and_pure_composites():
+    p = parameterize(DECORATED["idempotent"]()).spec.base
+    assert p.tuples == {("proj_X", "s'"): "pair_proj_X_s'"}
+    assert p.compositions == {("pair_proj_X_s'", "s'"): "ss'"}
+    p = parameterize(_lifted_pure_composite()).spec.base
+    assert p.compositions[("eps_X", "hh")] == "hh_o_eps_X"
+
+
+def _assert_record_model_matches_reference(d, m0, base, par, cap=models.DEFAULT_CANDIDATE_CAP):
+    (got, got_ext), (want, want_ext) = (terminal_model(d, m0, base, par=par, cap=cap),
+                                        reference_terminal_model(d, m0, base, par=par, cap=cap))
+    assert got == want and got_ext == want_ext
+    assert list(got.functions) == list(want.functions)
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_SPECS))
+def test_terminal_model_matches_reference(kind):
+    d = RECORD_SPECS[kind]()
+    par, p0 = parameterize(d), pure_part(d)
+    for k in (1, 2, 3):
+        for xs in (tuple(range(k)), tuple(reversed(range(k)))):
+            base = {"X": xs}
+            for m0 in enumerate_models(p0, {x: v for x, v in base.items() if x in p0.types}):
+                _assert_record_model_matches_reference(d, m0, base, par)
 
 
 def reference_is_terminal(d, candidate, m_0, base_carriers, bound, par):
@@ -762,6 +900,43 @@ def test_is_terminal_matches_reference_on_generated_specs(case):
                 matching = sum(values(cand, r, n.carriers) == values(n, 0, n.carriers)
                                for r in cand.carriers[a_type])
                 assert len(hom_search(p, n, cand, fix)) == matching, label
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(terminality_cases())
+def test_terminal_model_matches_reference_on_generated_specs(case):
+    d, base, m0, par, _m_a, _at = case
+    _assert_record_model_matches_reference(d, m0, base, par, cap=64)
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_SPECS))
+def test_a_model_of_the_parameterized_spec_is_built_back_from_its_slices(kind):
+    # the lemma that is_terminal rests on: a model of P(d) over m_0 is the
+    # family of the models of d that parameter passing reads off its slices
+    d = RECORD_SPECS[kind]()
+    par, p0 = parameterize(d), pure_part(d)
+    p, a_type = par.spec.base, par.spec.parameter_type
+    for xs in ((0,), (0, 1)):
+        base = {"X": xs}
+        for m0 in enumerate_models(p0, {x: v for x, v in base.items() if x in p0.types}):
+            for k in (1, 2):
+                ns = enumerate_models(p, {**base, a_type: tuple(range(k))}, fixed=m0)
+                assert ns
+                for n in ns:
+                    family = [pass_parameter(d, par, n, a) for a in range(k)]
+                    assert _unpass(d, par, m0, base, family) == n
+
+
+def test_a_family_that_is_no_model_of_d_builds_no_model():
+    # s = (0 1) is not idempotent: the family's ss is not s . s, so ss'
+    # breaks its mark s' . <proj_X, s'> = ss' and the one check rejects it
+    d, m0, base = DECORATED["idempotent"](), _m0(), {"X": (0, 1)}
+    par = parameterize(d)
+    swap = FiniteModel({"U": (UNIT_ELEMENT,), "X": (0, 1)},
+                       {"e": {(): 0}, "s": {0: 1, 1: 0}, "ss": {0: 1, 1: 0}})
+    assert check_model(d.base, swap) != []
+    with pytest.raises(AssertionError, match="failed the model check"):
+        _unpass(d, par, m0, base, [swap])
 
 
 def _slice(p, a_type, n, a, carriers):
