@@ -114,9 +114,10 @@ TYPE, TERM = "type", "term"
 
 class MarkKind(NamedTuple):
     """How a ``Specification`` stores the marks of one kind: the dict in
-    its field ``store`` maps each site to its results, a lone argument or
-    result standing bare; the terminal mark, with no arguments, is its
-    lone result in the field ``terminal``, or None there."""
+    its field ``store`` maps each site, one argument or a pair, to its
+    results, a lone argument or result standing bare; the terminal mark,
+    with no arguments, is its lone result in the field ``terminal``, or
+    None there."""
     name: str                  # as messages name the kind
     noun: str                  # as messages name a term that the kind makes
     store: str
@@ -147,6 +148,21 @@ class MarkKind(NamedTuple):
         if self.results == (sort,):
             return list(held.values())
         return [r[i] for r in held.values() for i, of in enumerate(self.results) if of == sort]
+
+    def copy(self, s: Specification, out: Specification, maps: Dict[str, Dict[str, str]]) -> None:
+        """Set in out every mark of this kind in s, its names renamed by a
+        map of each sort."""
+        held = getattr(s, self.store)
+        if not isinstance(held, dict):
+            if held is not None:
+                self.set(out, (), (maps[self.results[0]][held],))
+            return
+        a, r0 = maps[self.args], maps[self.results[0]]
+        store = getattr(out, self.store)
+        for site, r in held.items():
+            store[(a[site[0]], a[site[1]]) if isinstance(site, tuple) else a[site]] = (
+                tuple(maps[sort][x] for sort, x in zip(self.results, r))
+                if isinstance(r, tuple) else r0[r])
 
     def get(self, s: Specification, site: tuple) -> Optional[tuple]:
         """The results of the mark at the site, or None."""
@@ -372,74 +388,163 @@ class _UnionFind:
         return out
 
 
+def _clash_sites(kind: MarkKind, s: Specification, side: int,
+                 classes: Dict[str, object]) -> List[Tuple[tuple, tuple]]:
+    """The marks of one kind that side ``side`` of a pushout holds and that
+    can clash: the terminal mark, and each mark with an argument among the
+    side's glued names, which ``classes`` maps to their classes.  Each is
+    given as (its site, the kind's store and the class of each argument,
+    an unglued name being its own (side, name) class; its results)."""
+    held = getattr(s, kind.store)
+    if not isinstance(held, dict):
+        return [] if held is None else [((kind.store,), (held,))]
+    out = []
+    for site, r in held.items():
+        if isinstance(site, tuple):
+            x, y = site
+            if x in classes or y in classes:
+                out.append(((kind.store, classes.get(x) or (side, x), classes.get(y) or (side, y)),
+                            r if isinstance(r, tuple) else (r,)))
+        elif site in classes:
+            out.append(((kind.store, classes[site]), (r,)))
+    return out
+
+
+def _fresh_classes(name: Dict[object, str], shared: Set[str],
+                   glued: Tuple[Dict[str, object], Dict[str, object]],
+                   ns1: Iterable[str], ns2: Iterable[str]) -> None:
+    """Rename in ``name`` the classes of one sort whose least name another
+    class shares, or extends such a name with "~": each is made fresh by
+    ``fresh_name`` in the order of ``pushout``'s docstring.
+
+    ``name`` maps each glued class, keyed by its root, to its least name.
+    A name that no side glues is a class of its own, keyed by its
+    (side, name) node, and enters ``name`` here.  ``glued`` maps each
+    side's glued names to their roots, and ``ns1`` and ``ns2`` are the
+    sides' names of the sort.
+    """
+    # each class's members, in the order in which the sides' names meet it
+    classes: Dict[object, List[str]] = {}
+    for side, ns in enumerate((ns1, ns2)):
+        for n in ns:
+            classes.setdefault(glued[side].get(n, (side, n)), []).append(n)
+    prefixes = tuple(m + "~" for m in shared)
+    renamable = [(c, sorted(ms)) for c, ms in classes.items()
+                 if min(ms) in shared or min(ms).startswith(prefixes)]
+    taken: Set[str] = set()
+    # by their sorted member names; the stable sort keeps ties in the order met
+    for c, members in sorted(renamable, key=lambda cm: cm[1]):
+        name[c] = nm = fresh_name(members[0], taken)
+        taken.add(nm)
+
+
 def pushout(f: SpecMorphism, g: SpecMorphism) -> Tuple[Specification, SpecMorphism, SpecMorphism]:
     """Pushout of the span  S1 <- S0 -> S2  in the category of specifications.
 
     Merged sites that would receive two marks have their result terms
     identified (the quotient is pushed further), so the "at most one mark
     per site" invariant is kept and the universal property holds.
+
+    Each class of names is named by its least member, made fresh by
+    ``fresh_name`` in the order of the classes sorted by their sorted
+    member names; classes that tie keep the order in which side 1's names
+    and then side 2's, each in insertion order, first meet them.
+
+    The work grows with the part that S0 glues, plus one renamed copy of
+    each side.  Only the names that S0 glues or a clash merges enter the
+    union-find.  A merge pass visits only the terminal marks and the marks
+    with a glued argument: a side holds one mark per site, so no other
+    mark can clash.  ``fresh_name`` can rename only a class whose least
+    name another class shares, or that extends such a name with "~", so
+    the ordered pass runs over those classes alone.  The copy renames each
+    side's names, marks and equations, and reuses every term whose name,
+    dom and cod stay.
     """
     s0 = f.source
     if not spec_equal(s0, g.source):
         raise SourceTargetMismatch("pushout legs must share their source")
-    sides = {1: f.target, 2: g.target}
+    sides = (f.target, g.target)
+    # the union-find of the glued (side, name) nodes, by sort
     uf = {TYPE: _UnionFind(), TERM: _UnionFind()}
     for x in s0.types:
-        uf[TYPE].union((1, f.type_map[x]), (2, g.type_map[x]))
+        uf[TYPE].union((0, f.type_map[x]), (1, g.type_map[x]))
     for t in s0.terms:
-        uf[TERM].union((1, f.term_map[t]), (2, g.term_map[t]))
+        uf[TERM].union((0, f.term_map[t]), (1, g.term_map[t]))
+    # each side's kinds of mark that it holds
+    kinds = [[kind for kind in MARK_KINDS.values() if getattr(sp, kind.store)] for sp in sides]
 
-    # every mark of both sides, tagged once: (kind, its arguments and its
-    # results with their sorts, each name tagged with its side)
-    tagged = [(tag, kind, tuple((side, a) for a in args),
-               tuple(zip(kind.results, ((side, r) for r in results))))
-              for side, sp in sides.items() for tag, kind in MARK_KINDS.items()
-              for args, results in kind.marks(sp)]
     # merge marks at identified sites until stable: each result is
     # identified with the same result of the first mark seen at its site
     changed = True
     while changed:
         changed = False
         first: Dict[object, tuple] = {}
-        for tag, kind, args, results in tagged:
-            seen = first.setdefault((tag, tuple(map(uf[kind.args].find, args))), results)
-            if seen is not results:
-                for (sort, a), (_sort, b) in zip(seen, results):
-                    if uf[sort].union(a, b):
-                        changed = True
+        # each side's glued names and their classes, by sort
+        roots = ({TYPE: {}, TERM: {}}, {TYPE: {}, TERM: {}})
+        for sort, u in uf.items():
+            for node in u.parent:
+                roots[node[0]][sort][node[1]] = u.find(node)
+        for side, sp in enumerate(sides):
+            for kind in kinds[side]:
+                for site, results in _clash_sites(kind, sp, side, roots[side][kind.args]):
+                    mark = (side, results)
+                    seen = first.setdefault(site, mark)
+                    if seen is not mark:
+                        for sort, a, b in zip(kind.results, seen[1], results):
+                            if uf[sort].union((seen[0], a), (side, b)):
+                                changed = True
 
-    # name each class by its least member, made fresh; deterministic, as
-    # the classes are sorted by their sorted member names
-    named: Dict[str, Dict[Tuple[int, str], str]] = {TYPE: {}, TERM: {}}
-    for sort, field in ((TYPE, "types"), (TERM, "terms")):
-        members = [(side, n) for side, sp in sides.items() for n in getattr(sp, field)]
-        taken: Set[str] = set()
-        for vs in sorted(uf[sort].classes(members).values(),
-                         key=lambda vs: sorted(n for _s, n in vs)):
-            nm = fresh_name(min(n for _s, n in vs), taken)
-            taken.add(nm)
-            named[sort].update(dict.fromkeys(vs, nm))
-    # each side's names in the pushout, by sort
-    names = {side: {TYPE: {x: named[TYPE][side, x] for x in sp.types},
-                    TERM: {t: named[TERM][side, t] for t in sp.terms}}
-             for side, sp in sides.items()}
+    # name each class by its least member, and note each side's renamed
+    # names, by sort; the roots of the last merge pass are the classes
+    renamed = ({TYPE: {}, TERM: {}}, {TYPE: {}, TERM: {}})
+    for sort, ns1, ns2 in ((TYPE, sides[0].types, sides[1].types),
+                           (TERM, sides[0].terms.keys(), sides[1].terms.keys())):
+        glued = (roots[0][sort], roots[1][sort])
+        name: Dict[object, str] = {}
+        for side_roots in glued:
+            for n, c in side_roots.items():
+                if c not in name or n < name[c]:
+                    name[c] = n
+        # the least names of two classes: a name that both sides hold in
+        # two classes, each of which it is the least member of
+        shared = set()
+        for m in ns1 & ns2:
+            c1, c2 = glued[0].get(m), glued[1].get(m)
+            if (c1 is None or c1 != c2) and name.get(c1, m) == m == name.get(c2, m):
+                shared.add(m)
+        if shared:
+            _fresh_classes(name, shared, glued, ns1, ns2)
+        for side, side_roots in enumerate(glued):
+            for n, c in side_roots.items():
+                if name[c] != n:
+                    renamed[side][sort][n] = name[c]
+        for (side, n), nm in name.items():
+            if n not in glued[side] and nm != n:
+                renamed[side][sort][n] = nm
 
+    # one copy of each side under its renaming
     out = Specification()
-    for side, sp in sides.items():
-        nt, nm = names[side][TYPE], names[side][TERM]
-        for x in sp.types:
-            out.add_type(nt[x])
-        for t in sp.terms.values():
-            out.add_term(nm[t.name], nt[t.dom], nt[t.cod])
+    maps = []
+    for side, sp in enumerate(sides):
+        rt, rm = renamed[side][TYPE], renamed[side][TERM]
+        tmap = dict(zip(sp.types, sp.types))
+        tmap.update(rt)
+        mmap = dict(zip(sp.terms, sp.terms))
+        mmap.update(rm)
+        maps.append((tmap, mmap))
+        out.types.update(tmap.values())
+        for n, t in sp.terms.items():
+            if n in rm or t.dom in rt or t.cod in rt:
+                t = Term(mmap[n], tmap[t.dom], tmap[t.cod])
+            out.terms[t.name] = t
         for (t1, t2) in sp.equations:
-            out.add_equation(nm[t1], nm[t2])
-    for _tag, kind, args, results in tagged:
-        kind.set(out, tuple(named[kind.args][a] for a in args),
-                 tuple(named[sort][r] for sort, r in results))
+            out.add_equation(mmap[t1], mmap[t2])
+        image = {TYPE: tmap, TERM: mmap}
+        for kind in kinds[side]:
+            kind.copy(sp, out, image)
 
-    in1 = SpecMorphism(sides[1], out, names[1][TYPE], names[1][TERM])
-    in2 = SpecMorphism(sides[2], out, names[2][TYPE], names[2][TERM])
-    return out, in1, in2
+    (t1, m1), (t2, m2) = maps
+    return out, SpecMorphism(sides[0], out, t1, m1), SpecMorphism(sides[1], out, t2, m2)
 
 
 def coproduct(s1: Specification, s2: Specification):

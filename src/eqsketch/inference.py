@@ -120,8 +120,9 @@ def apply_rule(r: InferenceRule, s: Specification,
     The returned morphism s -> s' is an entailment by construction."""
     if not spec_equal(match.source, r.hypothesis) or not spec_equal(match.target, s):
         raise NoMatch("match must go from the rule's hypothesis into the specification")
-    if validate_morphism(match):
-        raise NoMatch("; ".join(validate_morphism(match)))
+    errs = validate_morphism(match)
+    if errs:
+        raise NoMatch("; ".join(errs))
     _out, _in1, in2 = pushout(r.inclusion, match)
     return _out, in2
 

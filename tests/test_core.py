@@ -14,7 +14,7 @@ from eqsketch.core import (MARK_KINDS, TERM, TYPE, IsoResult, RuleTag, Specifica
                            pushout_universal_check, spec_equal, validate,
                            validate_morphism)
 from eqsketch.errors import SourceTargetMismatch
-from eqsketch.inference import STRUCTURAL_RULES, rule, saturate
+from eqsketch.inference import STRUCTURAL_RULES, compose_fractions, rule, saturate
 from eqsketch.yoneda import ElementaryPoint, elementary
 
 from conftest import CORPUS, small_specs
@@ -403,6 +403,153 @@ def clashing_spans(draw):
 @given(clashing_spans())
 def test_pushout_matches_reference_on_clashing_spans(span):
     _assert_pushouts_agree(*span)
+
+
+# a base name, the names that fresh_name makes from it, and a name that
+# sorts between them, for terms and for types
+_COLLIDING_TERMS = ("f", "f~1", "f~1~1", "f0", "g")
+_COLLIDING_TYPES = ("X", "X~1", "X0")
+
+
+@st.composite
+def colliding_spans(draw):
+    """Spans whose sides draw their names from one small pool.  The sides
+    share names, hold the names that fresh_name makes (f~1, f~1~1) and
+    one that sorts among them (f0), and carry marks that the gluing can
+    make clash.  Each term of S0 is sent to a drawn term of each side, so
+    a leg is often not injective, and two terms of S0 often glue a to b
+    and b to a, which makes two classes with equal sorted member names;
+    a name on both sides that neither glues makes two more."""
+
+    def side() -> Specification:
+        s = Specification()
+        for x in draw(st.lists(st.sampled_from(_COLLIDING_TYPES), min_size=1, unique=True)):
+            s.add_type(x)
+        types = sorted(s.types)
+        for n in draw(st.lists(st.sampled_from(_COLLIDING_TERMS), min_size=2, unique=True)):
+            s.add_term(n, draw(st.sampled_from(types)), draw(st.sampled_from(types)))
+        terms = list(s.terms)
+
+        def pick(dom, cod):
+            """A drawn term dom -> cod, or None."""
+            ts = [t for t in terms if (s.terms[t].dom, s.terms[t].cod) == (dom, cod)]
+            return draw(st.sampled_from(ts)) if ts and draw(st.booleans()) else None
+
+        for x in types:
+            i = pick(x, x)
+            if i is not None:
+                s.identities[x] = i
+        composable = [(a, b) for a in terms for b in terms if s.terms[a].cod == s.terms[b].dom]
+        for a, b in draw(st.lists(st.sampled_from(composable), max_size=3, unique=True)
+                         if composable else st.just([])):
+            c = pick(s.terms[a].dom, s.terms[b].cod)
+            if c is not None:
+                s.compositions[(a, b)] = c
+        if draw(st.booleans()):
+            y1, y2, p = (draw(st.sampled_from(types)) for _ in range(3))
+            p1, p2 = pick(p, y1), pick(p, y2)
+            if p1 is not None and p2 is not None:
+                s.products[(y1, y2)] = (p, p1, p2)
+        if draw(st.booleans()):
+            s.terminal = draw(st.sampled_from(types))
+            for x in types:
+                c = pick(x, s.terminal)
+                if c is not None:
+                    s.collapsings[x] = c
+        for a, b in draw(st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(terms)),
+                                  max_size=2)):
+            if s.parallel(a, b):
+                s.add_equation(a, b)
+        assert validate(s) == []
+        return s
+
+    s1, s2 = side(), side()
+    s0 = Specification()
+    maps = ({}, {}), ({}, {})
+    glued = draw(st.lists(st.tuples(st.sampled_from(sorted(s1.terms)),
+                                    st.sampled_from(sorted(s2.terms))), max_size=2))
+    both = sorted(set(s1.terms) & set(s2.terms))
+    if len(both) > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(both), min_size=2, max_size=2, unique=True))
+        glued += [(a, b), (b, a)]
+    for i, images in enumerate(glued):
+        d, c, t = f"d{i}", f"c{i}", f"t{i}"
+        s0.add_type(d)
+        s0.add_type(c)
+        s0.add_term(t, d, c)
+        for (tm, mm), sp, u in zip(maps, (s1, s2), images):
+            tm.update({d: sp.terms[u].dom, c: sp.terms[u].cod})
+            mm[t] = u
+    for i in range(draw(st.integers(0, 2))):
+        s0.add_type(f"x{i}")
+        for (tm, _mm), sp in zip(maps, (s1, s2)):
+            tm[f"x{i}"] = draw(st.sampled_from(sorted(sp.types)))
+    (t1, m1), (t2, m2) = maps
+    return SpecMorphism(s0, s1, t1, m1), SpecMorphism(s0, s2, t2, m2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_spans())
+def test_pushout_matches_reference_on_colliding_names(span):
+    for leg in span:
+        assert validate_morphism(leg) == []
+    _assert_pushouts_agree(*span)
+
+
+def test_pushout_names_tied_classes_in_the_order_the_sides_meet_them():
+    # S0 glues a to b and b to a: the two classes both have the sorted
+    # member names [a, b], and the one that side 1's names meet first is a
+    for order, want in ((("a", "b"), {"a": "a", "b": "a~1"}),
+                        (("b", "a"), {"a": "a~1", "b": "a"})):
+        s1 = Specification(types={"X"})
+        for n in order:
+            s1.add_term(n, "X", "X")
+        s2 = Specification(types={"X"})
+        for n in ("a", "b"):
+            s2.add_term(n, "X", "X")
+        s0 = Specification(types={"X"})
+        s0.add_term("u", "X", "X")
+        s0.add_term("v", "X", "X")
+        f = SpecMorphism(s0, s1, {"X": "X"}, {"u": "a", "v": "b"})
+        g = SpecMorphism(s0, s2, {"X": "X"}, {"u": "b", "v": "a"})
+        _assert_pushouts_agree(f, g)
+        assert pushout(f, g)[1].term_map == want
+
+
+# matches into each saturation of at most this many, spread over its matches
+_SATURATED_MATCHES = 40
+
+
+@pytest.mark.parametrize("tag", STRUCTURAL_RULES)
+def test_pushout_matches_reference_on_saturated_rule_matches(tag):
+    # the second side is the depth-1 saturation of each corpus spec, of up
+    # to 79 terms, so merges and renamings reach well past the corpus
+    r = rule(tag)
+    for name, mk in CORPUS.items():
+        s = saturate(mk(), 1).spec
+        matches = [m for m in _maps(r.hypothesis, s) if not validate_morphism(m)]
+        assert matches, name
+        for match in matches[::-(-len(matches) // _SATURATED_MATCHES)]:
+            _assert_pushouts_agree(r.inclusion, match)
+
+
+@pytest.mark.parametrize("first, second", [
+    (RuleTag.IDENTITY, RuleTag.TERMINAL_TYPE),
+    (RuleTag.BINARY_TUPLE, RuleTag.BINARY_PRODUCT),
+    (RuleTag.COLLAPSING, RuleTag.TERMINAL_TYPE),
+])
+def test_compose_fractions_matches_reference_pushout(first, second):
+    # the second rule concludes the first one's hypothesis, so the
+    # fractions compose
+    rho1, rho2 = rule(first).fraction(), rule(second).fraction()
+    got = compose_fractions(rho1, rho2)
+    _p, q1, q2 = reference_pushout(rho1.denominator, rho2.numerator)
+    want = (compose(rho1.numerator, q1), compose(rho2.denominator, q2))
+    for leg, ref in zip((got.numerator, got.denominator), want):
+        assert validate_morphism(leg) == []
+        assert spec_equal(leg.source, ref.source) and spec_equal(leg.target, ref.target)
+        assert (leg.type_map, leg.term_map) == (ref.type_map, ref.term_map)
+    assert got.denominator_is_entailment
 
 
 def _tampered(s):
