@@ -381,12 +381,6 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
-    def classes(self, items):
-        out: Dict[object, List[object]] = {}
-        for x in items:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
 
 def _clash_sites(kind: MarkKind, s: Specification, side: int,
                  classes: Dict[str, object]) -> List[Tuple[tuple, tuple]]:

@@ -548,8 +548,9 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     toward the cap as fixed tables do, and a carrier that the target
     forces otherwise gives no extension, decided before the cap.  Each
     source model seeds its rows into the image tables; the search finds
-    up to 2 - count extensions, read off the cells whole and gated by the
-    target's ``_model_check``, and the cells are undone to the trail mark."""
+    up to 2 - count extensions, each built from its key on the cells and
+    gated by the target's ``_model_check``, and the cells are undone to
+    the trail mark."""
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
     choices = list(_carrier_choices([x for x in models.base_types(s) if x not in image],
@@ -565,12 +566,12 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
         targets: list = []   # by extra choice: cells, None, or SearchSpaceTooLarge
 
         def extensions(target, row, limit: int) -> int:
-            cells, order, _tables, model, check, off = target
+            cells, order, _tables, _canon, key, model, check, off = target
             mark, found = len(cells.trail), 0
 
             def emit() -> bool:
                 nonlocal found
-                found += not check(model().functions)
+                found += not check(model(key(cells.val)).functions)
                 return found == limit
 
             if cells.assign([(off[u] + v, r) for u, t in given.items()

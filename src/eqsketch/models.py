@@ -358,25 +358,47 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     ``fixed``, with the marked structure and the entries of the fixed
     tables set (None when they conflict); the order the search assigns
     them in; every table, by name, as (term, first cell, sorted domain,
-    value of a rank); a function that reads the model, every table of
-    it, off the cells once all are set; the ``_model_check`` of the
-    carriers, which gates every model read off; and the first cell of
-    every table.  No caller undoes the cells that the seeds set, so the
-    tables whose cells they all set are the same in every model.  From
-    the second model on, those are read once and copied into each model,
-    and once a model has passed the check in full, the gate is the
-    ``_model_check`` of ``_unshared``.  ``cap`` is checked as
+    value of a rank); the cells of the key; the key, a function that
+    reads a candidate's key off the values of the cells; the builder,
+    which makes the model of a key; the gate, which checks a model built;
+    and the first cell of every table.  ``cap`` is checked as
     ``enumerate_models`` says.  The entries a fixed table lacks are
     searched without counting toward the cap; a fixed table given empty
-    leaves all its cells to the search or to the caller to seed.  A fixed entry outside the domain is ignored.
+    leaves all its cells to the search or to the caller to seed.  A fixed
+    entry outside the domain is ignored.
+
+    The key of a candidate is its values, as ranks, at the cells that the
+    seeds leave unset, in the order in which ``canonical()`` compares two
+    models: tables by term name, entries by the repr of their key (the
+    tables over one domain share its order).  As the cells hold ranks,
+    keys sort in ``canonical()`` order.  No caller undoes the cells that
+    the seeds set, so a key and those cells give the whole model.  A
+    table's cells in the key are one run of it, the table's row; the
+    plan, made once per search, holds the run of every table and where
+    its row's values go.  A table whose cells the seeds all set (an
+    identity, a projection, a collapsing, a whole fixed table) has the
+    empty row, so its dict is built once, for the first model, and copied
+    into every later one; a searched table has all its cells in its row,
+    and a partly fixed one mixes its seeded cells with its row.  The
+    builder keeps a memo of each table's rows: a row is made into a dict
+    once, and every model gets its own copy, so no two models share a
+    table.  Every caller builds through it, passing the key read off the
+    cells once they are all set.
+
+    The gate is the ``_model_check`` of the carriers.  Once a model has
+    passed it, the tables of the empty row, the same in every model, are
+    known to pass, so from the next model on the gate is the
+    ``_model_check`` of ``_unshared``, built then.
 
     The cells work on the sorted carriers: a table's cells are its
     entries in the sorted order of its domain, and a cell's value is the
     rank of the entry's value in the sorted carrier of the codomain.  The
-    models read off keep the carriers as given.  A carrier whose elements
-    do not compare raises ``IncomparableCarrier``.  ``carriers``, when
-    given, are the ``derived_carriers`` of the base carriers and ``fixed``'s,
-    which are then not derived again."""
+    models built keep the carriers as given, in their derived order, the
+    tables by term name and each table's entries in the sorted order of
+    its domain.  A carrier whose elements do not compare raises
+    ``IncomparableCarrier``.  ``carriers``, when given, are the
+    ``derived_carriers`` of the base carriers and ``fixed``'s, which are
+    then not derived again."""
     fixed_carriers, fixed_funcs = (fixed.carriers, fixed.functions) if fixed else ({}, {})
     if carriers is None:
         carriers = derived_carriers(s, {**fixed_carriers, **base_carriers})
@@ -401,32 +423,50 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
     tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__) for t in terms]
-    gate, seeded = _model_check(s, carriers), len(cells.trail)
-    shared: Dict[TermName, Dict] = {}
-    built, passed = 0, False
+    # the plan: each table with the run a:b of its row in the key, the memo
+    # of its rows, its seeded ranks, and the indices its row's values go to
+    canon: List[int] = []
+    plan, shared = [], set()
+    orders: Dict[Tuple, List[int]] = {}   # the repr order of each domain
+    for t, start, xs, cod in tables:
+        seeded = val[start:start + len(xs)]
+        if xs not in orders:
+            orders[xs] = _repr_order(xs)
+        free = [v for v in orders[xs] if seeded[v] < 0]
+        if not free:   # the seeds set the table: its row is empty
+            shared.add(t)
+        plan.append((t, len(canon), len(canon) + len(free), {}, xs, cod, seeded, free))
+        canon += [start + v for v in free]
+    if len(canon) > 1:
+        key = itemgetter(*canon)
+    else:
+        key = (lambda v: (v[canon[0]],)) if canon else (lambda v: ())
 
-    def model() -> FiniteModel:
-        nonlocal built, gate
-        built += 1
-        if built == 2:   # the tables that the seeds set whole, read once
-            preset = set(cells.trail[:seeded])
-            shared.update((t, dict(zip(xs, map(cod, val[start:start + len(xs)]))))
-                          for t, start, xs, cod in tables
-                          if preset.issuperset(range(start, start + len(xs))))
-            if passed and shared:
-                gate = _model_check(_unshared(s, shared.keys()), carriers)
-        return FiniteModel(dict(carriers), {
-            t: shared[t].copy() if t in shared
-            else dict(zip(xs, map(cod, val[start:start + len(xs)])))
-            for t, start, xs, cod in tables})
+    def model(k: Tuple[int, ...]) -> FiniteModel:
+        functions = {}
+        for t, a, b, memo, xs, cod, seeded, free in plan:
+            row = k[a:b]
+            tab = memo.get(row)
+            if tab is None:
+                ranks = seeded.copy()
+                for v, r in zip(free, row):
+                    ranks[v] = r
+                tab = memo[row] = dict(zip(xs, map(cod, ranks)))
+            functions[t] = tab.copy()
+        return FiniteModel(dict(carriers), functions)
+
+    full = gate = _model_check(s, carriers)
+    later = False
 
     def check(functions: Dict[TermName, Dict]) -> List[str]:
-        nonlocal passed
+        nonlocal gate, later
+        if later:
+            gate, later = _model_check(_unshared(s, shared), carriers), False
         errs = gate(functions)
-        passed = passed or not errs
+        later = not errs and gate is full and bool(shared)
         return errs
 
-    return cells, order, tables, model, check, off
+    return cells, order, tables, canon, key, model, check, off
 
 
 def _unshared(s: Specification, shared) -> Specification:
@@ -475,14 +515,6 @@ def _ranks(x: TypeName, c: Sequence) -> List[int]:
     return out
 
 
-def _canonical_cells(tables) -> List[int]:
-    """The cells of ``_model_cells``'s tables in the order in which
-    ``canonical()`` compares two models, fixed entries as constants:
-    tables by term name, entries by the repr of their key.  As the cells
-    hold ranks, the models compare as their values at these cells."""
-    return [start + v for _t, start, xs, _cod in tables for v in _repr_order(xs)]
-
-
 def enumerate_models(s: Specification,
                      base_carriers: Dict[TypeName, Sequence],
                      fixed: Optional[FiniteModel] = None,
@@ -499,30 +531,28 @@ def enumerate_models(s: Specification,
     the terms that no mark and no fixed table determine, so the missing
     entries of a fixed table do not count toward it.
 
-    Sorted by ``canonical()``, on any carriers.  A cell holds the rank of
-    its value in the sorted carrier, so the values of a model at the
-    cells of its tables, tables by term name and entries by the repr of
-    their key, are a key in ``canonical()`` order.  The key is read off
-    the cells as the search finds the model; no model is turned into a
-    ``canonical()`` tuple, and the cells set before the search, the same
-    in every model, are left out of the key.
+    Sorted by ``canonical()``, on any carriers.  The search records only
+    the key of each model it finds (``_model_cells``): its values, as
+    ranks in the sorted carriers, at the cells that the seeds leave
+    unset, tables by term name and entries by the repr of their key,
+    which is ``canonical()`` order.  No model is turned into a
+    ``canonical()`` tuple.  The keys are sorted, and then each model is
+    built from its key, each distinct table row once, and gated once:
+    the first in full, the later ones on what ``_unshared`` leaves.
     """
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, tables, model, check, _off = built
-    at = cells.val.__getitem__
-    canon = [c for c in _canonical_cells(tables) if at(c) < 0]
-    keyed: List[Tuple[Tuple[int, ...], FiniteModel]] = []
-
-    def emit() -> None:
-        m = model()
+    cells, order, _tables, _canon, key, model, check, _off = built
+    val, keys = cells.val, []
+    cells.solve(order, lambda: keys.append(key(val)))
+    keys.sort()
+    out = []
+    for k in keys:
+        m = model(k)
         if not check(m.functions):
-            keyed.append((tuple(map(at, canon)), m))
-
-    cells.solve(order, emit)
-    keyed.sort(key=itemgetter(0))
-    return [m for _key, m in keyed]
+            out.append(m)
+    return out
 
 
 def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
@@ -538,16 +568,16 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     sorted order of t's domain.  Only the answer is built as a
     ``FiniteModel``, and the ``_model_check`` of the carriers gates it.
 
-    A first-hit search finds a witness.  Then each cell, in the order of
-    ``canonical()`` (``_canonical_cells``), gets the least value that a
-    first-hit search from the cells set so far can still complete to a
-    candidate that ``accept`` takes; values from the witness's up need
-    no search.
+    A first-hit search finds a witness.  Then each cell of the key of
+    ``_model_cells``, in the order of ``canonical()``, gets the least
+    value that a first-hit search from the cells set so far can still
+    complete to a candidate that ``accept`` takes; values from the
+    witness's up need no search.
     """
     built = _model_cells(s, base_carriers, None, cap, carriers)
     if built is None:
         return None
-    cells, order, tables, model, check, _off = built
+    cells, order, tables, canon, key, model, check, _off = built
     val = cells.val
     rows = {t: slice(start, start + len(xs)) for t, start, xs, _cod in tables}
 
@@ -566,7 +596,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     w = witness()
     if w is None:
         return None
-    for cell in _canonical_cells(tables):
+    for cell in canon:
         if val[cell] >= 0:
             continue
         for x in range(w[cell]):
@@ -580,7 +610,7 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
         else:
             if not cells.assign([(cell, w[cell])]):
                 raise AssertionError("a witness cell conflicts with the cells set before it")
-    m = model()
+    m = model(key(val))
     errs = check(m.functions)
     if errs:
         raise AssertionError(f"least model search produced a non-model: {errs[0]}")
@@ -797,7 +827,7 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
             or any(t not in candidate.functions for t in p.terms)
             or bound >= 1 and check_model(p, candidate)):
         return False
-    fix = sorted(x for x in p.types if x != a_type and x in base_types(p))
+    fix = [x for x in base_types(p) if x != a_type]
     if any(len(hom_search(p, n, candidate, fix)) != 1
            for n in enumerate_models(p, {**base_carriers, a_type: ()}, fixed=m_0, cap=cap)):
         return False
@@ -806,7 +836,7 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     built = _model_cells(d.base, base_carriers, m_0, cap)
     if built is None:
         return True
-    cells, order, tables, model, check, _off = built
+    cells, order, tables, _canon, key, model, check, _off = built
     val, recs = cells.val, candidate.carriers[a_type]
     # one column per entry (f, x) of a general table, by record
     general = [(start + v, cod, candidate.functions[par.lift[t]], x)
@@ -815,8 +845,8 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
                       if general else [()] * len(recs))
 
     def fails() -> bool:
-        key = tuple([cod(val[c]) for c, cod, _tab, _x in general])
-        return records[key] != 1 and not check(model().functions)
+        fields = tuple([cod(val[c]) for c, cod, _tab, _x in general])
+        return records[fields] != 1 and not check(model(key(val)).functions)
 
     return not cells.solve(order, fails)
 

@@ -214,6 +214,15 @@ def reference_validate_morphism(m: SpecMorphism) -> List[str]:
     return out
 
 
+def _classes(uf: _UnionFind, items) -> Dict[object, List[object]]:
+    """The items by the root of their class in uf, each class in the order
+    of items."""
+    out: Dict[object, List[object]] = {}
+    for x in items:
+        out.setdefault(uf.find(x), []).append(x)
+    return out
+
+
 def reference_pushout(f: SpecMorphism, g: SpecMorphism
                       ) -> Tuple[Specification, SpecMorphism, SpecMorphism]:
     """Pushout of the span  S1 <- S0 -> S2  in the category of specifications.
@@ -270,7 +279,7 @@ def reference_pushout(f: SpecMorphism, g: SpecMorphism
                 mark(uf_m, ("collapse", uf_t.find((side, x))), (side, c))
 
     def name_classes(uf, items):
-        classes = uf.classes(items)
+        classes = _classes(uf, items)
         # deterministic: classes sorted by their sorted member names
         ordered = sorted(classes.values(), key=lambda vs: sorted(n for _s, n in vs))
         names: Dict[object, str] = {}

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
@@ -584,6 +585,63 @@ def test_models_own_the_tables_that_every_model_shares(name, table):
         tab[next(iter(tab))] = JUNK
         assert [m.canonical() for k, m in enumerate(ms) if k != i] == want[:i] + want[i + 1:]
     assert [m.canonical() for m in enumerate_models(s, base)] == want
+
+
+def test_models_own_the_rows_that_they_share():
+    # two_parallel at X = Y = 3: each of the 27 tables of f is that of 27
+    # models; a change to one model's f reaches no other model and no
+    # later search
+    s = CORPUS["two_parallel"]()
+    base = {"X": (0, 1, 2), "Y": (0, 1, 2)}
+    want = [m.canonical() for m in enumerate_models(s, base)]
+    rows = Counter(tuple(m.functions["f"].items()) for m in enumerate_models(s, base))
+    assert len(want) == 729 and sorted(rows.values()) == [27] * 27
+    for i in (0, len(want) // 2, len(want) - 1):
+        ms = enumerate_models(s, base)
+        ms[i].functions["f"][0] = JUNK
+        assert [m.canonical() for k, m in enumerate(ms) if k != i] == want[:i] + want[i + 1:]
+    assert [m.canonical() for m in enumerate_models(s, base)] == want
+
+
+ORDER_LABELS = {"range": lambda k: tuple(range(k)), "wide": LABELS["wide"]}
+
+
+def _assert_insertion_order(s, carriers, ms):
+    # the carriers as derived, the tables by term name, each table's
+    # entries in the sorted order of its domain
+    assert ms
+    for m in ms:
+        assert list(m.carriers.items()) == list(carriers.items())
+        assert list(m.functions) == sorted(s.terms)
+        for t, tab in m.functions.items():
+            assert list(tab) == sorted(carriers[s.terms[t].dom])
+
+
+@pytest.mark.parametrize("labels", sorted(ORDER_LABELS))
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_enumerate_models_keeps_the_insertion_order(name, labels):
+    s = CORPUS[name]()
+    for k in (1, 2, 3):
+        base = {x: ORDER_LABELS[labels](k) for x in base_types(s)}
+        _assert_insertion_order(s, derived_carriers(s, base), enumerate_models(s, base))
+
+
+@pytest.mark.parametrize("labels", sorted(ORDER_LABELS))
+@pytest.mark.parametrize("kind", sorted(DECORATED))
+def test_extensions_of_m0_keep_the_insertion_order(kind, labels):
+    # each m_0, and m_0 with its first general table given at the first
+    # element of X's carrier only
+    d = DECORATED[kind]()
+    p0, f = pure_part(d), sorted(d.general_terms())[0]
+    for k in (1, 2, 3):
+        base = {"X": ORDER_LABELS[labels](k)}
+        for m0 in enumerate_models(p0, {x: v for x, v in base.items() if x in p0.types}):
+            cod = derived_carriers(d.base, {**m0.carriers, **base})[d.base.terms[f].cod]
+            partly = FiniteModel(m0.carriers, {**m0.functions, f: {base["X"][0]: cod[-1]}})
+            for fixed in (m0, partly):
+                carriers = derived_carriers(d.base, {**fixed.carriers, **base})
+                _assert_insertion_order(d.base, carriers,
+                                        enumerate_models(d.base, base, fixed=fixed))
 
 
 @pytest.mark.parametrize("name", ["product_pair", "collapse"])
