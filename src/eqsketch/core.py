@@ -22,8 +22,9 @@ TypeName = str
 TermName = str
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
+    """A typed term, immutable.  It is a tuple of its three fields, so it
+    equals the plain tuple (name, dom, cod) and orders as that tuple does."""
     name: TermName
     dom: TypeName
     cod: TypeName

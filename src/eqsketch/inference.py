@@ -295,7 +295,12 @@ def congruence_classes(s: Specification) -> _UnionFind:
 def _closure_rounds(s: Specification) -> Iterator[_UnionFind]:
     """``congruence_classes``' one union-find, yielded once its unions of
     the equations and of the maps into the terminal type are made, and
-    again after each round; the last yield is the closure."""
+    again after each round; the last yield is the closure.
+
+    A round reads only its snapshot of the roots, never the live
+    union-find, so it collects the pairs of classes that its laws join,
+    skips those already one class in the snapshot, and makes the unions
+    at its end; the partition it yields is that of unions made at once."""
     uf = _UnionFind()
     for t in s.terms:
         uf.find(t)
@@ -307,28 +312,34 @@ def _closure_rounds(s: Specification) -> Iterator[_UnionFind]:
         for t in s.terms.values():
             if t.cod == s.terminal:
                 uf.union(into_unit.setdefault(t.dom, t.name), t.name)
-    prod_of = {p: key for key, (p, _1, _2) in s.products.items()}
+    products = s.products
+    if products:
+        prod_of = {p: key for key, (p, _1, _2) in products.items()}
+        # the product of each tuple's codomain, and each map into a product
+        tuple_sites = [(f, g, t, (s.terms[f].cod, s.terms[g].cod))
+                       for (f, g), t in s.tuples.items()]
+        tuple_sites = [site for site in tuple_sites if site[3] in products]
+        into_product = [(h.name, prod_of[h.cod]) for h in s.terms.values() if h.cod in prod_of]
     yield uf
+    parent, find = uf.parent, uf.find
     changed = True
     while changed:
-        changed = False
-        root = {t: uf.find(t) for t in s.terms}
-
-        def unify(a: str, b: str) -> None:
-            nonlocal changed
-            if uf.union(a, b):
-                changed = True
+        # a term whose parent is a root needs no find
+        root: Dict[str, str] = {}
+        for t in s.terms:
+            p = parent[t]
+            root[t] = p if parent[p] == p else find(t)
+        pairs: List[Tuple[str, str]] = []   # roots that the round joins
 
         def table(marks: Dict[Tuple[str, str], str]) -> Dict[Tuple[str, str], str]:
             """(class of f, class of g) -> class of the mark; a second mark
             under the same key is congruent to the first."""
             out: Dict[Tuple[str, str], str] = {}
             for (f, g), c in marks.items():
-                key = (root[f], root[g])
-                if key in out:
-                    unify(out[key], c)
-                else:
-                    out[key] = root[c]
+                key, rc = (root[f], root[g]), root[c]
+                r = out.setdefault(key, rc)
+                if r != rc:
+                    pairs.append((r, rc))
             return out
 
         comp = table(s.compositions)
@@ -338,39 +349,38 @@ def _closure_rounds(s: Specification) -> Iterator[_UnionFind]:
         for (f, g), c in comp.items():
             by_first.setdefault(f, []).append((g, c))
             # identity laws
-            if g in id_classes:
-                unify(c, f)
-            if f in id_classes:
-                unify(c, g)
+            if g in id_classes and c != f:
+                pairs.append((c, f))
+            if f in id_classes and c != g:
+                pairs.append((c, g))
         # associativity: (h.g).f = h.(g.f)
         for (f, g), gf in comp.items():
             for h, r1 in by_first.get(gf, ()):
                 r2 = comp.get((f, comp.get((g, h))))
-                if r2 is not None:
-                    unify(r1, r2)
-        proj = {key: (root[p1], root[p2]) for key, (_p, p1, p2) in s.products.items()}
-        # projections of a tuple recover the components, both of them even
-        # when the two projections share a class
-        for (f, g), t in s.tuples.items():
-            pc = proj.get((s.terms[f].cod, s.terms[g].cod))
-            if pc is None:
-                continue
-            c = comp.get((root[t], pc[0]))
-            if c is not None:
-                unify(c, f)
-            c = comp.get((root[t], pc[1]))
-            if c is not None:
-                unify(c, g)
-        # a map into a product is the tuple of its projections
-        for h in s.terms.values():
-            key = prod_of.get(h.cod)
-            if key is None:
-                continue
-            a = comp.get((root[h.name], proj[key][0]))
-            b = comp.get((root[h.name], proj[key][1]))
-            t = tup.get((a, b))
-            if t is not None:
-                unify(t, h.name)
+                if r2 is not None and r2 != r1:
+                    pairs.append((r1, r2))
+        if products:
+            proj = {key: (root[p1], root[p2]) for key, (_p, p1, p2) in products.items()}
+            # projections of a tuple recover the components, both of them
+            # even when the two projections share a class
+            for f, g, t, key in tuple_sites:
+                rt, (q1, q2) = root[t], proj[key]
+                c, rf = comp.get((rt, q1)), root[f]
+                if c is not None and c != rf:
+                    pairs.append((c, rf))
+                c, rg = comp.get((rt, q2)), root[g]
+                if c is not None and c != rg:
+                    pairs.append((c, rg))
+            # a map into a product is the tuple of its projections
+            for h, key in into_product:
+                rh, (q1, q2) = root[h], proj[key]
+                t = tup.get((comp.get((rh, q1)), comp.get((rh, q2))))
+                if t is not None and t != rh:
+                    pairs.append((t, rh))
+        changed = False
+        for a, b in pairs:
+            if uf.union(a, b):
+                changed = True
         yield uf
 
 

@@ -66,7 +66,15 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
     if s.terminal is not None and tuple(carriers[s.terminal]) != (UNIT_ELEMENT,):
         head.append(f"carrier of terminal {s.terminal} is not the canonical singleton")
     terms = s.terms
-    elements = {t.cod: set(carriers[t.cod]) for t in terms.values()}
+    # each term's domain carrier and codomain elements, read once per build
+    elements: Dict[TypeName, set] = {}
+    dom_of: Dict[TermName, Sequence] = {}
+    tables = []
+    for t, x, y in terms.values():
+        if y not in elements:
+            elements[y] = set(carriers[y])
+        dom = dom_of[t] = carriers[x]
+        tables.append((t, dom, elements[y], y))
     equations = sorted(s.equations)
 
     def check(functions: Dict[TermName, Dict]) -> List[str]:
@@ -74,13 +82,13 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
             if t not in functions:
                 raise Unassigned(f"term {t}")
         out = list(head)
-        for t in terms.values():
-            tab, cod = functions[t.name], elements[t.cod]
-            for x in carriers[t.dom]:
+        for t, dom, cod, y in tables:
+            tab = functions[t]
+            for x in dom:
                 if x not in tab:
-                    out.append(f"term {t.name}: no value at {x!r}")
+                    out.append(f"term {t}: no value at {x!r}")
                 elif tab[x] not in cod:
-                    out.append(f"term {t.name}: value at {x!r} outside carrier of {t.cod}")
+                    out.append(f"term {t}: value at {x!r} outside carrier of {y}")
         if out:
             return out
         for x, i in s.identities.items():
@@ -90,7 +98,7 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
                     out.append(f"identity {i}: not the identity at {v!r}")
         for (f, g), c in s.compositions.items():
             tf, tg, tc = functions[f], functions[g], functions[c]
-            for v in carriers[terms[f].dom]:
+            for v in dom_of[f]:
                 if tc[v] != tg[tf[v]]:
                     out.append(f"composite {c} != {g} after {f} at {v!r}")
         for (p, p1, p2) in s.products.values():
@@ -101,7 +109,7 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
                     break
         for (f, g), t in s.tuples.items():
             tf, tg, tt = functions[f], functions[g], functions[t]
-            for v in carriers[terms[f].dom]:
+            for v in dom_of[f]:
                 if tt[v] != (tf[v], tg[v]):
                     out.append(f"tuple {t} is not the pairing of {f},{g} at {v!r}")
         for x, c in s.collapsings.items():
@@ -111,7 +119,7 @@ def _model_check(s: Specification, carriers: Dict[TypeName, Sequence]):
                     out.append(f"collapsing {c}: not constant at {v!r}")
         for (t1, t2) in equations:
             u1, u2 = functions[t1], functions[t2]
-            for v in carriers[terms[t1].dom]:
+            for v in dom_of[t1]:
                 if u1[v] != u2[v]:
                     out.append(f"equation {t1} = {t2} fails at {v!r}")
                     break
@@ -311,14 +319,12 @@ def _spec_cells(s: Specification, carriers, functions):
     a conflict."""
     index = _indices(carriers)
     cells = _Cells()
-    off = {name: cells.block(len(carriers[t.dom]), len(carriers[t.cod]))
-           for name, t in s.terms.items()}
-
-    def n(t: TermName) -> int:
-        return len(carriers[s.terms[t].dom])
-
+    off, n = {}, {}   # each term's first cell, and the size of its domain
+    for name, x, y in s.terms.values():
+        n[name] = len(carriers[x])
+        off[name] = cells.block(n[name], len(carriers[y]))
     for (f, g), c in s.compositions.items():
-        cells.compose(off[f], off[g], n(g), off[c], n(f))
+        cells.compose(off[f], off[g], n[g], off[c], n[f])
     pairings = {}
     for (y1, y2), (p, _1, _2) in s.products.items():
         pairings[p] = _pairing(carriers, index, y1, y2, p)
@@ -326,10 +332,10 @@ def _spec_cells(s: Specification, carriers, functions):
             return None
     for (f, g), t in s.tuples.items():
         p = s.products[(s.terms[f].cod, s.terms[g].cod)][0]
-        cells.pair([(off[f] + v, off[g] + v, off[t] + v) for v in range(n(f))],
+        cells.pair([(off[f] + v, off[g] + v, off[t] + v) for v in range(n[f])],
                    pairings[p])
     for (a, b) in s.equations:
-        cells.equal(off[a], off[b], n(a))
+        cells.equal(off[a], off[b], n[a])
 
     seeds = []
     for x, i in s.identities.items():
@@ -407,11 +413,14 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     marked = mark_results(s, TERM)  # the tables that a mark fills from others
     terms = sorted(s.terms)
     ranked = {x: tuple(_sorted_carrier(x, c)) for x, c in carriers.items()}
-    dom = {t: ranked[s.terms[t].dom] for t in terms}
+    dom, codom = {}, {}   # each term's sorted domain and codomain
+    for t in terms:
+        _t, x, y = s.terms[t]
+        dom[t], codom[t] = ranked[x], ranked[y]
     total = 1
     for t in terms:
         if t not in marked and t not in fixed_funcs:
-            total *= len(carriers[s.terms[t].cod]) ** len(dom[t])
+            total *= len(codom[t]) ** len(dom[t])
             if total > cap:
                 raise SearchSpaceTooLarge(f"{total} candidates exceed cap {cap}")
     built = _spec_cells(s, ranked, fixed_funcs)
@@ -422,7 +431,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     # unmarked terms first, small tables first: the marks then fill the rest
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
-    tables = [(t, off[t], dom[t], ranked[s.terms[t].cod].__getitem__) for t in terms]
+    tables = [(t, off[t], dom[t], codom[t].__getitem__) for t in terms]
     # the plan: each table with the run a:b of its row in the key, the memo
     # of its rows, its seeded ranks, and the indices its row's values go to
     canon: List[int] = []
@@ -572,7 +581,9 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     ``_model_cells``, in the order of ``canonical()``, gets the least
     value that a first-hit search from the cells set so far can still
     complete to a candidate that ``accept`` takes; values from the
-    witness's up need no search.
+    witness's up need no search.  The witness is the first such candidate
+    in search order, so the first unset cell in search order takes the
+    witness's value, also with no search.
     """
     built = _model_cells(s, base_carriers, None, cap, carriers)
     if built is None:
@@ -596,10 +607,13 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     w = witness()
     if w is None:
         return None
+    first = 0   # no cell before order[first] is unset
     for cell in canon:
         if val[cell] >= 0:
             continue
-        for x in range(w[cell]):
+        while val[order[first]] >= 0:
+            first += 1
+        for x in range(w[cell] if order[first] != cell else 0):
             mark = len(cells.trail)
             if cells.assign([(cell, x)]):
                 found = witness()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqsketch.core import (MARK_KINDS, TERM, TYPE, IsoResult, RuleTag, Specification,
-                           SpecMorphism, _UnionFind, compose, coproduct, eqpair,
+                           SpecMorphism, Term, _UnionFind, compose, coproduct, eqpair,
                            fresh_name, identity_morphism, iso_search, pushout,
                            pushout_universal_check, spec_equal, validate,
                            validate_morphism)
@@ -140,6 +140,41 @@ def test_iso_search_definitive_negative():
 def test_spec_equal_is_exact():
     assert spec_equal(CORPUS["endo"](), CORPUS["endo"]())
     assert not spec_equal(CORPUS["endo"](), CORPUS["single_type"]())
+
+
+def test_term_is_an_immutable_record_of_its_three_fields():
+    t = Term("f", "X", "Y")
+    for field in ("name", "dom", "cod"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, "Z")
+    assert t == Term(name="f", dom="X", cod="Y")
+    assert hash(t) == hash(Term("f", "X", "Y"))
+    assert len({t, Term("f", "X", "Y"), Term("f", "Y", "Y"), Term("g", "X", "Y")}) == 3
+    assert t != Term("f", "X", "Z")
+    assert repr(t) == "Term(name='f', dom='X', cod='Y')"
+    a, b = CORPUS["endo"](), CORPUS["endo"]()
+    assert spec_equal(a, b)
+    f = next(iter(b.terms))
+    b.terms[f] = Term(f, b.terms[f].cod, b.terms[f].dom)
+    assert spec_equal(a, b) == (a.terms[f].dom == a.terms[f].cod)
+
+
+@pytest.mark.parametrize("span", [_glued_terms_span, _clashing_composites_span])
+def test_pushout_reuses_each_term_that_keeps_its_name_and_types(span):
+    # the glued span renames every term; the clashing one keeps them all,
+    # and a term that both sides keep is either side's
+    f, g = span()
+    out, *legs = pushout(f, g)
+    kept = {}
+    for leg in legs:
+        for n, t in leg.source.terms.items():
+            want = Term(leg.term_map[n], leg.type_map[t.dom], leg.type_map[t.cod])
+            assert out.terms[want.name] == want
+            if want == t:
+                kept.setdefault(t.name, []).append(t)
+    for n, got in out.terms.items():
+        if n in kept:
+            assert any(got is t for t in kept[n])
 
 
 def test_iso_search_precheck_counts_the_marks_of_each_kind():

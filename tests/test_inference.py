@@ -2,7 +2,7 @@ import itertools
 import signal
 import time
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -756,6 +756,130 @@ def test_closure_stops_at_the_round_that_joins_the_pair(monkeypatch):
     assert closures[-1][1] == joined
 
 
+# the round kernel of the congruence closure as it was when each round
+# made its unions as it found them, kept as a differential oracle
+def reference_closure_rounds(s: Specification) -> Iterator[_UnionFind]:
+    """``congruence_classes``' one union-find, yielded once its unions of
+    the equations and of the maps into the terminal type are made, and
+    again after each round; the last yield is the closure."""
+    uf = _UnionFind()
+    for t in s.terms:
+        uf.find(t)
+    for (t1, t2) in s.equations:
+        uf.union(t1, t2)
+    # all parallel maps into the terminal type agree; types never change
+    if s.terminal is not None:
+        into_unit: Dict[str, str] = {}
+        for t in s.terms.values():
+            if t.cod == s.terminal:
+                uf.union(into_unit.setdefault(t.dom, t.name), t.name)
+    prod_of = {p: key for key, (p, _1, _2) in s.products.items()}
+    yield uf
+    changed = True
+    while changed:
+        changed = False
+        root = {t: uf.find(t) for t in s.terms}
+
+        def unify(a: str, b: str) -> None:
+            nonlocal changed
+            if uf.union(a, b):
+                changed = True
+
+        def table(marks: Dict[Tuple[str, str], str]) -> Dict[Tuple[str, str], str]:
+            """(class of f, class of g) -> class of the mark; a second mark
+            under the same key is congruent to the first."""
+            out: Dict[Tuple[str, str], str] = {}
+            for (f, g), c in marks.items():
+                key = (root[f], root[g])
+                if key in out:
+                    unify(out[key], c)
+                else:
+                    out[key] = root[c]
+            return out
+
+        comp = table(s.compositions)
+        tup = table(s.tuples)
+        id_classes = {root[i] for i in s.identities.values()}
+        by_first: Dict[str, List[Tuple[str, str]]] = {}
+        for (f, g), c in comp.items():
+            by_first.setdefault(f, []).append((g, c))
+            # identity laws
+            if g in id_classes:
+                unify(c, f)
+            if f in id_classes:
+                unify(c, g)
+        # associativity: (h.g).f = h.(g.f)
+        for (f, g), gf in comp.items():
+            for h, r1 in by_first.get(gf, ()):
+                r2 = comp.get((f, comp.get((g, h))))
+                if r2 is not None:
+                    unify(r1, r2)
+        proj = {key: (root[p1], root[p2]) for key, (_p, p1, p2) in s.products.items()}
+        # projections of a tuple recover the components, both of them even
+        # when the two projections share a class
+        for (f, g), t in s.tuples.items():
+            pc = proj.get((s.terms[f].cod, s.terms[g].cod))
+            if pc is None:
+                continue
+            c = comp.get((root[t], pc[0]))
+            if c is not None:
+                unify(c, f)
+            c = comp.get((root[t], pc[1]))
+            if c is not None:
+                unify(c, g)
+        # a map into a product is the tuple of its projections
+        for h in s.terms.values():
+            key = prod_of.get(h.cod)
+            if key is None:
+                continue
+            a = comp.get((root[h.name], proj[key][0]))
+            b = comp.get((root[h.name], proj[key][1]))
+            t = tup.get((a, b))
+            if t is not None:
+                unify(t, h.name)
+        yield uf
+
+
+def _round_partitions(rounds, s):
+    """The class root of each term of s after each round, read without
+    ``find``, whose path halving would change what the next round reads."""
+    def root(parent, t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    return [{t: root(uf.parent, t) for t in s.terms} for uf in rounds]
+
+
+def _assert_rounds_match_reference(s):
+    assert _round_partitions(eqsketch.inference._closure_rounds(s), s) == \
+        _round_partitions(reference_closure_rounds(s), s)
+
+
+def _saturations(s, depths, cap):
+    """The saturations of s at the depths, up to the first over the cap."""
+    for depth in depths:
+        try:
+            yield saturate(s, depth, cap).spec
+        except BudgetExceeded:
+            return
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_closure_rounds_match_reference(name):
+    s = REFERENCE_INPUTS[name]()
+    for spec in [s, *_saturations(s, range(3), 4000)]:
+        _assert_rounds_match_reference(spec)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs())
+def test_closure_rounds_match_reference_on_generated_specs(case):
+    s = case[0]
+    for spec in [s, *_saturations(s, range(3), 800)]:
+        _assert_rounds_match_reference(spec)
+
+
 # ---------------------------------------------------------------------------
 # Reference countermodel search: enumerate every model of a carrier choice,
 # sort by canonical() and scan, kept as a differential oracle
@@ -865,10 +989,32 @@ def _count_candidates(monkeypatch):
     return tested
 
 
+@pytest.mark.parametrize("k, words", [(3, ((2, 1, 2), (2, 2, 0))), (2, ((0, 1, 0), (1, 0, 0))),
+                                      (4, ((1, 3, 0), (0, 1, 3)))])
+def test_least_model_of_words_takes_the_witness_without_a_trial_search(k, words, monkeypatch):
+    # the free maps come first in both the search order and canonical()
+    # order, and the marks fill the composites, so each key cell is the
+    # first unset cell in search order when the walk reaches it
+    s, (a, b) = _words(k, *words)
+    solves = []
+    solve = eqsketch.models._Cells.solve
+
+    def counting(cells, order, emit):
+        solves.append(order)
+        return solve(cells, order, emit)
+
+    monkeypatch.setattr(eqsketch.models._Cells, "solve", counting)
+    got = eqsketch.models._least_model(s, {"X": (0, 1)}, lambda row: row(a) != row(b))
+    assert len(solves) == 1
+    monkeypatch.undo()
+    want = reference_find_countermodel(s, a, b, MAX_CARRIER, COUNTERMODEL_CAP)
+    assert got.canonical() == want.canonical()
+
+
 def test_rejected_candidates_build_no_model(monkeypatch):
     # s2.s1.s2 vs s2.s2.s0 over three maps X -> X: the least-model walk
-    # runs several witness searches over many candidates, tests them on
-    # their cells, and builds only its answer
+    # runs a witness search over many candidates, tests them on their
+    # cells, and builds only its answer
     s, (a, b) = _words(3, (2, 1, 2), (2, 2, 0))
     want = reference_find_countermodel(s, a, b, MAX_CARRIER, COUNTERMODEL_CAP)
     tested, built = _count_candidates(monkeypatch), count_models_built(monkeypatch)
