@@ -474,7 +474,7 @@ def _find_countermodel(s: Specification, t1: TermName, t2: TermName,
         if len(derived[cod]) == 1:
             continue
         try:
-            m = models._least_model(s, carriers, lambda row: row(t1) != row(t2), cap, derived)
+            m = models._least_model(s, carriers, lambda row: row(t1) != row(t2), cap)
         except SearchSpaceTooLarge:
             continue
         if m is not None:
@@ -557,10 +557,8 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
     with the image tables given empty as fixed tables.  So they count
     toward the cap as fixed tables do, and a carrier that the target
     forces otherwise gives no extension, decided before the cap.  Each
-    source model seeds its rows into the image tables; the search finds
-    up to 2 - count extensions, each built from its key on the cells and
-    gated by the target's ``_model_check``, and the cells are undone to
-    the trail mark."""
+    source model's rows are the image tables' rows in each target search,
+    which counts up to 2 - count extensions (``models._extensions``)."""
     s1, s = tau.source, tau.target
     image = {tau.type_map[x] for x in s1.types}
     choices = list(_carrier_choices([x for x in models.base_types(s) if x not in image],
@@ -573,25 +571,10 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
         derived = models.derived_carriers(s1, carriers)
         fixed = models.FiniteModel({tau.type_map[x]: derived[x] for x in s1.types},
                                    {u: {} for u in given})
-        targets: list = []   # by extra choice: cells, None, or SearchSpaceTooLarge
-
-        def extensions(target, row, limit: int) -> int:
-            cells, order, _tables, _canon, key, model, check, off = target
-            mark, found = len(cells.trail), 0
-
-            def emit() -> bool:
-                nonlocal found
-                found += not check(model(key(cells.val)).functions)
-                return found == limit
-
-            if cells.assign([(off[u] + v, r) for u, t in given.items()
-                             for v, r in enumerate(row(t))]):
-                cells.solve(order, emit)
-            cells.undo(mark)
-            return found
+        targets: list = []   # by extra choice: a search, None, or SearchSpaceTooLarge
 
         def not_unique(row) -> bool:
-            count = 0
+            count, rows = 0, {u: row(t) for u, t in given.items()}
             for i, extra in enumerate(choices):
                 if i == len(targets):
                     try:
@@ -601,13 +584,13 @@ def _semantic_entailment_check(tau: SpecMorphism, max_carrier: int) -> Verdict:
                 if targets[i] is SearchSpaceTooLarge:
                     return False  # cannot conclude from this source model
                 if targets[i] is not None:
-                    count += extensions(targets[i], row, 2 - count)
+                    count += models._extensions(targets[i], rows, 2 - count)
                 if count > 1:
                     break
             return count != 1
 
         try:
-            m = models._least_model(s1, carriers, not_unique, COUNTERMODEL_CAP, derived)
+            m = models._least_model(s1, carriers, not_unique, COUNTERMODEL_CAP)
         except SearchSpaceTooLarge:
             continue
         if m is not None:

@@ -156,7 +156,8 @@ class _Cells:
     A constraint instance is fired whenever a cell it watches is set, and
     firing sets every cell that its known cells determine, so an instance
     is checked as soon as its last cell is known.  This is the one
-    backtracking core of ``enumerate_models`` and ``hom_search``.
+    backtracking core of every model and hom search; no module but this
+    one reads or sets its cells.
     """
 
     def __init__(self):
@@ -294,6 +295,15 @@ class _Cells:
             else:
                 return False
 
+    def trial(self, todo: List[Tuple[int, int]], order: Sequence[int], emit) -> bool:
+        """``assign`` ``todo`` and, without a conflict, ``solve`` ``order``
+        with ``emit``; then undo to the trail mark taken before.  True iff
+        ``emit`` stopped the search."""
+        mark = len(self.trail)
+        hit = self.assign(todo) and self.solve(order, emit)
+        self.undo(mark)
+        return hit
+
 
 def _indices(carriers: Dict[TypeName, Sequence]) -> Dict[TypeName, Dict]:
     return {x: {v: i for i, v in enumerate(c)} for x, c in carriers.items()}
@@ -358,16 +368,15 @@ def _spec_cells(s: Specification, carriers, functions):
 
 
 def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
-                 fixed: Optional[FiniteModel], cap: int,
-                 carriers: Optional[Dict[TypeName, Tuple]] = None):
+                 fixed: Optional[FiniteModel], cap: int):
     """The cells of the models of s over the base carriers extending
     ``fixed``, with the marked structure and the entries of the fixed
     tables set (None when they conflict); the order the search assigns
-    them in; every table, by name, as (term, first cell, sorted domain,
-    value of a rank); the cells of the key; the key, a function that
-    reads a candidate's key off the values of the cells; the builder,
-    which makes the model of a key; the gate, which checks a model built;
-    and the first cell of every table.  ``cap`` is checked as
+    them in; every table, in a dict by term name, as (first cell, sorted
+    domain, value of a rank); the cells of the key; the key, a function
+    that reads a candidate's key off the values of the cells; the
+    builder, which makes the model of a key; and the gate, which checks a
+    model built.  ``cap`` is checked as
     ``enumerate_models`` says.  The entries a fixed table lacks are
     searched without counting toward the cap; a fixed table given empty
     leaves all its cells to the search or to the caller to seed.  A fixed
@@ -402,12 +411,9 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     models built keep the carriers as given, in their derived order, the
     tables by term name and each table's entries in the sorted order of
     its domain.  A carrier whose elements do not compare raises
-    ``IncomparableCarrier``.  ``carriers``, when given, are the
-    ``derived_carriers`` of the base carriers and ``fixed``'s, which are
-    then not derived again."""
+    ``IncomparableCarrier``."""
     fixed_carriers, fixed_funcs = (fixed.carriers, fixed.functions) if fixed else ({}, {})
-    if carriers is None:
-        carriers = derived_carriers(s, {**fixed_carriers, **base_carriers})
+    carriers = derived_carriers(s, {**fixed_carriers, **base_carriers})
     if any(set(v) != set(carriers[x]) for x, v in fixed_carriers.items()):
         return None  # s forces another carrier on a type that fixed gives
     marked = mark_results(s, TERM)  # the tables that a mark fills from others
@@ -431,13 +437,13 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
     # unmarked terms first, small tables first: the marks then fill the rest
     order = [off[t] + v for t in sorted(terms, key=lambda t: (t in marked, len(dom[t]), t))
              for v in range(len(dom[t]))]
-    tables = [(t, off[t], dom[t], codom[t].__getitem__) for t in terms]
+    tables = {t: (off[t], dom[t], codom[t].__getitem__) for t in terms}
     # the plan: each table with the run a:b of its row in the key, the memo
     # of its rows, its seeded ranks, and the indices its row's values go to
     canon: List[int] = []
     plan, shared = [], set()
     orders: Dict[Tuple, List[int]] = {}   # the repr order of each domain
-    for t, start, xs, cod in tables:
+    for t, (start, xs, cod) in tables.items():
         seeded = val[start:start + len(xs)]
         if xs not in orders:
             orders[xs] = _repr_order(xs)
@@ -475,7 +481,7 @@ def _model_cells(s: Specification, base_carriers: Dict[TypeName, Sequence],
         later = not errs and gate is full and bool(shared)
         return errs
 
-    return cells, order, tables, canon, key, model, check, off
+    return cells, order, tables, canon, key, model, check
 
 
 def _unshared(s: Specification, shared) -> Specification:
@@ -500,11 +506,11 @@ def _unshared(s: Specification, shared) -> Specification:
         collapsings={x: c for x, c in s.collapsings.items() if c not in shared})
 
 
-def _sorted_carrier(x: TypeName, c: Sequence, key=None) -> List:
-    """sorted(c, key=key), or ``IncomparableCarrier`` naming the type x
-    when the elements of its carrier c do not compare."""
+def _sorted_carrier(x: TypeName, c: Sequence) -> List:
+    """sorted(c), or ``IncomparableCarrier`` naming the type x when the
+    elements of its carrier c do not compare."""
     try:
-        return sorted(c, key=key)
+        return sorted(c)
     except TypeError as e:
         raise IncomparableCarrier(
             f"the elements of the carrier of {x} do not compare: {e}") from None
@@ -513,15 +519,6 @@ def _sorted_carrier(x: TypeName, c: Sequence, key=None) -> List:
 def _repr_order(xs: Sequence) -> List[int]:
     """The indices of xs in the order of the repr of their elements."""
     return sorted(range(len(xs)), key=lambda v: repr(xs[v]))
-
-
-def _ranks(x: TypeName, c: Sequence) -> List[int]:
-    """The rank in sorted(c) of each element of c, by its index in c, for
-    the carrier c of the type x."""
-    out = [0] * len(c)
-    for k, i in enumerate(_sorted_carrier(x, range(len(c)), key=c.__getitem__)):
-        out[i] = k
-    return out
 
 
 def enumerate_models(s: Specification,
@@ -552,7 +549,7 @@ def enumerate_models(s: Specification,
     built = _model_cells(s, base_carriers, fixed, cap)
     if built is None:
         return []
-    cells, order, _tables, _canon, key, model, check, _off = built
+    cells, order, _tables, _canon, key, model, check = built
     val, keys = cells.val, []
     cells.solve(order, lambda: keys.append(key(val)))
     keys.sort()
@@ -565,12 +562,10 @@ def enumerate_models(s: Specification,
 
 
 def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
-                 accept, cap: int = DEFAULT_CANDIDATE_CAP,
-                 carriers: Optional[Dict[TypeName, Tuple]] = None) -> Optional[FiniteModel]:
+                 accept, cap: int = DEFAULT_CANDIDATE_CAP) -> Optional[FiniteModel]:
     """The ``canonical()``-least model of s over the base carriers that
     ``accept`` takes, or None: the first such model of
-    ``enumerate_models``'s list.  The cap is the same, and ``carriers``
-    are ``_model_cells``'.
+    ``enumerate_models``'s list.  The cap is the same.
 
     ``accept`` tests a candidate on its cells: it is called with ``row``,
     where ``row(t)`` is the list of ranks in table t's cells, in the
@@ -585,26 +580,30 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
     in search order, so the first unset cell in search order takes the
     witness's value, also with no search.
     """
-    built = _model_cells(s, base_carriers, None, cap, carriers)
+    built = _model_cells(s, base_carriers, None, cap)
     if built is None:
         return None
-    cells, order, tables, canon, key, model, check, _off = built
+    cells, order, tables, canon, key, model, check = built
     val = cells.val
-    rows = {t: slice(start, start + len(xs)) for t, start, xs, _cod in tables}
+    rows = {t: slice(start, start + len(xs)) for t, (start, xs, _cod) in tables.items()}
 
     def row(t: TermName) -> List[int]:
         return val[rows[t]]
 
-    def witness() -> Optional[List[int]]:
-        """The cells of the first candidate in search order that ``accept``
-        takes, or None; the cells are left as they were."""
-        mark = len(cells.trail)
-        hit = cells.solve(order, lambda: accept(row))
-        found = list(val) if hit else None
-        cells.undo(mark)
-        return found
+    def witness(todo: List[Tuple[int, int]]) -> Optional[List[int]]:
+        """The cells of the first candidate in search order from the cells
+        set and ``todo`` that ``accept`` takes, or None; the cells are left
+        as they were."""
+        found = []
 
-    w = witness()
+        def hit() -> bool:
+            if accept(row):
+                found.append(val[:])
+            return bool(found)
+
+        return found[0] if cells.trial(todo, order, hit) else None
+
+    w = witness([])
     if w is None:
         return None
     first = 0   # no cell before order[first] is unset
@@ -614,21 +613,35 @@ def _least_model(s: Specification, base_carriers: Dict[TypeName, Sequence],
         while val[order[first]] >= 0:
             first += 1
         for x in range(w[cell] if order[first] != cell else 0):
-            mark = len(cells.trail)
-            if cells.assign([(cell, x)]):
-                found = witness()
-                if found is not None:
-                    w = found
-                    break
-            cells.undo(mark)
-        else:
-            if not cells.assign([(cell, w[cell])]):
-                raise AssertionError("a witness cell conflicts with the cells set before it")
+            found = witness([(cell, x)])
+            if found is not None:
+                w = found
+                break
+        if not cells.assign([(cell, w[cell])]):
+            raise AssertionError("a witness cell conflicts with the cells set before it")
     m = model(key(val))
     errs = check(m.functions)
     if errs:
         raise AssertionError(f"least model search produced a non-model: {errs[0]}")
     return m
+
+
+def _extensions(search, rows: Dict[TermName, Sequence[int]], limit: int) -> int:
+    """How many models of ``search``, a ``_model_cells``, give each table
+    named in ``rows`` its row of ranks (in the sorted order of the
+    table's domain), counted up to ``limit``.  Each is built from its key
+    and gated; the cells are left as they were."""
+    cells, order, tables, _canon, key, model, check = search
+    found = 0
+
+    def emit() -> bool:
+        nonlocal found
+        found += not check(model(key(cells.val)).functions)
+        return found == limit
+
+    cells.trial([(tables[t][0] + v, r) for t, row in rows.items() for v, r in enumerate(row)],
+                order, emit)
+    return found
 
 
 @dataclass
@@ -644,20 +657,31 @@ def base_types(s: Specification) -> List[TypeName]:
 
 def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
                fix_types: Sequence[TypeName] = ()) -> List[ModelHom]:
-    """All homomorphisms m -> n; components on product/terminal types are
-    forced, and a type listed in ``fix_types`` has the identity component.
+    """All homomorphisms m -> n, in ``canonical()`` order of their
+    components; components on product/terminal types are forced, and a
+    type listed in ``fix_types`` has the identity component.  A type
+    without a carrier or a term without a table, in m or in n, raises
+    ``Unassigned``; a carrier of n whose elements do not compare raises
+    ``IncomparableCarrier``.
 
-    The cells are the component entries.  Those on the choice types are
-    searched; a product entry follows from its factors, and each entry
-    fills the entry that the commutation square of every term sends it
-    to.  The homs come in ``canonical()`` order of their components."""
-    carriers = m.carriers
-    im, ino = _indices(carriers), _indices(n.carriers)
+    The cells are the component entries, each valued by its rank in the
+    sorted carrier of n.  A product entry and its factors' entries fill
+    each other, and each entry fills the entry that the commutation
+    square of every term sends it to.  The search assigns the entries as
+    ``canonical()`` compares components, types by name and entries by
+    the repr of their key, so the homs come in that order."""
+    carriers, types = m.carriers, sorted(s.types)
+    lacks = ([f"type {x}" for x in types if x not in carriers or x not in n.carriers]
+             + [f"term {t}" for t in sorted(s.terms)
+                if t not in m.functions or t not in n.functions])
+    if lacks:
+        raise Unassigned(lacks[0])
+    ranked = {x: tuple(_sorted_carrier(x, n.carriers[x])) for x in types}
+    im, ino = _indices(carriers), _indices(ranked)
     cells = _Cells()
-    types = sorted(s.types)
-    off = {x: cells.block(len(carriers[x]), len(n.carriers[x])) for x in types}
+    off = {x: cells.block(len(carriers[x]), len(ranked[x])) for x in types}
     for (y1, y2), (p, _1, _2) in s.products.items():
-        pairing = _pairing(n.carriers, ino, y1, y2, p)
+        pairing = _pairing(ranked, ino, y1, y2, p)
         if pairing is None:
             return []
         cells.pair([(off[y1] + im[y1][a], off[y2] + im[y2][b], off[p] + v)
@@ -666,25 +690,16 @@ def hom_search(s: Specification, m: FiniteModel, n: FiniteModel,
     for t in s.terms.values():
         nt, mt, index = n.functions[t.name], m.functions[t.name], im[t.cod]
         for v, x in enumerate(carriers[t.dom]):
-            cells.image(off[t.dom] + v, n.carriers[t.dom], nt, ino[t.cod],
+            cells.image(off[t.dom] + v, ranked[t.dom], nt, ino[t.cod],
                         off[t.cod] + index[mt[x]])
     seeds = [(off[x] + im[x][v], ino[x].get(v, -1)) for x in fix_types for v in carriers[x]]
     if s.terminal is not None:
         seeds.append((off[s.terminal], ino[s.terminal].get(UNIT_ELEMENT, -1)))
-    # the other cells are set by propagation once the choice cells are;
-    # solve skips the cells that are set already
-    order = [off[x] + v for x in base_types(s) + types for v in range(len(carriers[x]))]
+    order = [off[x] + v for x in types for v in _repr_order(carriers[x])]
     found: List[List[int]] = []
-    if cells.assign(seeds):
-        cells.solve(order, lambda: found.append(cells.val[:]))
-    if len(found) > 1:
-        # canonical() order: components by type name, entries by the repr
-        # of their key, values by their rank in the sorted target carrier
-        rank = {x: _ranks(x, n.carriers[x]) for x in types}
-        entries = [(off[x] + v, rank[x]) for x in types for v in _repr_order(carriers[x])]
-        found.sort(key=lambda w: tuple(r[w[c]] for c, r in entries))
+    cells.trial(seeds, order, lambda: found.append(cells.val[:]))
     return [ModelHom({x: dict(zip(carriers[x], map(
-        n.carriers[x].__getitem__, w[off[x]:off[x] + len(carriers[x])])))
+        ranked[x].__getitem__, w[off[x]:off[x] + len(carriers[x])])))
         for x in types}) for w in found]
 
 
@@ -850,11 +865,12 @@ def is_terminal(d: DecoratedSpecification, candidate: FiniteModel,
     built = _model_cells(d.base, base_carriers, m_0, cap)
     if built is None:
         return True
-    cells, order, tables, _canon, key, model, check, _off = built
+    cells, order, tables, _canon, key, model, check = built
     val, recs = cells.val, candidate.carriers[a_type]
     # one column per entry (f, x) of a general table, by record
     general = [(start + v, cod, candidate.functions[par.lift[t]], x)
-               for t, start, xs, cod in tables if not d.is_pure(t) for v, x in enumerate(xs)]
+               for t, (start, xs, cod) in tables.items() if not d.is_pure(t)
+               for v, x in enumerate(xs)]
     records = Counter(zip(*[[tab[(r, x)] for r in recs] for _c, _cod, tab, x in general])
                       if general else [()] * len(recs))
 

@@ -101,6 +101,17 @@ def test_hom_search_identity_hom():
                    for v in (0, 1)) for hom in h)
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("lack,named", [("carrier", "type U"), ("table", "term e")])
+def test_hom_search_names_a_missing_carrier_or_table(side, lack, named):
+    s = CORPUS["endo"]()
+    m = enumerate_models(s, {"X": (0, 1)})[0]
+    broken = FiniteModel({x: c for x, c in m.carriers.items() if lack != "carrier" or x != "U"},
+                         {t: f for t, f in m.functions.items() if lack != "table" or t != "e"})
+    with pytest.raises(Unassigned, match=f"^{named}$"):
+        hom_search(s, *((broken, m) if side == "source" else (m, broken)))
+
+
 def test_pass_parameter_rejects_bad_alpha():
     # a primed table decides, and with no general term the carrier does
     for d in (DECORATED["endo"](), purify(DECORATED["endo"]().base)):
@@ -495,6 +506,30 @@ def test_hom_search_matches_brute_force(kind, mk_m0):
         for n1, n2 in itertools.product(small, small):
             got = [_hom_key(h.components) for h in hom_search(p, n1, n2)]
             assert got == brute_force_homs(p, n1, n2)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_specs(), st.sampled_from(["", "n", "mn"]), st.booleans())
+def test_hom_search_matches_brute_force_on_generated_specs(case, reversed_in, fix):
+    # content and _hom_key order, also when n, or m and n, list their
+    # carriers reversed, with no type fixed or every base type fixed
+    s, carriers = case
+    if _oracle_space(s, derived_carriers(s, carriers)) > ORACLE_CAP:
+        return
+    ms = enumerate_models(s, carriers)
+    picked = ms[::max(1, len(ms) // 3)][:4]
+    fix_types = base_types(s) if fix else []
+
+    def reversed_carriers(model):
+        return FiniteModel({x: c[::-1] for x, c in model.carriers.items()}, model.functions)
+
+    for m, n in itertools.product(picked, picked):
+        if "m" in reversed_in:
+            m = reversed_carriers(m)
+        if "n" in reversed_in:
+            n = reversed_carriers(n)
+        got = [_hom_key(h.components) for h in hom_search(s, m, n, fix_types)]
+        assert got == brute_force_homs(s, m, n, fix_types)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,7 +1207,7 @@ def test_incomparable_carrier_raises_a_named_error():
         "terminal_model": lambda: terminal_model(endo, m0, base),
         "exactness_check": lambda: exactness_check(endo, m0, base),
         "is_terminal": lambda: is_terminal(endo, m_a, m0, base, bound=1),
-        # two homs from one point into X, which the search sorts
+        # two homs from one point into X, searched on the sorted target
         "hom_search": lambda: hom_search(CORPUS["single_type"](),
                                          FiniteModel({"X": (0,)}, {}),
                                          FiniteModel({"X": xs}, {})),
@@ -1181,9 +1216,9 @@ def test_incomparable_carrier_raises_a_named_error():
         with pytest.raises(IncomparableCarrier, match="carrier of X") as e:
             call()
         assert isinstance(e.value, EqsketchError), label
-    # a single hom needs no order
-    assert len(hom_search(CORPUS["single_type"](), FiniteModel({"X": ()}, {}),
-                          FiniteModel({"X": xs}, {}))) == 1
+    # every hom search sorts the target carriers, also for a single hom
+    with pytest.raises(IncomparableCarrier, match="carrier of X"):
+        hom_search(CORPUS["single_type"](), FiniteModel({"X": ()}, {}), FiniteModel({"X": xs}, {}))
 
 
 def test_a_missing_table_entry_is_a_conflict():
@@ -1196,3 +1231,27 @@ def test_a_missing_table_entry_is_a_conflict():
     cand = FiniteModel(m_a.carriers, {**m_a.functions, "e": {}})
     assert hom_search(par.spec.base, m_a, cand) == []
     assert not any(is_terminal(d, cand, m0, base, bound=b, par=par) for b in (0, 1))
+
+
+def test_a_trial_leaves_the_cells_as_it_found_them():
+    # cells a, b, c of two values each with a = b, and c set before
+    cells = models._Cells()
+    a, b, c = (cells.block(1, 2) for _ in range(3))
+    cells.equal(a, b, 1)
+    assert cells.assign([(c, 1)])
+    before = (cells.val[:], cells.trail[:])
+    order, seen = [a, b, c], []
+
+    def emit(stop):
+        return lambda: seen.append(cells.val[:]) or stop
+
+    # a hit: the search stops at the first candidate, which has the todo's value
+    assert cells.trial([(a, 1)], order, emit(True)) is True
+    assert seen == [[1, 1, 1]] and (cells.val, cells.trail) == before
+    # a conflicting todo: no search runs
+    seen.clear()
+    assert cells.trial([(a, 0), (b, 1)], order, emit(True)) is False
+    assert seen == [] and (cells.val, cells.trail) == before
+    # an exhausted search: every candidate is emitted, none stops it
+    assert cells.trial([], order, emit(False)) is False
+    assert seen == [[0, 0, 1], [1, 1, 1]] and (cells.val, cells.trail) == before
